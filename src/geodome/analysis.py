@@ -33,18 +33,22 @@ __all__ = [
 ]
 
 
+def _sphere_counts(seed_faces: int, T: int) -> tuple[int, int, int]:
+    """(V, E, F) of a triangular seed whose seed_faces faces each split into T tiles."""
+    f = seed_faces * T
+    return f // 2 + 2, 3 * f // 2, f
+
+
 def verify_counts(P: Mesh, spec: TessellationSpec) -> bool:
-    """True when P has the vertex/edge/face counts of a full (m, n) sphere."""
-    T = spec.T
-    return P.counts == (10 * T + 2, 30 * T, 20 * T)
+    """True when P has the vertex/edge/face counts of a full (m, n) sphere
+    on the tetrahedron, octahedron or icosahedron."""
+    return any(P.counts == _sphere_counts(f0, spec.T) for f0 in (4, 8, 20))
 
 
 def vertex_degree_histogram(P: Mesh) -> dict[int, int]:
     """How many vertices have each edge degree."""
-    hist: dict[int, int] = {}
-    for d in P.degrees():
-        hist[int(d)] = hist.get(int(d), 0) + 1
-    return dict(sorted(hist.items()))
+    degrees, counts = np.unique(P.degrees(), return_counts=True)
+    return dict(zip(degrees.tolist(), counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def edge_class_labels(P: Mesh, tol: float = 1e-9) -> tuple[EdgeClassTable, list[
     """
     if P.radius is None:
         raise ValueError("chord factors require an inscribed mesh")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     factors = P.edge_lengths() / P.radius
     order = np.argsort(factors, kind="stable")
@@ -85,7 +89,8 @@ def edge_class_labels(P: Mesh, tol: float = 1e-9) -> tuple[EdgeClassTable, list[
         labels[int(cur)] = len(groups) - 1
     labels[int(order[0])] = 0
     entries = tuple((float(np.mean(g)), len(g)) for g in groups)
-    assert sum(c for _, c in entries) == len(P.edges)
+    if sum(c for _, c in entries) != len(P.edges):
+        raise AssertionError("edge classes do not account for every edge")
     return EdgeClassTable(entries=entries, tol=tol), labels
 
 
@@ -229,18 +234,16 @@ def detect_frequency(P: Mesh) -> int:
         if len(nearest) > 1:
             raise NotClassI(f"nearest degree-5 distances differ: {sorted(nearest)}")
     m = nearest.pop()
-    if P.counts != (10 * m * m + 2, 30 * m * m, 20 * m * m):
+    if P.counts != _sphere_counts(20, m * m):
         raise NotClassI(f"counts do not match a class I sphere of frequency {m}")
     return m
 
 
 def _rare_degree_vertices(P: Mesh) -> list[int]:
     degrees = P.degrees()
-    hist: dict[int, int] = {}
-    for d in degrees:
-        hist[int(d)] = hist.get(int(d), 0) + 1
-    rare = min(hist, key=lambda d: (hist[d], d))
-    return [i for i, d in enumerate(degrees) if d == rare]
+    values, counts = np.unique(degrees, return_counts=True)
+    rare = values[np.lexsort((values, counts))[0]]
+    return np.flatnonzero(degrees == rare).tolist()
 
 
 def _frame(a: np.ndarray, b: np.ndarray, flip: bool) -> np.ndarray:
@@ -306,13 +309,12 @@ def congruent(
 
 def _next_maps(P: Mesh, reverse: bool) -> dict[tuple[int, int], tuple[int, int]]:
     """next[(a, b)] = the directed edge after (a, b) around its face."""
-    nxt: dict[tuple[int, int], tuple[int, int]] = {}
-    for face in P.faces:
-        cycle = tuple(reversed(face)) if reverse else face
-        k = len(cycle)
-        for i in range(k):
-            nxt[(cycle[i], cycle[(i + 1) % k])] = (cycle[(i + 1) % k], cycle[(i + 2) % k])
-    return nxt
+    he = P._half_edges
+    tail, head, after = he.tail, he.head, he.head[he.succ]
+    if reverse:  # walking a face backwards, (b, a) is followed by (a, tail of a's predecessor)
+        tail, head, after = he.head, he.tail, he.tail[np.argsort(he.succ)]
+    tail, head, after = tail.tolist(), head.tolist(), after.tolist()
+    return dict(zip(zip(tail, head), zip(head, after)))
 
 
 def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,19 +29,13 @@ __all__ = [
     "SEED_KINDS",
     "DEFAULT_TOL",
     "TolerancePolicy",
-    "Vec3",
     "Mesh",
     "build_mesh",
-    "mesh_counts",
     "seed",
     "mirrored",
     "rotated",
     "rotation_to_z",
-    "dedupe_points",
 ]
-
-# A point in 3-space: float64 array of shape (3,).
-Vec3 = np.ndarray
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -71,6 +67,88 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, each rounded exactly like a scalar `a[i] @ b[i]`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row-wise Euclidean norms, each equal to `np.linalg.norm(a[i])`."""
+    return np.sqrt(_rowdot(a, a))
+
+
+def _flatten(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Face cycles as (all corner indices in order, length of each cycle)."""
+    size = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+    flat = np.fromiter(chain.from_iterable(faces), dtype=np.intp, count=int(size.sum()))
+    return flat, size
+
+
+def _cycles(flat: np.ndarray, size: np.ndarray) -> list[tuple]:
+    """Inverse of _flatten: split the corner list into one tuple per cycle."""
+    bounds = np.cumsum(size).tolist()
+    items = flat.tolist()
+    return [tuple(items[a:b]) for a, b in zip([0] + bounds[:-1], bounds)]
+
+
+def _ring_sort(
+    ring_of: np.ndarray, ids: np.ndarray, points: np.ndarray, axes: np.ndarray
+) -> list[tuple[int, ...]]:
+    """Order the ids of every ring by polar angle around the ring's axis (ties by id).
+
+    Entry k places ids[k], at points[k] relative to the ring's center, in
+    ring ring_of[k]; axes[r] points outward through ring r.  Angles run
+    counter-clockwise seen from outside, starting near -pi.  Returns one
+    tuple of ids per axis.
+    """
+    axes = axes / _norms(axes)[:, None]
+    helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    t1 = np.cross(helper, axes)
+    t1 /= _norms(t1)[:, None]
+    t2 = np.cross(axes, t1)  # (t1, t2, axis) is right-handed
+    angle = np.arctan2(_rowdot(points, t2[ring_of]), _rowdot(points, t1[ring_of]))
+    order = np.lexsort((ids, angle, ring_of))
+    return _cycles(ids[order], np.bincount(ring_of, minlength=len(axes)))
+
+
+class _HalfEdges:
+    """Directed edges of a face list: faces in order, corners in cycle order.
+
+    Half-edge h runs tail[h] -> head[h] in face[h]; succ[h] is the next
+    half-edge around that face and twin[h] the opposite half-edge (-1 on a
+    boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1.
+    """
+
+    def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int) -> None:
+        self.tail, self.size = flat, size
+        self.start = np.cumsum(size) - size
+        self.face = np.repeat(np.arange(len(size)), size)
+        self.succ = np.arange(1, len(flat) + 1)
+        self.succ[self.start + size - 1] = self.start
+        self.head = flat[self.succ]
+        keys, wanted = flat * n_vertices + self.head, self.head * n_vertices + flat
+        order = np.argsort(keys)
+        found = order[np.minimum(np.searchsorted(keys[order], wanted), len(flat) - 1)]
+        self.twin = np.where(keys[found] == wanted, found, -1)
+
+    def face_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-face sums of per-half-edge values, added corner by corner in cycle order."""
+        out = values[self.start].copy()
+        for k in range(1, int(self.size.max())):
+            rows = np.flatnonzero(self.size > k)
+            out[rows] += values[self.start[rows] + k]
+        return out
+
+    def centroids(self, points: np.ndarray) -> np.ndarray:
+        """Mean corner of every face."""
+        return self.face_sum(points[self.tail]) / self.size[:, None]
+
+    def normals(self, points: np.ndarray) -> np.ndarray:
+        """Newell normal (unnormalized) of every face."""
+        # + 0.0 turns a -0.0 component into 0.0, as summing from zero would
+        return self.face_sum(np.cross(points[self.tail], points[self.head])) + 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Immutable indexed surface.
@@ -89,6 +167,11 @@ class Mesh:
     edges: tuple[tuple[int, int], ...]
     boundary_edges: tuple[tuple[int, int], ...]  # edges used by exactly one face
 
+    @cached_property
+    def _half_edges(self) -> _HalfEdges:
+        """Half-edge table of the faces; every topology query reads it."""
+        return _HalfEdges(*_flatten(self.faces), len(self.vertices))
+
     @property
     def counts(self) -> tuple[int, int, int]:
         """(vertex, edge, face) counts."""
@@ -96,37 +179,16 @@ class Mesh:
 
     def degrees(self) -> np.ndarray:
         """Number of edges incident to each vertex."""
-        out = np.zeros(len(self.vertices), dtype=int)
-        for a, b in self.edges:
-            out[a] += 1
-            out[b] += 1
-        return out
+        he = self._half_edges  # each half-edge counts at its tail, a boundary one also at its head
+        ends = np.concatenate([he.tail, he.head[he.twin < 0]])
+        return np.bincount(ends, minlength=len(self.vertices))
 
     def face_centroids(self) -> np.ndarray:
-        return np.array([self.vertices[list(f)].mean(axis=0) for f in self.faces])
+        return self._half_edges.centroids(self.vertices)
 
     def edge_lengths(self) -> np.ndarray:
         idx = np.asarray(self.edges)
         return np.linalg.norm(self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]], axis=1)
-
-
-def _face_normal(points: np.ndarray) -> np.ndarray:
-    """Newell normal of a planar polygon (unnormalized)."""
-    n = np.zeros(3)
-    for i in range(len(points)):
-        p, q = points[i], points[(i + 1) % len(points)]
-        n += np.cross(p, q)
-    return n
-
-
-def _derive_edges(faces: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    for face in faces:
-        for i in range(len(face)):
-            a, b = face[i], face[(i + 1) % len(face)]
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def build_mesh(
@@ -152,39 +214,48 @@ def build_mesh(
         raise ValueError("vertex coordinates must be finite")
     ctr = np.asarray(center, dtype=float)
 
-    face_list: list[tuple[int, ...]] = []
-    for face in faces:
-        cycle = tuple(int(i) for i in face)
-        if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-            raise DegenerateFace(f"face {cycle} has fewer than 3 distinct vertices")
-        if min(cycle) < 0 or max(cycle) >= len(verts):
-            raise DegenerateFace(f"face {cycle} references a vertex out of range")
-        face_list.append(cycle)
+    face_list = list(faces)
     if not face_list:
         raise ValueError("mesh must have at least one face")
+    flat, size = _flatten(face_list)
+    v, f = len(verts), len(face_list)
 
-    edge_counts = _derive_edges(face_list)
-    v, s, f = len(verts), len(edge_counts), len(face_list)
+    def named(fi: int) -> tuple[int, ...]:
+        return tuple(int(i) for i in face_list[fi])
+
+    short = np.flatnonzero(size < 3)
+    if short.size:
+        raise DegenerateFace(f"face {named(short[0])} has fewer than 3 distinct vertices")
+    he = _HalfEdges(flat, size, v)
+    stray = he.face[(flat < 0) | (flat >= v)]
+    if stray.size:
+        raise DegenerateFace(f"face {named(stray[0])} references a vertex out of range")
+    corners = np.sort(he.face * v + flat)
+    repeats = corners[1:][corners[1:] == corners[:-1]] // v
+    if repeats.size:
+        raise DegenerateFace(f"face {named(repeats.min())} has fewer than 3 distinct vertices")
+
+    lo, hi = np.minimum(flat, he.head), np.maximum(flat, he.head)
+    keys, uses = np.unique(lo * v + hi, return_counts=True)
+    s = len(keys)
     if closed and v - s + f != 2:
         raise EulerViolation(f"V - S + F = {v} - {s} + {f} = {v - s + f}, expected 2")
 
-    for edge, n in edge_counts.items():
-        if n > 2 or (closed and n != 2):
-            raise NonManifoldEdge(f"edge {edge} belongs to {n} faces")
+    bad = np.flatnonzero((uses > 2) | ((uses != 2) & closed))
+    if bad.size:
+        key = int(keys[bad[0]])
+        raise NonManifoldEdge(f"edge {(key // v, key % v)} belongs to {uses[bad[0]]} faces")
 
-    directed: set[tuple[int, int]] = set()
-    for face in face_list:
-        for i in range(len(face)):
-            a, b = face[i], face[(i + 1) % len(face)]
-            if (a, b) in directed:
-                raise InvalidOrientation(f"directed edge {(a, b)} traversed twice")
-            directed.add((a, b))
+    directed = np.sort(flat * v + he.head)
+    twice = directed[1:][directed[1:] == directed[:-1]]
+    if twice.size:
+        key = int(twice[0])
+        raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
-    for fi, face in enumerate(face_list):
-        pts = verts[list(face)] - ctr
-        normal = _face_normal(pts)
-        if float(normal @ pts.mean(axis=0)) <= 0.0:
-            raise InvalidOrientation(f"face {fi} is not counter-clockwise from outside")
+    pts = verts - ctr
+    inward = np.flatnonzero(_rowdot(he.normals(pts), he.centroids(pts)) <= 0.0)
+    if inward.size:
+        raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
 
     if radius is not None:
         if radius <= 0.0:
@@ -196,24 +267,23 @@ def build_mesh(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )
 
-    edges = tuple(sorted(edge_counts))
-    boundary = tuple(e for e in edges if edge_counts[e] == 1)
+    # one int object per vertex, shared by every face and edge tuple
+    index = np.arange(v).astype(object)
+    edges = tuple(zip(index[keys // v].tolist(), index[keys % v].tolist()))
+    boundary = tuple(e for e, n in zip(edges, uses.tolist()) if n == 1)
     verts.setflags(write=False)
     ctr.setflags(write=False)
-    return Mesh(
+    mesh = Mesh(
         vertices=verts,
-        faces=tuple(face_list),
+        faces=tuple(_cycles(index[flat], size)),
         center=ctr,
         radius=radius,
         closed=closed,
         edges=edges,
         boundary_edges=boundary,
     )
-
-
-def mesh_counts(P: Mesh) -> tuple[int, int, int]:
-    """(V, S, F): vertex, edge, face counts."""
-    return P.counts
+    mesh.__dict__["_half_edges"] = he  # fill the cache with the table just validated
+    return mesh
 
 
 # --- seed polyhedra ---------------------------------------------------------
@@ -251,91 +321,54 @@ def _unit_icosahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
 
 def _triangle_faces(verts: np.ndarray) -> list[tuple[int, ...]]:
     """Faces of a regular triangle-faced solid: mutually nearest vertex triples."""
-    n = len(verts)
     d2 = np.sum((verts[:, None, :] - verts[None, :, :]) ** 2, axis=2)
     edge2 = d2[d2 > 1e-12].min()
     adj = d2 < edge2 * 1.000001
-    faces = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not adj[i, j]:
-                continue
-            for k in range(j + 1, n):
-                if adj[i, k] and adj[j, k]:
-                    faces.append(_oriented((i, j, k), verts))
-    return faces
+    faces = [
+        (i, j, k)
+        for i, j, k in combinations(range(len(verts)), 3)
+        if adj[i, j] and adj[i, k] and adj[j, k]
+    ]
+    return _outward(faces, verts)
 
 
-def _oriented(face: tuple[int, ...], verts: np.ndarray) -> tuple[int, ...]:
-    pts = verts[list(face)]
-    if float(_face_normal(pts) @ pts.mean(axis=0)) < 0.0:
-        return tuple(reversed(face))
-    return face
-
-
-def _angle_sorted(indices: Sequence[int], points: np.ndarray, axis: np.ndarray) -> tuple[int, ...]:
-    """Sort indices by polar angle of their points around the outward axis (ties by index)."""
-    axis = axis / np.linalg.norm(axis)
-    helper = np.array([0.0, 0.0, 1.0])
-    if abs(float(axis @ helper)) > 0.9:
-        helper = np.array([1.0, 0.0, 0.0])
-    t1 = np.cross(helper, axis)
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(axis, t1)  # (t1, t2, axis) is right-handed
-    keyed = []
-    for i in indices:
-        p = points[i]
-        keyed.append((math.atan2(float(p @ t2), float(p @ t1)), i))
-    return tuple(i for _, i in sorted(keyed))
+def _outward(faces: list[tuple[int, ...]], verts: np.ndarray) -> list[tuple[int, ...]]:
+    """The faces, each reversed where needed to run counter-clockwise from outside."""
+    he = _HalfEdges(*_flatten(faces), len(verts))
+    inward = _rowdot(he.normals(verts), he.centroids(verts)) < 0.0
+    return [face[::-1] if flip else face for face, flip in zip(faces, inward.tolist())]
 
 
 def _unit_dodecahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
     # Vertices sit along the face-centroid directions of the icosahedron;
     # one pentagon wraps each icosahedron vertex.
     ico_verts, ico_faces = _unit_icosahedron()
-    centroids = np.array([ico_verts[list(f)].mean(axis=0) for f in ico_faces])
+    he = build_mesh(ico_verts, ico_faces)._half_edges
+    centroids = he.centroids(ico_verts)
     verts = centroids / np.linalg.norm(centroids, axis=1)[:, None]
-    faces = []
-    for vi in range(len(ico_verts)):
-        ring = [fi for fi, f in enumerate(ico_faces) if vi in f]
-        faces.append(_oriented(_angle_sorted(ring, verts, ico_verts[vi]), verts))
-    return verts, faces
+    return verts, _outward(_ring_sort(he.tail, he.face, verts[he.face], ico_verts), verts)
 
 
 def _unit_truncated_icosahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
     # Cut every icosahedron edge at one third from each end: 60 vertices,
     # one pentagon per old vertex, one hexagon per old face.
-    ico_verts, ico_faces = _unit_icosahedron()
+    ico = build_mesh(*_unit_icosahedron())
+    he, ico_verts = ico._half_edges, ico.vertices
     index: dict[tuple[int, int], int] = {}
     pts = []
-    edges = set()
-    for f in ico_faces:
-        for i in range(3):
-            a, b = f[i], f[(i + 1) % 3]
-            edges.add((min(a, b), max(a, b)))
-    for a, b in sorted(edges):
+    for a, b in ico.edges:
         for u, v in ((a, b), (b, a)):
             index[(u, v)] = len(pts)
             pts.append((2.0 * ico_verts[u] + ico_verts[v]) / 3.0)
     verts = np.array(pts)
     verts /= np.linalg.norm(verts, axis=1)[:, None]
 
-    faces: list[tuple[int, ...]] = []
-    nbrs: dict[int, list[int]] = {}
-    for a, b in edges:
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    for u in range(len(ico_verts)):
-        ring = [index[(u, v)] for v in nbrs[u]]
-        faces.append(_oriented(_angle_sorted(ring, verts, ico_verts[u]), verts))
-    for a, b, c in ico_faces:
-        cycle = (
-            index[(a, b)], index[(b, a)],
-            index[(b, c)], index[(c, b)],
-            index[(c, a)], index[(a, c)],
-        )
-        faces.append(cycle)
-    return verts, faces
+    # cut[h] is the point one third along half-edge h; a face a, b, c gives
+    # the hexagon ab, ba, bc, cb, ca, ac
+    cut = np.array([index[uv] for uv in zip(he.tail.tolist(), he.head.tolist())])
+    pentagons = _outward(_ring_sort(he.tail, cut, verts[cut], ico_verts), verts)
+    hexagons = np.column_stack([cut, cut[he.twin]]).reshape(-1, 6).tolist()
+    return verts, pentagons + [tuple(h) for h in hexagons]
 
 
 _SEED_BUILDERS = {
@@ -407,40 +440,3 @@ def rotated(P: Mesh, matrix: np.ndarray) -> Mesh:
     R = np.asarray(matrix, dtype=float)
     verts = (P.vertices - P.center) @ R.T + P.center
     return build_mesh(verts, P.faces, center=P.center, radius=P.radius, closed=P.closed)
-
-
-def dedupe_points(points: Iterable[Sequence[float]], eps: float) -> tuple[np.ndarray, list[int]]:
-    """Merge points closer than eps; first occurrence wins.
-
-    Uses a uniform spatial grid with cell size eps, checking the 27
-    neighboring cells, so matches cannot be missed across cell borders.
-    Returns the unique points and a map from old index to new.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    grid: dict[tuple[int, int, int], list[int]] = {}
-    unique: list[np.ndarray] = []
-    remap: list[int] = []
-    inv = 1.0 / eps
-    for p in np.asarray(list(points), dtype=float):
-        cx, cy, cz = (int(math.floor(c * inv)) for c in p)
-        hit = -1
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for idx in grid.get((cx + dx, cy + dy, cz + dz), ()):
-                        if float(np.linalg.norm(unique[idx] - p)) < eps:
-                            hit = idx
-                            break
-                    if hit >= 0:
-                        break
-                if hit >= 0:
-                    break
-            if hit >= 0:
-                break
-        if hit < 0:
-            hit = len(unique)
-            unique.append(p)
-            grid.setdefault((cx, cy, cz), []).append(hit)
-        remap.append(hit)
-    return np.array(unique), remap

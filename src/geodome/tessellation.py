@@ -86,16 +86,6 @@ class FlatTessellation:
     small_faces: tuple[tuple[int, int, int], ...]
 
 
-def _edge_neighbors(base: Mesh) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """For each undirected edge: the (face index, opposite vertex) pairs using it."""
-    out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for fi, (ia, ib, ic) in enumerate(base.faces):
-        for a, b, c in ((ia, ib, ic), (ib, ic, ia), (ic, ia, ib)):
-            key = (a, b) if a < b else (b, a)
-            out.setdefault(key, []).append((fi, c))
-    return out
-
-
 def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     """Overlay the (m, n) lattice on every face of a triangular seed.
 
@@ -108,18 +98,21 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     so a point shared by several faces is created exactly once.
     """
     spec = TessellationSpec(m, n)
-    for f in P.faces:
-        if len(f) != 3:
-            raise NonTriangularSeed("lattice subdivision requires a triangular seed")
+    he = P._half_edges
+    if (he.size != 3).any():
+        raise NonTriangularSeed("lattice subdivision requires a triangular seed")
     T = spec.T
     mn = m + n
     verts = P.vertices
-    neighbors = _edge_neighbors(P)
+    across_face = np.where(he.twin >= 0, he.face[he.twin], -1).tolist()
+    across_far = he.head[he.succ[he.twin]].tolist()
 
-    def neighbor_of(fi: int, a: int, b: int) -> tuple[int, int]:
-        key = (a, b) if a < b else (b, a)
-        first, second = neighbors[key]
-        return second if first[0] == fi else first
+    def neighbor_of(fi: int, corner: int) -> tuple[int, int]:
+        """(face, far vertex) across the edge of face fi opposite the given corner."""
+        h = 3 * fi + (corner + 1) % 3
+        if across_face[h] < 0:
+            raise ValueError(f"face {fi} has no neighbor across a boundary edge")
+        return across_face[h], across_far[h]
 
     registry: dict[tuple[tuple[int, int], ...], int] = {}
     points: list[np.ndarray] = []
@@ -151,17 +144,19 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
             if uN >= 0 and vN >= 0 and wN >= 0:
                 return register((ia, ib, ic), nums)
             negs = (uN < 0) + (vN < 0) + (wN < 0)
-            assert negs == 1, "tile corner past two edges; centroid ownership broken"
+            if negs != 1:
+                raise AssertionError("tile corner past two edges; centroid ownership broken")
             if uN < 0:
-                _, d = neighbor_of(fi, ib, ic)
+                _, d = neighbor_of(fi, 0)
                 frame, out = (d, ib, ic), (-uN, uN + vN, uN + wN)
             elif vN < 0:
-                _, d = neighbor_of(fi, ia, ic)
+                _, d = neighbor_of(fi, 1)
                 frame, out = (ia, d, ic), (uN + vN, -vN, vN + wN)
             else:
-                _, d = neighbor_of(fi, ia, ib)
+                _, d = neighbor_of(fi, 2)
                 frame, out = (ia, ib, d), (uN + wN, vN + wN, -wN)
-            assert min(out) >= 0
+            if min(out) < 0:
+                raise AssertionError(f"unfolded corner weights {out} are negative")
             return register(frame, out)
 
         for q in range(-1, mn + 2):
@@ -177,14 +172,15 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
                         continue
                     zeros = (cu == 0) + (cv == 0) + (cw == 0)
                     if zeros:
-                        assert zeros == 1, "tile centroid on a seed vertex"
+                        if zeros != 1:
+                            raise AssertionError("tile centroid on a seed vertex")
                         # centroid exactly on a shared edge: lower face index owns
                         if cu == 0:
-                            gi, _ = neighbor_of(fi, ib, ic)
+                            gi, _ = neighbor_of(fi, 0)
                         elif cv == 0:
-                            gi, _ = neighbor_of(fi, ia, ic)
+                            gi, _ = neighbor_of(fi, 1)
                         else:
-                            gi, _ = neighbor_of(fi, ia, ib)
+                            gi, _ = neighbor_of(fi, 2)
                         if gi < fi:
                             continue
                     small_faces.append(tuple(corner_index(w) for w in nums))

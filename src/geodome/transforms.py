@@ -13,31 +13,29 @@ from .errors import (
     StrictCutViolation,
     TriangularFacePresent,
 )
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _cycles, _norms, _ring_sort, _rowdot, build_mesh
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
 
 
-def _face_planes(P: Mesh, tol: TolerancePolicy, rho: float) -> tuple[np.ndarray, np.ndarray]:
+def _face_planes(P: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normal and center offset of every face plane."""
-    normals = np.zeros((len(P.faces), 3))
-    offsets = np.zeros(len(P.faces))
-    for fi, face in enumerate(P.faces):
-        pts = P.vertices[list(face)] - P.center
-        n = np.zeros(3)
-        for i in range(len(pts)):
-            n += np.cross(pts[i], pts[(i + 1) % len(pts)])
-        n /= np.linalg.norm(n)
-        d = float(pts.mean(axis=0) @ n)
-        if abs(d) <= tol.metric_eps * rho:
-            raise FaceThroughCenter(f"face {fi} lies in a plane through the center")
-        normals[fi] = n
-        offsets[fi] = d
-    return normals, offsets
+    he = P._half_edges
+    pts = P.vertices - P.center
+    normals = he.normals(pts)
+    normals /= _norms(normals)[:, None]
+    return normals, _rowdot(he.centroids(pts), normals)
 
 
-def _polarity_radius(P: Mesh, tol: TolerancePolicy) -> float:
-    """Radius of the canonical polarity sphere of P.
+def _off_center(offsets: np.ndarray, tol: TolerancePolicy, rho: float) -> None:
+    """Reject a face plane passing within tolerance of the center."""
+    hit = np.flatnonzero(np.abs(offsets) <= tol.metric_eps * rho)
+    if hit.size:
+        raise FaceThroughCenter(f"face {hit[0]} lies in a plane through the center")
+
+
+def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: TolerancePolicy) -> float:
+    """Radius of the canonical polarity sphere of P, given its face-plane offsets.
 
     The rule is chosen so that taking the dual twice is the identity: a mesh
     with only a circumsphere uses it, a mesh whose face planes are tangent to
@@ -45,8 +43,7 @@ def _polarity_radius(P: Mesh, tol: TolerancePolicy) -> float:
     uses their geometric mean, which maps each such mesh to a dual inscribed
     in the same circumsphere.
     """
-    scale = float(np.linalg.norm(P.vertices - P.center, axis=1).mean())
-    _, offsets = _face_planes(P, tol, scale)
+    _off_center(offsets, tol, float(np.linalg.norm(P.vertices - P.center, axis=1).mean()))
     span = float(offsets.max() - offsets.min())
     mean = float(offsets.mean())
     tangent = mean if mean > 0.0 and span <= tol.metric_eps * mean else None
@@ -79,34 +76,20 @@ def dual(
     an inscribed mesh does) uses that tangent sphere, and a mesh with both
     spheres (a regular seed) uses their geometric mean, which keeps the dual
     inscribed in the same circumsphere.  All three branches make taking the
-    dual twice return the original shape with no rescaling.
+    dual twice return the original shape with no rescaling.  P must be
+    closed.
     """
-    rho = sphere_radius if sphere_radius is not None else _polarity_radius(P, tol)
+    if not P.closed:
+        raise ValueError("the polar dual requires a closed mesh")
+    normals, offsets = _face_planes(P)
+    rho = sphere_radius if sphere_radius is not None else _polarity_radius(P, offsets, tol)
     if rho <= 0.0:
         raise ValueError("polarity sphere radius must be positive")
-    normals, offsets = _face_planes(P, tol, rho)
+    _off_center(offsets, tol, rho)
     poles = P.center + normals * (rho * rho / offsets)[:, None]
 
-    incident: list[list[int]] = [[] for _ in range(len(P.vertices))]
-    for fi, face in enumerate(P.faces):
-        for v in face:
-            incident[v].append(fi)
-
-    faces = []
-    for vi, ring in enumerate(incident):
-        axis = P.vertices[vi] - P.center
-        axis = axis / np.linalg.norm(axis)
-        helper = np.array([0.0, 0.0, 1.0])
-        if abs(float(axis @ helper)) > 0.9:
-            helper = np.array([1.0, 0.0, 0.0])
-        t1 = np.cross(helper, axis)
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(axis, t1)
-        keyed = []
-        for fi in ring:
-            rel = poles[fi] - P.center
-            keyed.append((math.atan2(float(rel @ t2), float(rel @ t1)), fi))
-        faces.append(tuple(fi for _, fi in sorted(keyed)))
+    he = P._half_edges
+    faces = _ring_sort(he.tail, he.face, poles[he.face] - P.center, P.vertices - P.center)
 
     dist = np.linalg.norm(poles - P.center, axis=1)
     mean = float(dist.mean())
@@ -124,19 +107,16 @@ def gemmate(P: Mesh, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
     """
     if P.radius is None:
         raise ValueError("pyramid augmentation requires an inscribed mesh")
-    for fi, face in enumerate(P.faces):
-        if len(face) == 3:
-            raise TriangularFacePresent(f"face {fi} is a triangle")
-    normals, _ = _face_planes(P, tol, P.radius)
+    he = P._half_edges
+    triangles = np.flatnonzero(he.size == 3)
+    if triangles.size:
+        raise TriangularFacePresent(f"face {triangles[0]} is a triangle")
+    normals, offsets = _face_planes(P)
+    _off_center(offsets, tol, P.radius)
     apexes = P.center + normals * P.radius
 
     verts = np.vstack([P.vertices, apexes])
-    base = len(P.vertices)
-    faces = []
-    for fi, face in enumerate(P.faces):
-        apex = base + fi
-        for i in range(len(face)):
-            faces.append((face[i], face[(i + 1) % len(face)], apex))
+    faces = np.column_stack([he.tail, he.head, len(P.vertices) + he.face])
     return build_mesh(verts, faces, center=P.center, radius=P.radius, tol=tol)
 
 
@@ -162,32 +142,32 @@ def truncate_dome(
     if not 0.0 < height_fraction <= 1.0:
         raise ValueError("height_fraction must lie in (0, 1]")
     a = np.asarray(axis, dtype=float)
-    a = a / np.linalg.norm(a)
+    length = float(np.linalg.norm(a)) if a.shape == (3,) else math.nan
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError("axis must be a finite non-zero 3-vector")
+    a = a / length
     z_cut = P.radius * (1.0 - 2.0 * height_fraction)
 
+    he = P._half_edges
     heights = (P.vertices - P.center) @ a
-    kept = [
-        face
-        for face in P.faces
-        if float(heights[list(face)].mean()) >= z_cut
-    ]
-    if not kept:
+    keep = he.face_sum(heights[he.tail]) / he.size >= z_cut
+    kept = np.flatnonzero(keep)
+    if not kept.size:
         raise EmptyDome(f"no face centroid reaches the cut at fraction {height_fraction}")
     if len(kept) == len(P.faces):
         return P
 
     if strict:
-        for face in kept:
-            low = float(heights[list(face)].min())
-            if low < z_cut - tol.metric_eps * P.radius:
-                raise StrictCutViolation(
-                    f"kept face {face} has a vertex {z_cut - low:.3e} below the cut"
-                )
+        low = np.minimum.reduceat(heights[he.tail], he.start)[kept]
+        sag = np.flatnonzero(low < z_cut - tol.metric_eps * P.radius)
+        if sag.size:
+            raise StrictCutViolation(
+                f"kept face {P.faces[kept[sag[0]]]} has a vertex "
+                f"{z_cut - low[sag[0]]:.3e} below the cut"
+            )
 
-    used = sorted({v for face in kept for v in face})
-    remap = {old: new for new, old in enumerate(used)}
-    verts = P.vertices[used]
-    faces = [tuple(remap[v] for v in face) for face in kept]
+    used, local = np.unique(he.tail[keep[he.face]], return_inverse=True)
+    faces = _cycles(local, he.size[kept])
     return build_mesh(
-        verts, faces, center=P.center, radius=P.radius, closed=False, tol=tol
+        P.vertices[used], faces, center=P.center, radius=P.radius, closed=False, tol=tol
     )

@@ -42,6 +42,14 @@ def test_verify_counts(sphere_21, icosa):
     assert not verify_counts(icosa, TessellationSpec(2, 1))
 
 
+@pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2), (3, 2)])
+def test_verify_counts_on_every_triangular_seed(make_sphere, kind, m, n):
+    P = make_sphere(m, n, kind)
+    assert verify_counts(P, TessellationSpec(m, n))
+    assert not verify_counts(P, TessellationSpec(m + 1, n))
+
+
 def test_edge_classes_2v(sphere_2v):
     table, labels = edge_class_labels(sphere_2v)
     assert table.class_count == 2
@@ -57,6 +65,14 @@ def test_edge_classes_merge_at_coarse_tolerance(sphere_2v):
     coarse = edge_length_classes(sphere_2v, tol=1.0)
     assert coarse.class_count == 1
     assert coarse.entries[0][1] == 120
+
+
+def test_edge_classes_reject_bad_tolerance(sphere_2v):
+    for bad in (0.0, -1e-9, math.nan):
+        with pytest.raises(ValueError):
+            edge_length_classes(sphere_2v, tol=bad)
+        with pytest.raises(ValueError):
+            edge_class_labels(sphere_2v, tol=bad)
 
 
 def test_face_metrics_kinds(sphere_2v, sphere_21):

@@ -16,8 +16,6 @@ from geodome import (
     UnsupportedSeed,
     build_mesh,
     congruent,
-    dedupe_points,
-    mesh_counts,
     mirrored,
     rotated,
     rotation_to_z,
@@ -37,7 +35,6 @@ SEED_COUNTS = {
 def test_seed_counts(kind, counts):
     P = seed(kind)
     assert P.counts == counts
-    assert mesh_counts(P) == counts
     v, s, f = counts
     assert v - s + f == 2
 
@@ -181,10 +178,3 @@ def test_rotation_to_z_sends_direction_to_pole():
         u /= np.linalg.norm(u)
         np.testing.assert_allclose(R @ u, [0, 0, 1], atol=1e-12)
 
-
-def test_dedupe_points_collapses_near_duplicates():
-    pts = [(0, 0, 0), (1, 0, 0), (0, 0, 1e-12), (1, 0, 0), (0, 1, 0)]
-    unique, remap = dedupe_points(pts, eps=1e-9)
-    assert len(unique) == 3
-    assert remap == [0, 1, 0, 1, 2]
-    np.testing.assert_array_equal(unique[remap[4]], [0, 1, 0])

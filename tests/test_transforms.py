@@ -66,6 +66,8 @@ def test_dual_requires_a_polarity_sphere():
     stretched = build_mesh(verts, t.faces)
     with pytest.raises(ValueError):
         dual(stretched)
+    with pytest.raises(ValueError):
+        dual(truncate_dome(seed("icosahedron", vertex_up=True), 0.5))  # open
     poked = dual(stretched, sphere_radius=1.0)
     assert poked.counts == (4, 6, 4)
 
@@ -107,6 +109,9 @@ def test_truncate_rejects_bad_fraction(sphere_2v):
     for bad in (0.0, -0.2, 1.2):
         with pytest.raises(ValueError):
             truncate_dome(sphere_2v, bad)
+    for axis in ((0, 0, 0), (0, 0, np.nan), (np.inf, 0, 1)):
+        with pytest.raises(ValueError):
+            truncate_dome(sphere_2v, 0.5, axis=axis)
 
 
 def test_truncate_tiny_cap_is_empty(sphere_2v):
