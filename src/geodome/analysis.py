@@ -5,13 +5,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometry, NonTriangularFace, NotClassI
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _norms, _rowdot
 from .tessellation import TessellationSpec
 
 __all__ = [
@@ -68,7 +66,9 @@ class EdgeClassTable:
         return len(self.entries)
 
 
-def edge_class_labels(P: Mesh, tol: float = 1e-9) -> tuple[EdgeClassTable, list[int]]:
+def edge_class_labels(
+    P: Mesh, tol: float = DEFAULT_TOL.metric_eps
+) -> tuple[EdgeClassTable, list[int]]:
     """Classify edges by chord factor; also label each edge with its class row.
 
     Single-linkage clustering on the sorted lengths: a gap larger than tol
@@ -80,30 +80,30 @@ def edge_class_labels(P: Mesh, tol: float = 1e-9) -> tuple[EdgeClassTable, list[
         raise ValueError("tolerance must be positive")
     factors = P.edge_lengths() / P.radius
     order = np.argsort(factors, kind="stable")
-    labels = [0] * len(factors)
-    groups: list[list[float]] = [[float(factors[order[0]])]]
-    for prev, cur in zip(order, order[1:]):
-        if float(factors[cur]) - float(factors[prev]) > tol:
-            groups.append([])
-        groups[-1].append(float(factors[cur]))
-        labels[int(cur)] = len(groups) - 1
-    labels[int(order[0])] = 0
+    ranked = factors[order]
+    gaps = np.diff(ranked) > tol
+    labels = np.empty(len(factors), dtype=np.intp)
+    labels[order] = np.concatenate([[0], np.cumsum(gaps)])
+    groups = np.split(ranked, np.flatnonzero(gaps) + 1)
     entries = tuple((float(np.mean(g)), len(g)) for g in groups)
     if sum(c for _, c in entries) != len(P.edges):
         raise AssertionError("edge classes do not account for every edge")
-    return EdgeClassTable(entries=entries, tol=tol), labels
+    return EdgeClassTable(entries=entries, tol=tol), labels.tolist()
 
 
-def edge_length_classes(P: Mesh, tol: float = 1e-9) -> EdgeClassTable:
+def edge_length_classes(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> EdgeClassTable:
     """Strut length classes of an inscribed mesh (see edge_class_labels)."""
     table, _ = edge_class_labels(P, tol)
     return table
 
 
-def _triangles_only(P: Mesh) -> None:
-    for fi, face in enumerate(P.faces):
-        if len(face) != 3:
-            raise NonTriangularFace(f"face {fi} has {len(face)} sides")
+def _triangles(P: Mesh) -> np.ndarray:
+    """(F, 3) corner ids of a mesh whose faces are all triangles."""
+    he = P._half_edges
+    other = np.flatnonzero(he.size != 3)
+    if other.size:
+        raise NonTriangularFace(f"face {other[0]} has {he.size[other[0]]} sides")
+    return he.tail.reshape(-1, 3)
 
 
 def circumcenter_deviation(P: Mesh) -> float:
@@ -115,21 +115,17 @@ def circumcenter_deviation(P: Mesh) -> float:
     """
     if P.radius is None:
         raise ValueError("deviation is measured relative to the circumsphere radius")
-    _triangles_only(P)
-    worst = 0.0
-    for face in P.faces:
-        A, B, C = (P.vertices[i] - P.center for i in face)
-        u, v = B - A, C - A
-        uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
-        det = uu * vv - uv * uv
-        s = 0.5 * (uu * vv - uv * vv) / det
-        t = 0.5 * (vv * uu - uv * uu) / det
-        circumcenter = A + s * u + t * v
-        n = np.cross(u, v)
-        n /= np.linalg.norm(n)
-        foot = float((A + B + C) @ n) / 3.0 * n
-        worst = max(worst, float(np.linalg.norm(foot - circumcenter)))
-    return worst / P.radius
+    A, B, C = np.moveaxis(P.vertices[_triangles(P)] - P.center, 1, 0)
+    u, v = B - A, C - A
+    uu, vv, uv = _rowdot(u, u), _rowdot(v, v), _rowdot(u, v)
+    det = uu * vv - uv * uv
+    s = 0.5 * (uu * vv - uv * vv) / det
+    t = 0.5 * (vv * uu - uv * uu) / det
+    circumcenter = A + s[:, None] * u + t[:, None] * v
+    n = np.cross(u, v)
+    n /= _norms(n)[:, None]
+    foot = (_rowdot(A + B + C, n) / 3.0)[:, None] * n
+    return float(_norms(foot - circumcenter).max()) / P.radius
 
 
 def angle_dms(radians: float) -> tuple[int, int, float]:
@@ -157,45 +153,34 @@ class FaceMetric:
     apex_vertex: int | None
 
 
-def face_metrics(P: Mesh, tol: float = 1e-9) -> list[FaceMetric]:
+def face_metrics(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[FaceMetric]:
     """Leg/base ratio and apex angle of every triangular face."""
-    _triangles_only(P)
+    tri = _triangles(P)
     scale = P.radius
     if scale is None:
         scale = float(P.edge_lengths().mean())
+    pts = P.vertices[tri]
+    # lens[:, i] is the edge opposite corner i; same[:, i] compares the two edges at corner i
+    lens = np.column_stack([_norms(pts[:, (i + 1) % 3] - pts[:, (i + 2) % 3]) for i in range(3)])
+    same = np.abs(lens[:, [1, 2, 0]] - lens[:, [2, 0, 1]]) <= tol * scale
+    # an isosceles face is read from its apex: the first corner between two equal legs
+    apex = np.argmax(same, axis=1)
+    rows = np.arange(len(tri))
+    turn = (apex[:, None] + np.arange(3)) % 3
+    lens, pts = lens[rows[:, None], turn], pts[rows[:, None], turn]
+    ratio = 0.5 * (lens[:, 1] + lens[:, 2]) / lens[:, 0]
+    u, v = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+    cosine = _rowdot(u, v) / (_norms(u) * _norms(v))
+    columns = (same.sum(axis=1), ratio, cosine, tri[rows, apex])
     out = []
-    for fi, face in enumerate(P.faces):
-        pts = P.vertices[list(face)]
-        # lens[i] is the edge opposite corner i
-        lens = [
-            float(np.linalg.norm(pts[(i + 1) % 3] - pts[(i + 2) % 3])) for i in range(3)
-        ]
-        same = [
-            abs(lens[(i + 1) % 3] - lens[(i + 2) % 3]) <= tol * scale for i in range(3)
-        ]
-        if all(same):
+    for fi, (n_same, r, c, top) in enumerate(zip(*(col.tolist() for col in columns))):
+        if n_same == 3:
             out.append(FaceMetric(fi, "equilateral", 1.0, math.pi / 3.0, None))
-            continue
-        if not any(same):
+        elif n_same == 0:
             out.append(FaceMetric(fi, "scalene", None, None, None))
-            continue
-        apex = same.index(True)  # corner between the two equal legs
-        base = lens[apex]
-        legs = 0.5 * (lens[(apex + 1) % 3] + lens[(apex + 2) % 3])
-        u = pts[(apex + 1) % 3] - pts[apex]
-        v = pts[(apex + 2) % 3] - pts[apex]
-        cosine = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        angle = math.acos(max(-1.0, min(1.0, cosine)))
-        out.append(FaceMetric(fi, "isosceles", legs / base, angle, int(face[apex])))
+        else:
+            out.append(FaceMetric(fi, "isosceles", r, math.acos(max(-1.0, min(1.0, c))), top))
     return out
-
-
-def _adjacency(P: Mesh) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(len(P.vertices))]
-    for a, b in P.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
 
 
 def detect_frequency(P: Mesh) -> int:
@@ -206,37 +191,35 @@ def detect_frequency(P: Mesh) -> int:
     distance, and the vertex total must match a class I sphere of that
     frequency; anything else is rejected.
     """
-    degrees = P.degrees()
-    fives = [i for i, d in enumerate(degrees) if d == 5]
-    if not fives:
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import shortest_path
+
+    fives = np.flatnonzero(P.degrees() == 5)
+    if not fives.size:
         raise NotClassI("no degree-5 vertices")
-    adj = _adjacency(P)
-    five_set = set(fives)
-    nearest: set[int] = set()
-    for start in fives:
-        dist = {start: 0}
-        queue = deque([start])
-        found = None
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt in dist:
-                    continue
-                dist[nxt] = dist[cur] + 1
-                if nxt in five_set:
-                    found = dist[nxt]
-                    queue.clear()
-                    break
-                queue.append(nxt)
-        if found is None:
+    he = P._half_edges
+    graph = coo_array((np.ones(len(he.tail)), (he.tail, he.head)), shape=(len(P.vertices),) * 2)
+    dist = shortest_path(graph, directed=False, unweighted=True, indices=fives)[:, fives]
+    np.fill_diagonal(dist, np.inf)
+    nearest = dist.min(axis=1)
+    # name the first degree-5 vertex, in index order, that breaks the pattern
+    far = np.isinf(nearest)
+    bad = np.flatnonzero(far | (nearest != nearest[0]))
+    if bad.size:
+        if far[bad[0]]:
             raise NotClassI("degree-5 vertices are not connected")
-        nearest.add(found)
-        if len(nearest) > 1:
-            raise NotClassI(f"nearest degree-5 distances differ: {sorted(nearest)}")
-    m = nearest.pop()
+        pair = sorted({int(nearest[0]), int(nearest[bad[0]])})
+        raise NotClassI(f"nearest degree-5 distances differ: {pair}")
+    m = int(nearest[0])
     if P.counts != _sphere_counts(20, m * m):
         raise NotClassI(f"counts do not match a class I sphere of frequency {m}")
     return m
+
+
+def _neighbors(P: Mesh, v: int) -> list[int]:
+    """Vertices sharing an edge with v, in increasing order."""
+    he = P._half_edges
+    return np.union1d(he.head[he.tail == v], he.tail[he.head == v]).tolist()
 
 
 def _rare_degree_vertices(P: Mesh) -> list[int]:
@@ -280,14 +263,15 @@ def congruent(
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
 
+    from scipy.spatial import cKDTree
+
     p_verts = P.vertices - P.center
     q_verts = Q.vertices - Q.center
     degrees_p = P.degrees()
     degrees_q = Q.degrees()
-    adj_q = _adjacency(Q)
 
     anchor = _rare_degree_vertices(P)[0]
-    nbr = min(b if a == anchor else a for a, b in P.edges if anchor in (a, b))
+    nbr = min(_neighbors(P, anchor))
     frame_p = _frame(p_verts[anchor], p_verts[nbr], flip=False)
 
     tree = cKDTree(q_verts)
@@ -295,7 +279,7 @@ def congruent(
     for a2 in _rare_degree_vertices(Q):
         if degrees_q[a2] != degrees_p[anchor]:
             continue
-        for b2 in adj_q[a2]:
+        for b2 in _neighbors(Q, a2):
             if degrees_q[b2] != degrees_p[nbr]:
                 continue
             for flip in flips:
@@ -307,66 +291,71 @@ def congruent(
     return False
 
 
-def _next_maps(P: Mesh, reverse: bool) -> dict[tuple[int, int], tuple[int, int]]:
-    """next[(a, b)] = the directed edge after (a, b) around its face."""
-    he = P._half_edges
-    tail, head, after = he.tail, he.head, he.head[he.succ]
-    if reverse:  # walking a face backwards, (b, a) is followed by (a, tail of a's predecessor)
-        tail, head, after = he.head, he.tail, he.tail[np.argsort(he.succ)]
-    tail, head, after = tail.tolist(), head.tolist(), after.tolist()
-    return dict(zip(zip(tail, head), zip(head, after)))
-
-
 def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     """Whether P and Q have the same face-edge-vertex incidence structure.
 
-    Walks directed edges in lockstep from every compatible anchor pair,
+    Walks half-edges in lockstep from every compatible anchor pair,
     propagating through faces and across edges; a complete, consistent walk
-    is an isomorphism.  Mirror images match (the reversed orientation of Q
-    is tried too).
+    is an isomorphism.  Boundary half-edges must map to boundary half-edges.
+    Mirror images match (the reversed orientation of Q is tried too).
     """
     if P.counts != Q.counts:
         return False
     if vertex_degree_histogram(P) != vertex_degree_histogram(Q):
         return False
-    next_p = _next_maps(P, reverse=False)
+    he_p, he_q = P._half_edges, Q._half_edges
+    walk_p = [t.tolist() for t in (he_p.tail, he_p.head, he_p.succ, he_p.twin)]
+    tail_p, head_p = walk_p[:2]
     degrees_p = P.degrees()
     degrees_q = Q.degrees()
-    anchor = _rare_degree_vertices(P)[0]
-    start = next(e for e in next_p if e[0] == anchor)
+    start = tail_p.index(_rare_degree_vertices(P)[0])
+    ends = degrees_p[tail_p[start]], degrees_p[head_p[start]]
 
-    for reverse in (False, True):
-        next_q = _next_maps(Q, reverse)
-        for seed_edge in next_q:
-            if degrees_q[seed_edge[0]] != degrees_p[start[0]]:
-                continue
-            if degrees_q[seed_edge[1]] != degrees_p[start[1]]:
-                continue
-            if _walk_matches(next_p, next_q, start, seed_edge):
+    # (tail, head, next, twin) of Q's half-edges, then with every face walked
+    # backwards: half-edge h runs head -> tail and is followed by its predecessor
+    for tables in (
+        (he_q.tail, he_q.head, he_q.succ, he_q.twin),
+        (he_q.head, he_q.tail, np.argsort(he_q.succ), he_q.twin),
+    ):
+        seeds = (degrees_q[tables[0]] == ends[0]) & (degrees_q[tables[1]] == ends[1])
+        walk_q = [t.tolist() for t in tables]
+        for seed_edge in np.flatnonzero(seeds).tolist():
+            if _walk_matches(walk_p, walk_q, start, seed_edge, len(P.vertices)):
                 return True
     return False
 
 
-def _walk_matches(next_p, next_q, start, seed_edge) -> bool:
-    mapping = {start: seed_edge}
+def _walk_matches(walk_p, walk_q, start: int, seed_edge: int, n_vertices: int) -> bool:
+    tail_p, head_p, next_p, twin_p = walk_p
+    tail_q, head_q, next_q, twin_q = walk_q
+    mapping = [-1] * len(tail_p)
+    mapping[start] = seed_edge
+    vmap = [-1] * n_vertices
+    vmap[tail_p[start]], vmap[head_p[start]] = tail_q[seed_edge], head_q[seed_edge]
     queue = deque([start])
-    vmap: dict[int, int] = {start[0]: seed_edge[0], start[1]: seed_edge[1]}
     while queue:
         e = queue.popleft()
         img = mapping[e]
-        for ne, nimg in ((next_p[e], next_q[img]), ((e[1], e[0]), (img[1], img[0]))):
-            known = mapping.get(ne)
-            if known is None:
-                for v, w in zip(ne, nimg):
-                    if vmap.setdefault(v, w) != w:
+        for ne, nimg in ((next_p[e], next_q[img]), (twin_p[e], twin_q[img])):
+            if ne < 0 or nimg < 0:
+                if ne != nimg:  # a boundary half-edge maps only to a boundary one
+                    return False
+                continue
+            known = mapping[ne]
+            if known < 0:
+                for v, w in ((tail_p[ne], tail_q[nimg]), (head_p[ne], head_q[nimg])):
+                    if vmap[v] < 0:
+                        vmap[v] = w
+                    elif vmap[v] != w:
                         return False
                 mapping[ne] = nimg
                 queue.append(ne)
             elif known != nimg:
                 return False
-    if len(mapping) != len(next_p):
+    if -1 in mapping:
         return False
-    return len(set(vmap.values())) == len(vmap)
+    image = [w for w in vmap if w >= 0]
+    return len(set(image)) == len(image)
 
 
 # --- infinitesimal rigidity --------------------------------------------------
@@ -386,9 +375,10 @@ class RigidityReport:
         return self.rank == self.required_rank
 
 
-def _as_framework(obj) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _as_framework(obj) -> tuple[np.ndarray, np.ndarray]:
+    """Joint positions and the (E, 2) joint ids of the bars."""
     if isinstance(obj, Mesh):
-        return np.asarray(obj.vertices, dtype=float), list(obj.edges)
+        return np.asarray(obj.vertices, dtype=float), np.asarray(obj.edges)
     points, edges = obj
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -397,7 +387,7 @@ def _as_framework(obj) -> tuple[np.ndarray, list[tuple[int, int]]]:
     for a, b in pairs:
         if a == b or not (0 <= a < len(pts)) or not (0 <= b < len(pts)):
             raise ValueError(f"invalid framework edge ({a}, {b})")
-    return pts, pairs
+    return pts, np.array(pairs, dtype=np.intp).reshape(-1, 2)
 
 
 def rigidity_matrix(obj) -> np.ndarray:
@@ -406,13 +396,13 @@ def rigidity_matrix(obj) -> np.ndarray:
 
     Accepts a Mesh or a (points, edges) pair.
     """
-    pts, edges = _as_framework(obj)
-    M = np.zeros((len(edges), 3 * len(pts)))
-    for row, (i, j) in enumerate(edges):
-        d = pts[i] - pts[j]
-        M[row, 3 * i : 3 * i + 3] = d
-        M[row, 3 * j : 3 * j + 3] = -d
-    return M
+    pts, bars = _as_framework(obj)
+    M = np.zeros((len(bars), len(pts), 3))
+    rows = np.arange(len(bars))
+    d = pts[bars[:, 0]] - pts[bars[:, 1]]
+    M[rows, bars[:, 0]] = d
+    M[rows, bars[:, 1]] = -d
+    return M.reshape(len(bars), -1)
 
 
 def is_infinitesimally_rigid(obj, tol: TolerancePolicy = DEFAULT_TOL) -> RigidityReport:
@@ -428,7 +418,7 @@ def is_infinitesimally_rigid(obj, tol: TolerancePolicy = DEFAULT_TOL) -> Rigidit
     spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     if spread[1] <= tol.rank_eps * max(spread[0], 1e-300):
         raise DegenerateGeometry("joints are collinear")
-    M = rigidity_matrix((pts, edges))
+    M = rigidity_matrix(obj)
     sv = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(sv > tol.rank_eps * sv[0]))
     return RigidityReport(

@@ -21,7 +21,7 @@ from .io import (
     export_schedule,
     import_obj,
 )
-from .mesh import SEED_KINDS, seed
+from .mesh import DEFAULT_TOL, SEED_KINDS, seed
 from .tessellation import project_to_sphere, stepping_projection, subdivide
 from .transforms import dual, gemmate, truncate_dome
 
@@ -143,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = commands.add_parser("analyze", help="print counts, classes, and face metrics")
     _add_input(ana, allow_open=True)
-    ana.add_argument("--tol", type=float, default=1e-9, help="length classification tolerance")
+    ana.add_argument("--tol", type=float, default=DEFAULT_TOL.metric_eps,
+                     help="length classification tolerance")
     ana.add_argument("--csv", help="also write the table to this CSV file")
     ana.set_defaults(func=_cmd_analyze)
 
@@ -154,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = commands.add_parser("export", help="rewrite a mesh as obj, json schedule, or csv")
     _add_input(exp, allow_open=True)
     exp.add_argument("--format", choices=("obj", "json", "csv"), required=True)
-    exp.add_argument("--tol", type=float, default=1e-9)
+    exp.add_argument("--tol", type=float, default=DEFAULT_TOL.metric_eps)
     exp.add_argument("-o", "--output", required=True)
     exp.set_defaults(func=_cmd_export)
 

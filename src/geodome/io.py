@@ -22,7 +22,7 @@ from .analysis import (
     vertex_degree_histogram,
 )
 from .errors import ParseError
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _norms, build_mesh
 
 __all__ = [
     "StrutSchedule",
@@ -126,30 +126,21 @@ class StrutSchedule:
     classes: tuple[tuple[float, int], ...]
 
 
-def strut_schedule(P: Mesh, tol: float = 1e-9) -> StrutSchedule:
+def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> StrutSchedule:
     """Schedule of an inscribed mesh: every edge priced by its length class."""
     if P.radius is None:
         raise ValueError("a strut schedule requires an inscribed mesh")
     table, labels = edge_class_labels(P, tol)
-    nodes = tuple(
-        (i, float(x), float(y), float(z)) for i, (x, y, z) in enumerate(P.vertices)
-    )
-    struts = tuple(
-        (
-            k,
-            a,
-            b,
-            float(np.linalg.norm(P.vertices[a] - P.vertices[b])) / P.radius,
-            labels[k],
-        )
-        for k, (a, b) in enumerate(P.edges)
-    )
+    nodes = tuple(zip(range(len(P.vertices)), *P.vertices.T.tolist()))
+    a, b = np.asarray(P.edges).T
+    chords = _norms(P.vertices[a] - P.vertices[b]) / P.radius
+    struts = tuple(zip(range(len(a)), a.tolist(), b.tolist(), chords.tolist(), labels))
     return StrutSchedule(
         radius=P.radius, nodes=nodes, struts=struts, classes=table.entries
     )
 
 
-def export_schedule(P: Mesh, path: str | Path, tol: float = 1e-9) -> None:
+def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_eps) -> None:
     """Write the strut schedule as JSON with a stable key order."""
     sched = strut_schedule(P, tol)
     doc = {
@@ -168,7 +159,7 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = 1e-9) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def analysis_rows(P: Mesh, tol: float = 1e-9) -> list[tuple[str, object]]:
+def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[tuple[str, object]]:
     """Quantity/value pairs summarizing a mesh, in a fixed order."""
     v, s, f = P.counts
     rows: list[tuple[str, object]] = [
@@ -188,7 +179,7 @@ def analysis_rows(P: Mesh, tol: float = 1e-9) -> list[tuple[str, object]]:
         for i, (chord, count) in enumerate(table.entries):
             rows.append((f"class_{i}_chord_factor", chord))
             rows.append((f"class_{i}_count", count))
-    if all(len(face) == 3 for face in P.faces):
+    if (P._half_edges.size == 3).all():
         if P.radius is not None:
             rows.append(("circumcenter_deviation", circumcenter_deviation(P)))
         kinds = {"equilateral": 0, "isosceles": 0, "scalene": 0}
@@ -199,7 +190,7 @@ def analysis_rows(P: Mesh, tol: float = 1e-9) -> list[tuple[str, object]]:
     return rows
 
 
-def export_analysis_csv(P: Mesh, path: str | Path, tol: float = 1e-9) -> None:
+def export_analysis_csv(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_eps) -> None:
     """Write the analysis summary as a quantity,value CSV table."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)

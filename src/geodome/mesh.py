@@ -416,8 +416,8 @@ def seed(kind: str, radius: float = 1.0, *, vertex_up: bool = False) -> Mesh:
     """
     if kind not in _SEED_BUILDERS:
         raise UnsupportedSeed(f"unknown seed kind {kind!r}; expected one of {SEED_KINDS}")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if isinstance(radius, (bool, np.bool_)) or not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     verts, faces = _SEED_BUILDERS[kind]()
     if vertex_up:
         top = int(np.lexsort((np.arange(len(verts)), -verts[:, 2]))[0])

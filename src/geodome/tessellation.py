@@ -12,6 +12,7 @@ floating-point merge is ever needed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,14 @@ __all__ = [
 ]
 
 
+def _is_int(k: object) -> bool:
+    """Whether k is an integer, bools excluded."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
+
+
 def _validate_mn(m: int, n: int) -> None:
-    if m != int(m) or n != int(n):
-        raise InvalidSpec("m and n must be integers")
+    if not (_is_int(m) and _is_int(n)):
+        raise InvalidSpec(f"(m, n) = ({m!r}, {n!r}) must be integers")
     if m < 0 or n < 0:
         raise InvalidSpec(f"(m, n) = ({m}, {n}) must be non-negative")
     if m == 0 and n == 0:
@@ -221,10 +227,10 @@ def stepping_projection(P: Mesh, levels: int, tol: TolerancePolicy = DEFAULT_TOL
     at every step spreads the edge lengths less than a single direct
     subdivision of the same frequency.
     """
-    if levels != int(levels) or levels < 1:
+    if not _is_int(levels) or levels < 1:
         raise ValueError("levels must be an integer >= 1")
     current = P
-    for _ in range(int(levels)):
+    for _ in range(levels):
         current = project_to_sphere(subdivide(current, 2, 0), tol)
     return current
 

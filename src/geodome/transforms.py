@@ -77,7 +77,8 @@ def dual(
     spheres (a regular seed) uses their geometric mean, which keeps the dual
     inscribed in the same circumsphere.  All three branches make taking the
     dual twice return the original shape with no rescaling.  P must be
-    closed.
+    closed and strictly convex: across every edge, the next corner of the
+    neighboring face must lie below the face's plane.
     """
     if not P.closed:
         raise ValueError("the polar dual requires a closed mesh")
@@ -86,9 +87,16 @@ def dual(
     if rho <= 0.0:
         raise ValueError("polarity sphere radius must be positive")
     _off_center(offsets, tol, rho)
+    he = P._half_edges
+    # height of the far corner across each edge above the plane of the near face
+    far = P.vertices[he.head[he.succ[he.twin]]] - P.center
+    lift = _rowdot(far, normals[he.face]) - offsets[he.face]
+    bad = np.flatnonzero(lift > -tol.metric_eps * rho)
+    if bad.size:
+        edge = (int(he.tail[bad[0]]), int(he.head[bad[0]]))
+        raise ValueError(f"mesh is not strictly convex at edge {edge}")
     poles = P.center + normals * (rho * rho / offsets)[:, None]
 
-    he = P._half_edges
     faces = _ring_sort(he.tail, he.face, poles[he.face] - P.center, P.vertices - P.center)
 
     dist = np.linalg.norm(poles - P.center, axis=1)

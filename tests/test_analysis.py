@@ -27,6 +27,7 @@ from geodome import (
     rotated,
     rotation_to_z,
     seed,
+    truncate_dome,
     verify_counts,
     vertex_degree_histogram,
 )
@@ -161,6 +162,13 @@ def test_combinatorial_isomorphism(make_sphere, sphere_21, sphere_2v):
     assert combinatorially_isomorphic(sphere_21, mirrored(sphere_21))
     assert not combinatorially_isomorphic(sphere_21, sphere_2v)
     assert combinatorially_isomorphic(seed("icosahedron"), seed("icosahedron", 7.0))
+
+
+def test_combinatorial_isomorphism_of_open_meshes(make_sphere):
+    dome = truncate_dome(make_sphere(2, 0, vertex_up=True), 0.5)
+    assert combinatorially_isomorphic(dome, dome)
+    assert combinatorially_isomorphic(dome, rotated(dome, rotation_to_z((1.0, -2.0, 0.5))))
+    assert combinatorially_isomorphic(dome, mirrored(dome))
 
 
 def test_rigidity_matrix_shape(icosa):

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import geodome
 
 from geodome import (
     ParseError,
@@ -213,3 +219,11 @@ def test_cli_invalid_seed_choice():
     with pytest.raises(SystemExit) as err:
         main(["generate", "--seed", "cube", "-o", "x.obj"])
     assert err.value.code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every CLI step is a fresh process, so an eager scipy import is paid on each
+    env = dict(os.environ, PYTHONPATH=str(Path(geodome.__file__).parents[1]))
+    code = "import geodome.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,9 @@ def test_seed_rejects_unknown_kind():
 def test_seed_rejects_bad_radius():
     with pytest.raises(ValueError):
         seed("icosahedron", 0.0)
-    with pytest.raises(ValueError):
-        seed("icosahedron", -1.0)
+    for bad in (-1.0, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="radius"):
+            seed("icosahedron", bad)
 
 
 def test_seed_vertex_up_puts_vertex_on_pole():

@@ -40,12 +40,16 @@ def test_subdivision_class(m, n, cls):
     assert TessellationSpec(m, n).subdivision_class == cls
 
 
-@pytest.mark.parametrize("m,n", [(0, 0), (-1, 2), (2, -1)])
-def test_invalid_spec_rejected(m, n):
+@pytest.mark.parametrize(
+    "m,n", [(0, 0), (-1, 2), (2, -1), (True, 0), (2, False), (2.0, 0), (1, 1.5), ("2", 0)]
+)
+def test_invalid_spec_rejected(m, n, icosa):
     with pytest.raises(InvalidSpec):
         TessellationSpec(m, n)
     with pytest.raises(InvalidSpec):
         triangulation_number(m, n)
+    with pytest.raises(InvalidSpec):
+        subdivide(icosa, m, n)
 
 
 @pytest.mark.parametrize("m,n", [(2, 0), (1, 1), (2, 1), (3, 2)])
@@ -102,8 +106,9 @@ def test_stepping_projection_matches_direct_combinatorics(icosa):
 
 
 def test_stepping_projection_levels_validated(icosa):
-    with pytest.raises(ValueError):
-        stepping_projection(icosa, 0)
+    for bad in (0, True):
+        with pytest.raises(ValueError):
+            stepping_projection(icosa, bad)
 
 
 def test_great_circles_icosahedron(icosa):

@@ -15,7 +15,9 @@ from geodome import (
     congruent,
     dual,
     gemmate,
+    project_to_sphere,
     seed,
+    subdivide,
     truncate_dome,
     vertex_degree_histogram,
 )
@@ -70,6 +72,14 @@ def test_dual_requires_a_polarity_sphere():
         dual(truncate_dome(seed("icosahedron", vertex_up=True), 0.5))  # open
     poked = dual(stretched, sphere_radius=1.0)
     assert poked.counts == (4, 6, 4)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 0)])
+def test_dual_rejects_non_convex_sphere(m, n):
+    # the tetrahedral (1, 1) sphere has coplanar faces, the (4, 0) one reflex edges
+    P = project_to_sphere(subdivide(seed("tetrahedron"), m, n))
+    with pytest.raises(ValueError, match="not strictly convex at edge"):
+        dual(P)
 
 
 def test_gemmate_dodecahedron_is_pentakis():
