@@ -132,7 +132,7 @@ def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> StrutSchedul
         raise ValueError("a strut schedule requires an inscribed mesh")
     table, labels = edge_class_labels(P, tol)
     nodes = tuple(zip(range(len(P.vertices)), *P.vertices.T.tolist()))
-    a, b = np.asarray(P.edges).T
+    a, b = P._half_edges.edges.T
     chords = _norms(P.vertices[a] - P.vertices[b]) / P.radius
     struts = tuple(zip(range(len(a)), a.tolist(), b.tolist(), chords.tolist(), labels))
     return StrutSchedule(

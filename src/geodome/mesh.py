@@ -117,10 +117,11 @@ class _HalfEdges:
     Half-edge h runs tail[h] -> head[h] in face[h]; succ[h] is the next
     half-edge around that face and twin[h] the opposite half-edge (-1 on a
     boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1.
+    The undirected edges, as an (E, 2) id array, are derived on first use.
     """
 
     def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int) -> None:
-        self.tail, self.size = flat, size
+        self.tail, self.size, self.n_vertices = flat, size, n_vertices
         self.start = np.cumsum(size) - size
         self.face = np.repeat(np.arange(len(size)), size)
         self.succ = np.arange(1, len(flat) + 1)
@@ -130,6 +131,21 @@ class _HalfEdges:
         order = np.argsort(keys)
         found = order[np.minimum(np.searchsorted(keys[order], wanted), len(flat) - 1)]
         self.twin = np.where(keys[found] == wanted, found, -1)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(E, 2) end ids of the undirected edges, low id first, in lexicographic order."""
+        return self.edge_uses()[0]
+
+    def edge_uses(self) -> tuple[np.ndarray, np.ndarray]:
+        """The undirected edges (filling the edges cache) and how many faces use each."""
+        n = self.n_vertices
+        lo, hi = np.minimum(self.tail, self.head), np.maximum(self.tail, self.head)
+        keys, uses = np.unique(lo * n + hi, return_counts=True)
+        ids = np.column_stack((keys // n, keys % n))
+        ids.setflags(write=False)
+        self.__dict__["edges"] = ids
+        return ids, uses
 
     def face_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-face sums of per-half-edge values, added corner by corner in cycle order."""
@@ -187,8 +203,13 @@ class Mesh:
         return self._half_edges.centroids(self.vertices)
 
     def edge_lengths(self) -> np.ndarray:
-        idx = np.asarray(self.edges)
+        idx = self._half_edges.edges
         return np.linalg.norm(self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]], axis=1)
+
+
+def _check_radius(radius: float) -> None:
+    if isinstance(radius, (bool, np.bool_)) or not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
 
 
 def build_mesh(
@@ -213,6 +234,8 @@ def build_mesh(
     if not np.isfinite(verts).all():
         raise ValueError("vertex coordinates must be finite")
     ctr = np.asarray(center, dtype=float)
+    if radius is not None:
+        _check_radius(radius)
 
     face_list = list(faces)
     if not face_list:
@@ -235,16 +258,15 @@ def build_mesh(
     if repeats.size:
         raise DegenerateFace(f"face {named(repeats.min())} has fewer than 3 distinct vertices")
 
-    lo, hi = np.minimum(flat, he.head), np.maximum(flat, he.head)
-    keys, uses = np.unique(lo * v + hi, return_counts=True)
-    s = len(keys)
+    ids, uses = he.edge_uses()
+    s = len(ids)
     if closed and v - s + f != 2:
         raise EulerViolation(f"V - S + F = {v} - {s} + {f} = {v - s + f}, expected 2")
 
     bad = np.flatnonzero((uses > 2) | ((uses != 2) & closed))
     if bad.size:
-        key = int(keys[bad[0]])
-        raise NonManifoldEdge(f"edge {(key // v, key % v)} belongs to {uses[bad[0]]} faces")
+        edge = tuple(ids[bad[0]].tolist())
+        raise NonManifoldEdge(f"edge {edge} belongs to {uses[bad[0]]} faces")
 
     directed = np.sort(flat * v + he.head)
     twice = directed[1:][directed[1:] == directed[:-1]]
@@ -258,8 +280,6 @@ def build_mesh(
         raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
 
     if radius is not None:
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
         dist = np.linalg.norm(verts - ctr, axis=1)
         worst = float(np.abs(dist - radius).max())
         if worst > tol.metric_eps * radius:
@@ -269,7 +289,7 @@ def build_mesh(
 
     # one int object per vertex, shared by every face and edge tuple
     index = np.arange(v).astype(object)
-    edges = tuple(zip(index[keys // v].tolist(), index[keys % v].tolist()))
+    edges = tuple(zip(index[ids[:, 0]].tolist(), index[ids[:, 1]].tolist()))
     boundary = tuple(e for e, n in zip(edges, uses.tolist()) if n == 1)
     verts.setflags(write=False)
     ctr.setflags(write=False)
@@ -416,8 +436,7 @@ def seed(kind: str, radius: float = 1.0, *, vertex_up: bool = False) -> Mesh:
     """
     if kind not in _SEED_BUILDERS:
         raise UnsupportedSeed(f"unknown seed kind {kind!r}; expected one of {SEED_KINDS}")
-    if isinstance(radius, (bool, np.bool_)) or not 0.0 < radius < math.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    _check_radius(radius)
     verts, faces = _SEED_BUILDERS[kind]()
     if vertex_up:
         top = int(np.lexsort((np.arange(len(verts)), -verts[:, 2]))[0])

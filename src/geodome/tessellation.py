@@ -275,9 +275,8 @@ def great_circles(P: Mesh) -> GreatCircleSet:
     """
     ctr = P.center
     vertex_dirs = P.vertices - ctr
-    edge_dirs = np.array(
-        [(P.vertices[a] + P.vertices[b]) / 2.0 - ctr for a, b in P.edges]
-    )
+    a, b = P._half_edges.edges.T
+    edge_dirs = (P.vertices[a] + P.vertices[b]) / 2.0 - ctr
     face_dirs = P.face_centroids() - ctr
     return GreatCircleSet(
         vertex_axes=_axes_up_to_sign(vertex_dirs),

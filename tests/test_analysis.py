@@ -11,8 +11,11 @@ from geodome import (
     DegenerateGeometry,
     NonTriangularFace,
     NotClassI,
+    RigidityReport,
     TessellationSpec,
+    TolerancePolicy,
     angle_dms,
+    build_mesh,
     circumcenter_deviation,
     combinatorially_isomorphic,
     congruent,
@@ -27,10 +30,12 @@ from geodome import (
     rotated,
     rotation_to_z,
     seed,
+    subdivide,
     truncate_dome,
     verify_counts,
     vertex_degree_histogram,
 )
+from geodome.analysis import _certified_full_rank
 
 
 def test_degree_histograms(sphere_3v, sphere_21):
@@ -213,3 +218,59 @@ def test_rigidity_framework_input_validation():
         is_infinitesimally_rigid((pts, [(0, 9)]))
     with pytest.raises(ValueError):
         is_infinitesimally_rigid((pts, [(1, 1)]))
+    # bar ids are integers: no truncation of floats, no bools
+    rest = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for bad, named in (((0.9, 1.7), r"\(0.9, 1.7\)"), ((True, 2), r"\(True, 2\)"),
+                       ((0, 1.0), r"\(0, 1.0\)"), ((0, 1, 2), r"\(0, 1, 2\)")):
+        with pytest.raises(ValueError, match=named):
+            is_infinitesimally_rigid((pts, [bad] + rest))
+    ids = np.array([(0, 1)] + rest)
+    assert is_infinitesimally_rigid((pts, ids)).rigid
+    with pytest.raises(ValueError):
+        is_infinitesimally_rigid((pts, ids.astype(float)))
+
+
+DEFAULT_EPS = TolerancePolicy().rank_eps
+
+
+def _dense_report(P, tol=TolerancePolicy()):
+    """The report of the dense SVD alone, which the certificate must reproduce."""
+    sv = np.linalg.svd(rigidity_matrix(P), compute_uv=False)
+    rank = int(np.sum(sv > tol.rank_eps * sv[0]))
+    return RigidityReport(len(P.edges), 3 * len(P.vertices), rank, 3 * len(P.vertices) - 6)
+
+
+def _framework(P):
+    return np.asarray(P.vertices), np.asarray(P.edges)
+
+
+@pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
+@pytest.mark.parametrize("vertex_up", [False, True])
+def test_certified_rigidity_equals_dense_svd(make_sphere, kind, vertex_up):
+    for m, n in [(m, s - m) for s in range(1, 5) for m in range(s + 1)]:
+        P = seed(kind, vertex_up=vertex_up) if (m, n) == (1, 0) else make_sphere(m, n, kind, vertex_up=vertex_up)
+        assert _certified_full_rank(*_framework(P), DEFAULT_EPS), (m, n)
+        report = is_infinitesimally_rigid(P)
+        assert report == _dense_report(P) and report.rigid, (m, n)
+
+
+def test_certified_rigidity_of_gemmated_solids():
+    for kind in ("dodecahedron", "truncated_icosahedron"):
+        P = gemmate(seed(kind))
+        assert _certified_full_rank(*_framework(P), DEFAULT_EPS)
+        report = is_infinitesimally_rigid(P)
+        assert report == _dense_report(P) and report.rigid
+
+
+def test_flat_framework_falls_back_to_dense_rank():
+    flat = subdivide(seed("icosahedron"), 3, 0)
+    P = build_mesh(flat.points, flat.small_faces)
+    assert not _certified_full_rank(*_framework(P), DEFAULT_EPS)
+    assert is_infinitesimally_rigid(P) == _dense_report(P) == RigidityReport(270, 276, 250, 270)
+
+
+def test_raised_rank_eps_is_never_proven_weaker(sphere_2v):
+    coarse = TolerancePolicy(rank_eps=0.3)
+    assert not _certified_full_rank(*_framework(sphere_2v), coarse.rank_eps)
+    report = is_infinitesimally_rigid(sphere_2v, coarse)
+    assert report == _dense_report(sphere_2v, coarse) and report.rank < 120

@@ -227,3 +227,19 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import geodome.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_rigidity_of_a_dome_leaves_scipy_unloaded(tmp_path):
+    # a dome has fewer than 3V - 6 bars, so it takes the dense SVD, which needs no scipy
+    sphere, dome = tmp_path / "sphere.obj", tmp_path / "dome.obj"
+    assert main(["generate", "--vertex-up", "--m", "2", "-o", str(sphere)]) == 0
+    assert main(["truncate", "-i", str(sphere), "--fraction", "0.5", "-o", str(dome)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(geodome.__file__).parents[1]))
+    code = (
+        "import sys; from geodome.cli import main; "
+        f"code = main(['rigidity', '--open', '-i', {str(dome)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert "rigid          False" in out.stdout
+    assert out.stdout.splitlines()[-1] == "0 []"

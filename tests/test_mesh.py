@@ -149,6 +149,20 @@ def test_inscribed_radius_enforced():
         build_mesh(verts, t.faces, radius=1.0)
 
 
+def test_build_mesh_rejects_bad_radius():
+    t = seed("tetrahedron")
+    for bad in (0.0, -1.0, math.inf, math.nan, True):
+        with pytest.raises(ValueError, match="radius"):
+            build_mesh(t.vertices, t.faces, radius=bad)
+
+
+def test_edge_id_array_matches_edges():
+    for P in (seed("icosahedron"), seed("truncated_icosahedron")):
+        ids = P._half_edges.edges
+        assert ids.shape == (len(P.edges), 2) and not ids.flags.writeable
+        assert [tuple(e) for e in ids.tolist()] == list(P.edges)
+
+
 def test_tolerance_policy_validation():
     with pytest.raises(ValueError):
         TolerancePolicy(metric_eps=0.0)
