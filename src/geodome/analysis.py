@@ -155,6 +155,8 @@ class FaceMetric:
 
 def face_metrics(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[FaceMetric]:
     """Leg/base ratio and apex angle of every triangular face."""
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
     tri = _triangles(P)
     scale = P.radius
     if scale is None:
@@ -485,7 +487,7 @@ def is_infinitesimally_rigid(obj, tol: TolerancePolicy = DEFAULT_TOL) -> Rigidit
         rank = required
     else:
         sv = np.linalg.svd(_dense_rigidity(pts, bars), compute_uv=False)
-        rank = int(np.sum(sv > tol.rank_eps * sv[0]))
+        rank = int(np.sum(sv > tol.rank_eps * sv.max(initial=0.0)))  # no bars: rank 0
     return RigidityReport(
         edge_rows=len(bars),
         dof_cols=3 * len(pts),

@@ -48,6 +48,11 @@ SEED_KINDS = (
 )
 
 
+def _positive_finite(x: float) -> bool:
+    """Whether x is a number in (0, inf), bools excluded."""
+    return not isinstance(x, (bool, np.bool_)) and 0.0 < x < math.inf
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
     """Numeric tolerances for geometry checks.
@@ -60,8 +65,8 @@ class TolerancePolicy:
     rank_eps: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.metric_eps <= 0.0 or self.rank_eps <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not (_positive_finite(self.metric_eps) and _positive_finite(self.rank_eps)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -208,7 +213,7 @@ class Mesh:
 
 
 def _check_radius(radius: float) -> None:
-    if isinstance(radius, (bool, np.bool_)) or not 0.0 < radius < math.inf:
+    if not _positive_finite(radius):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
 
 
@@ -400,14 +405,22 @@ _SEED_BUILDERS = {
 }
 
 
+def _unit(vector: Sequence[float], name: str) -> np.ndarray:
+    """The vector scaled to unit length; it must be a finite non-zero 3-vector."""
+    v = np.asarray(vector, dtype=float)
+    length = float(np.linalg.norm(v)) if v.shape == (3,) else math.nan
+    if not (math.isfinite(length) and length > 0.0):
+        raise ValueError(f"{name} must be a finite non-zero 3-vector")
+    return v / length
+
+
 def rotation_to_z(direction: Sequence[float]) -> np.ndarray:
     """Rotation matrix taking the given direction onto the +z axis.
 
     The rotation is about the axis perpendicular to both, through the
     smallest angle; this is the documented orientation used for dome cuts.
     """
-    v = np.asarray(direction, dtype=float)
-    v = v / np.linalg.norm(v)
+    v = _unit(direction, "direction")
     z = np.array([0.0, 0.0, 1.0])
     c = float(v @ z)
     if c > 1.0 - 1e-15:
@@ -455,7 +468,14 @@ def mirrored(P: Mesh) -> Mesh:
 
 
 def rotated(P: Mesh, matrix: np.ndarray) -> Mesh:
-    """P transformed by a proper rotation matrix about its center."""
+    """P transformed by a proper rotation matrix (R Rᵀ = I within metric_eps) about its center."""
     R = np.asarray(matrix, dtype=float)
+    if not (
+        R.shape == (3, 3)
+        and np.isfinite(R).all()
+        and np.abs(R @ R.T - np.eye(3)).max() <= DEFAULT_TOL.metric_eps
+        and np.linalg.det(R) > 0.0
+    ):
+        raise ValueError("matrix must be a finite 3x3 proper rotation")
     verts = (P.vertices - P.center) @ R.T + P.center
     return build_mesh(verts, P.faces, center=P.center, radius=P.radius, closed=P.closed)

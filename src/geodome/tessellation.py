@@ -92,6 +92,10 @@ class FlatTessellation:
     small_faces: tuple[tuple[int, int, int], ...]
 
 
+# (dp, dq) steps from a lattice point (p, q) to the corners of its up and down tiles
+_TILE_STEPS = np.array([[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]])
+
+
 def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     """Overlay the (m, n) lattice on every face of a triangular seed.
 
@@ -100,105 +104,74 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     edge of its face is re-expressed over the neighboring face by unfolding
     across that edge; for tiles owned via their centroid a corner can never
     lie past two edges at once, so a single unfolding always lands on the
-    neighbor.  Points are registered under their integer weight signature,
-    so a point shared by several faces is created exactly once.
+    neighbor.  Every corner is identified by its integer signature, the
+    sorted (seed vertex, weight) pairs with nonzero weight, and one sort of
+    all signatures creates each point shared by several faces exactly once,
+    numbered in the order the faces and their tiles first reach it.
     """
     spec = TessellationSpec(m, n)
     he = P._half_edges
     if (he.size != 3).any():
         raise NonTriangularSeed("lattice subdivision requires a triangular seed")
-    T = spec.T
-    mn = m + n
-    verts = P.vertices
-    across_face = np.where(he.twin >= 0, he.face[he.twin], -1).tolist()
-    across_far = he.head[he.succ[he.twin]].tolist()
+    T, mn, F = spec.T, m + n, len(he.size)
 
-    def neighbor_of(fi: int, corner: int) -> tuple[int, int]:
-        """(face, far vertex) across the edge of face fi opposite the given corner."""
-        h = 3 * fi + (corner + 1) % 3
-        if across_face[h] < 0:
-            raise ValueError(f"face {fi} has no neighbor across a boundary edge")
-        return across_face[h], across_far[h]
+    # weights over the face corners of every tile corner in the lattice window,
+    # tiles in (q, p, up/down) order; lattice point (p, q) weighs
+    # (T - p*m - q*(m+n), p*(m+n) + q*n, q*m - p*n)
+    q, p = np.meshgrid(np.arange(-1, mn + 2), np.arange(-n - 1, m + 2), indexing="ij")
+    pq = (np.stack([p, q], axis=-1)[:, :, None, None] + _TILE_STEPS).reshape(-1, 3, 2)
+    W = pq @ np.array([[-m, mn, -n], [-mn, n, m]]) + np.array([T, 0, 0])
+    centroid = W.sum(axis=1)
+    inside = centroid.min(axis=1) >= 0
+    W, centroid = W[inside], centroid[inside]
+    on_edge, past = centroid == 0, W < 0
+    if (on_edge.sum(axis=1) > 1).any():
+        raise AssertionError("tile centroid on a seed vertex")
+    if (past.sum(axis=2) > 1).any():
+        raise AssertionError("tile corner past two edges; centroid ownership broken")
+    # unfold a corner past edge c over the face across it: weight c turns
+    # into the far vertex's -w_c, and w_c moves onto the two shared corners
+    W = np.where(past, -W, W + np.minimum(W.min(axis=2, keepdims=True), 0))
+    if (W < 0).any():
+        out = W[(W < 0).any(axis=2)][0]
+        raise AssertionError(f"unfolded corner weights {tuple(out.tolist())} are negative")
 
-    registry: dict[tuple[tuple[int, int], ...], int] = {}
-    points: list[np.ndarray] = []
-    small_faces: list[tuple[int, int, int]] = []
+    # face (-1 on a boundary) and far vertex across the edge opposite each face corner
+    twin = he.twin[3 * np.arange(F)[:, None] + [1, 2, 0]]
+    across, far = np.where(twin >= 0, he.face[twin], -1), he.head[he.succ[twin]]
+    # a centroid on edge c goes to the lower of the two faces sharing it
+    rival = np.where(on_edge.any(axis=1), across[:, on_edge.argmax(axis=1)], F)
+    owned = rival >= np.arange(F)[:, None]
+    side, folded = past.argmax(axis=2), past.any(axis=2)
+    stray = (rival < 0) | (owned & (folded & (across[:, side] < 0)).any(axis=2))
+    if stray.any():
+        fi = int(np.flatnonzero(stray.any(axis=1))[0])
+        raise ValueError(f"face {fi} has no neighbor across a boundary edge")
 
-    def register(frame: tuple[int, int, int], nums: tuple[int, int, int]) -> int:
-        key = tuple(sorted((v, w) for v, w in zip(frame, nums) if w != 0))
-        idx = registry.get(key)
-        if idx is None:
-            pos = (
-                nums[0] * verts[frame[0]]
-                + nums[1] * verts[frame[1]]
-                + nums[2] * verts[frame[2]]
-            ) / T
-            idx = len(points)
-            points.append(pos)
-            registry[key] = idx
-        return idx
+    # frame of each owned corner: its face's corners, the one it lies past
+    # swapped for the far vertex across that edge; faces first, then tiles
+    fo, ko = np.nonzero(owned)
+    side = side[ko]
+    swap = folded[ko][:, :, None] & (np.arange(3) == side[:, :, None])
+    frame = np.where(swap, far[fo[:, None], side][:, :, None], he.tail.reshape(F, 3)[fo, None])
+    frame, nums = frame.reshape(-1, 3), W[ko].reshape(-1, 3)
+    # nonzero (vertex, weight) pairs coded vertex*(T+1) + weight, absent ones -1
+    signature = np.sort(np.where(nums != 0, frame * (T + 1) + nums, -1), axis=1)
+    _, first, inverse = np.unique(signature, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # points numbered by first occurrence
+    label = np.empty_like(order)
+    label[order] = np.arange(len(order))
+    small_faces = label[inverse.reshape(-1)].reshape(-1, 3)
+    if len(small_faces) != F * T:
+        raise AssertionError(f"assembled {len(small_faces)} tiles, expected {F * T}")
 
-    for fi, (ia, ib, ic) in enumerate(P.faces):
-
-        def weights(p: int, q: int) -> tuple[int, int, int]:
-            vN = p * mn + q * n
-            wN = q * m - p * n
-            return T - vN - wN, vN, wN
-
-        def corner_index(nums: tuple[int, int, int]) -> int:
-            uN, vN, wN = nums
-            if uN >= 0 and vN >= 0 and wN >= 0:
-                return register((ia, ib, ic), nums)
-            negs = (uN < 0) + (vN < 0) + (wN < 0)
-            if negs != 1:
-                raise AssertionError("tile corner past two edges; centroid ownership broken")
-            if uN < 0:
-                _, d = neighbor_of(fi, 0)
-                frame, out = (d, ib, ic), (-uN, uN + vN, uN + wN)
-            elif vN < 0:
-                _, d = neighbor_of(fi, 1)
-                frame, out = (ia, d, ic), (uN + vN, -vN, vN + wN)
-            else:
-                _, d = neighbor_of(fi, 2)
-                frame, out = (ia, ib, d), (uN + wN, vN + wN, -wN)
-            if min(out) < 0:
-                raise AssertionError(f"unfolded corner weights {out} are negative")
-            return register(frame, out)
-
-        for q in range(-1, mn + 2):
-            for p in range(-n - 1, m + 2):
-                up = ((p, q), (p + 1, q), (p, q + 1))
-                down = ((p + 1, q), (p + 1, q + 1), (p, q + 1))
-                for tile in (up, down):
-                    nums = [weights(pp, qq) for pp, qq in tile]
-                    cu = sum(w[0] for w in nums)
-                    cv = sum(w[1] for w in nums)
-                    cw = sum(w[2] for w in nums)
-                    if min(cu, cv, cw) < 0:
-                        continue
-                    zeros = (cu == 0) + (cv == 0) + (cw == 0)
-                    if zeros:
-                        if zeros != 1:
-                            raise AssertionError("tile centroid on a seed vertex")
-                        # centroid exactly on a shared edge: lower face index owns
-                        if cu == 0:
-                            gi, _ = neighbor_of(fi, 0)
-                        elif cv == 0:
-                            gi, _ = neighbor_of(fi, 1)
-                        else:
-                            gi, _ = neighbor_of(fi, 2)
-                        if gi < fi:
-                            continue
-                    small_faces.append(tuple(corner_index(w) for w in nums))
-
-    expected = len(P.faces) * T
-    if len(small_faces) != expected:
-        raise AssertionError(
-            f"assembled {len(small_faces)} tiles, expected {expected}"
-        )
-    pts = np.array(points)
+    # each point is placed from the frame of its first occurrence
+    fr, w, v = frame[first[order]], nums[first[order]], P.vertices
+    pts = (w[:, :1] * v[fr[:, 0]] + w[:, 1:2] * v[fr[:, 1]] + w[:, 2:] * v[fr[:, 2]]) / T
     pts.setflags(write=False)
-    return FlatTessellation(base=P, spec=spec, points=pts, small_faces=tuple(small_faces))
+    return FlatTessellation(
+        base=P, spec=spec, points=pts, small_faces=tuple(map(tuple, small_faces.tolist()))
+    )
 
 
 def project_to_sphere(t: FlatTessellation, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
@@ -252,19 +225,13 @@ class GreatCircleSet:
 
 
 def _axes_up_to_sign(dirs: np.ndarray) -> np.ndarray:
+    """Unit directions, each signed so its first component off zero is positive,
+    one per distinct direction (first seen kept), sorted by their rounded keys."""
     units = dirs / np.linalg.norm(dirs, axis=1)[:, None]
-    seen: dict[tuple[int, int, int], np.ndarray] = {}
-    for u in units:
-        v = u.copy()
-        for c in v:
-            if abs(c) > 1e-9:
-                if c < 0:
-                    v = -v
-                break
-        key = tuple(int(round(c * 1e9)) for c in v)
-        if key not in seen:
-            seen[key] = v
-    return np.array([seen[k] for k in sorted(seen)])
+    lead = units[np.arange(len(units)), np.argmax(np.abs(units) > 1e-9, axis=1)]
+    units = np.where((lead < 0)[:, None], -units, units)
+    _, first = np.unique(np.rint(units * 1e9).astype(np.int64), axis=0, return_index=True)
+    return units[first]
 
 
 def great_circles(P: Mesh) -> GreatCircleSet:

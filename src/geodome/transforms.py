@@ -13,7 +13,8 @@ from .errors import (
     StrictCutViolation,
     TriangularFacePresent,
 )
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _cycles, _norms, _ring_sort, _rowdot, build_mesh
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh
+from .mesh import _check_radius, _cycles, _norms, _ring_sort, _rowdot, _unit
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
 
@@ -82,10 +83,10 @@ def dual(
     """
     if not P.closed:
         raise ValueError("the polar dual requires a closed mesh")
+    if sphere_radius is not None:
+        _check_radius(sphere_radius)
     normals, offsets = _face_planes(P)
     rho = sphere_radius if sphere_radius is not None else _polarity_radius(P, offsets, tol)
-    if rho <= 0.0:
-        raise ValueError("polarity sphere radius must be positive")
     _off_center(offsets, tol, rho)
     he = P._half_edges
     # height of the far corner across each edge above the plane of the near face
@@ -149,11 +150,7 @@ def truncate_dome(
         raise ValueError("dome truncation requires an inscribed mesh")
     if not 0.0 < height_fraction <= 1.0:
         raise ValueError("height_fraction must lie in (0, 1]")
-    a = np.asarray(axis, dtype=float)
-    length = float(np.linalg.norm(a)) if a.shape == (3,) else math.nan
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError("axis must be a finite non-zero 3-vector")
-    a = a / length
+    a = _unit(axis, "axis")
     z_cut = P.radius * (1.0 - 2.0 * height_fraction)
 
     he = P._half_edges

@@ -96,6 +96,16 @@ def test_face_metrics_equilateral_values(icosa):
     assert all(m.apex_angle == pytest.approx(math.pi / 3) for m in metrics)
 
 
+def test_face_metrics_rejects_bad_tolerance(sphere_2v):
+    t = seed("tetrahedron")
+    verts = t.vertices.copy()
+    verts[0] *= 2.0  # not inscribed: the scale is the mean edge length
+    for P in (sphere_2v, build_mesh(verts, t.faces)):
+        for bad in (math.nan, 0.0, -1e-9):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                face_metrics(P, tol=bad)
+
+
 def test_face_metrics_requires_triangles():
     with pytest.raises(NonTriangularFace):
         face_metrics(seed("dodecahedron"))
@@ -226,6 +236,9 @@ def test_rigidity_framework_input_validation():
             is_infinitesimally_rigid((pts, [bad] + rest))
     ids = np.array([(0, 1)] + rest)
     assert is_infinitesimally_rigid((pts, ids)).rigid
+    # no bars at all: rank 0, not an empty singular-value lookup
+    bare = is_infinitesimally_rigid(([(0, 0, 0), (1, 0, 0), (0, 1, 0)], []))
+    assert bare == RigidityReport(0, 9, 0, 3) and not bare.rigid
     with pytest.raises(ValueError):
         is_infinitesimally_rigid((pts, ids.astype(float)))
 

@@ -168,6 +168,12 @@ def test_tolerance_policy_validation():
         TolerancePolicy(metric_eps=0.0)
     with pytest.raises(ValueError):
         TolerancePolicy(rank_eps=-1e-9)
+    # nan compares false everywhere: it would silently fail every tolerance test
+    for bad in (math.nan, math.inf, True, np.True_):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TolerancePolicy(metric_eps=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            TolerancePolicy(rank_eps=bad)
     assert DEFAULT_TOL.metric_eps == 1e-9
     assert DEFAULT_TOL.rank_eps == 1e-10
 
@@ -195,3 +201,20 @@ def test_rotation_to_z_sends_direction_to_pole():
         u /= np.linalg.norm(u)
         np.testing.assert_allclose(R @ u, [0, 0, 1], atol=1e-12)
 
+
+
+def test_rotation_to_z_rejects_bad_direction():
+    for bad in [(0, 0, 0), (math.nan, 0, 1), (math.inf, 0, 0), (1, 2), [(0, 0, 1)]]:
+        with pytest.raises(ValueError, match="direction must be a finite non-zero 3-vector"):
+            rotation_to_z(bad)
+
+
+def test_rotated_rejects_non_rotation(icosa):
+    R = rotation_to_z((1.0, 2.0, 2.0))
+    tilted = R.copy()
+    tilted[0, 0] += 1e-6
+    for bad in (2.0 * np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.eye(2), np.full((3, 3), np.nan),
+                np.eye(4), tilted, -R):
+        with pytest.raises(ValueError, match="finite 3x3 proper rotation"):
+            rotated(icosa, bad)
+    assert congruent(icosa, rotated(icosa, R.tolist()))

@@ -9,22 +9,27 @@ import numpy as np
 import pytest
 
 from geodome import (
+    FlatTessellation,
     InvalidSpec,
     NonTriangularSeed,
     TessellationSpec,
     UnsupportedSeed,
     VertexAtCenter,
     combinatorially_isomorphic,
+    dual,
     great_circles,
+    mirrored,
     project_to_sphere,
     schwarz_tiling,
     seed,
     stepping_projection,
     subdivide,
     triangulation_number,
+    truncate_dome,
     verify_counts,
     vertex_degree_histogram,
 )
+from geodome.tessellation import _axes_up_to_sign
 
 
 @pytest.mark.parametrize(
@@ -149,3 +154,173 @@ def test_schwarz_tiling_counts_and_areas(kind, tiles):
 def test_schwarz_tiling_rejects_other_seeds():
     with pytest.raises(UnsupportedSeed):
         schwarz_tiling("dodecahedron")
+
+
+# --- loop references for the array passes ------------------------------------
+
+
+def _loop_subdivide(P, m, n):
+    """Per-tile registry version of `subdivide`, kept as its reference."""
+    spec = TessellationSpec(m, n)
+    he = P._half_edges
+    if (he.size != 3).any():
+        raise NonTriangularSeed("lattice subdivision requires a triangular seed")
+    T = spec.T
+    mn = m + n
+    verts = P.vertices
+    across_face = np.where(he.twin >= 0, he.face[he.twin], -1).tolist()
+    across_far = he.head[he.succ[he.twin]].tolist()
+
+    def neighbor_of(fi, corner):
+        h = 3 * fi + (corner + 1) % 3
+        if across_face[h] < 0:
+            raise ValueError(f"face {fi} has no neighbor across a boundary edge")
+        return across_face[h], across_far[h]
+
+    registry = {}
+    points = []
+    small_faces = []
+
+    def register(frame, nums):
+        key = tuple(sorted((v, w) for v, w in zip(frame, nums) if w != 0))
+        idx = registry.get(key)
+        if idx is None:
+            pos = (
+                nums[0] * verts[frame[0]]
+                + nums[1] * verts[frame[1]]
+                + nums[2] * verts[frame[2]]
+            ) / T
+            idx = len(points)
+            points.append(pos)
+            registry[key] = idx
+        return idx
+
+    for fi, (ia, ib, ic) in enumerate(P.faces):
+
+        def weights(p, q):
+            vN = p * mn + q * n
+            wN = q * m - p * n
+            return T - vN - wN, vN, wN
+
+        def corner_index(nums):
+            uN, vN, wN = nums
+            if uN >= 0 and vN >= 0 and wN >= 0:
+                return register((ia, ib, ic), nums)
+            negs = (uN < 0) + (vN < 0) + (wN < 0)
+            if negs != 1:
+                raise AssertionError("tile corner past two edges; centroid ownership broken")
+            if uN < 0:
+                _, d = neighbor_of(fi, 0)
+                frame, out = (d, ib, ic), (-uN, uN + vN, uN + wN)
+            elif vN < 0:
+                _, d = neighbor_of(fi, 1)
+                frame, out = (ia, d, ic), (uN + vN, -vN, vN + wN)
+            else:
+                _, d = neighbor_of(fi, 2)
+                frame, out = (ia, ib, d), (uN + wN, vN + wN, -wN)
+            if min(out) < 0:
+                raise AssertionError(f"unfolded corner weights {out} are negative")
+            return register(frame, out)
+
+        for q in range(-1, mn + 2):
+            for p in range(-n - 1, m + 2):
+                up = ((p, q), (p + 1, q), (p, q + 1))
+                down = ((p + 1, q), (p + 1, q + 1), (p, q + 1))
+                for tile in (up, down):
+                    nums = [weights(pp, qq) for pp, qq in tile]
+                    cu = sum(w[0] for w in nums)
+                    cv = sum(w[1] for w in nums)
+                    cw = sum(w[2] for w in nums)
+                    if min(cu, cv, cw) < 0:
+                        continue
+                    zeros = (cu == 0) + (cv == 0) + (cw == 0)
+                    if zeros:
+                        if zeros != 1:
+                            raise AssertionError("tile centroid on a seed vertex")
+                        if cu == 0:
+                            gi, _ = neighbor_of(fi, 0)
+                        elif cv == 0:
+                            gi, _ = neighbor_of(fi, 1)
+                        else:
+                            gi, _ = neighbor_of(fi, 2)
+                        if gi < fi:
+                            continue
+                    small_faces.append(tuple(corner_index(w) for w in nums))
+
+    expected = len(P.faces) * T
+    if len(small_faces) != expected:
+        raise AssertionError(f"assembled {len(small_faces)} tiles, expected {expected}")
+    pts = np.array(points)
+    pts.setflags(write=False)
+    return FlatTessellation(base=P, spec=spec, points=pts, small_faces=tuple(small_faces))
+
+
+def _outcome(build, P, m, n):
+    """Everything `subdivide` promises: exact bytes and indices, or the exact error."""
+    try:
+        t = build(P, m, n)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+    index_types = {type(i) for face in t.small_faces for i in face}
+    return t.points.tobytes(), t.points.shape, t.points.flags.writeable, t.small_faces, index_types
+
+
+def _walks(most):
+    return [(m, s - m) for s in range(1, most + 1) for m in range(s + 1)]
+
+
+def _assert_matches_loop(P, walks):
+    for m, n in walks:
+        assert _outcome(subdivide, P, m, n) == _outcome(_loop_subdivide, P, m, n), (m, n)
+
+
+@pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
+@pytest.mark.parametrize("vertex_up", [False, True])
+def test_subdivide_matches_loop_reference_on_seeds(kind, vertex_up):
+    _assert_matches_loop(seed(kind, vertex_up=vertex_up), _walks(6))
+
+
+def test_subdivide_matches_loop_reference_on_mirrored_seed_and_sphere(icosa, sphere_21):
+    _assert_matches_loop(mirrored(icosa), _walks(3))
+    _assert_matches_loop(sphere_21, _walks(3))
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.5, 0.8])
+def test_subdivide_of_dome_matches_loop_reference(fraction, make_sphere):
+    dome = truncate_dome(make_sphere(3, 1), fraction)
+    walks = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 0)]
+    _assert_matches_loop(dome, walks)
+    # walks off the face edges reach across the rim, whose lowest face is named
+    for m, n in [(1, 1), (2, 1)]:
+        kind, message = _outcome(subdivide, dome, m, n)
+        assert kind is ValueError and "has no neighbor across a boundary edge" in message
+
+
+def _dict_axes_up_to_sign(dirs):
+    """Registry version of `_axes_up_to_sign`, kept as its reference."""
+    units = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    seen = {}
+    for u in units:
+        v = u.copy()
+        for c in v:
+            if abs(c) > 1e-9:
+                if c < 0:
+                    v = -v
+                break
+        key = tuple(int(round(c * 1e9)) for c in v)
+        if key not in seen:
+            seen[key] = v
+    return np.array([seen[k] for k in sorted(seen)])
+
+
+@pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
+def test_axes_up_to_sign_matches_dict_reference(kind, make_sphere):
+    sphere = make_sphere(2, 1, kind)
+    meshes = [seed(kind), sphere, dual(sphere)]
+    if kind == "icosahedron":
+        meshes += [seed("dodecahedron"), seed("truncated_icosahedron")]
+    for P in meshes:
+        a, b = P._half_edges.edges.T
+        for dirs in (P.vertices, (P.vertices[a] + P.vertices[b]) / 2.0, P.face_centroids()):
+            got, want = _axes_up_to_sign(dirs - P.center), _dict_axes_up_to_sign(dirs - P.center)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,12 @@ def test_dual_with_explicit_sphere_scales():
     D1 = dual(seed("icosahedron"), sphere_radius=1.0)
     D2 = dual(seed("icosahedron"), sphere_radius=2.0)
     np.testing.assert_allclose(D2.vertices, 4.0 * D1.vertices, atol=1e-12)
+
+
+def test_dual_rejects_bad_sphere_radius(icosa):
+    for bad in (math.nan, math.inf, True, 0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            dual(icosa, sphere_radius=bad)
 
 
 def test_dual_rejects_face_through_center():
