@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, NonTriangularFace, NotClassI
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _norms, _rowdot
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy
+from .mesh import _check_policy, _norms, _positive_finite, _rowdot
 from .tessellation import TessellationSpec, _is_int
 
 __all__ = [
@@ -66,6 +67,11 @@ class EdgeClassTable:
         return len(self.entries)
 
 
+def _check_tol(tol: float) -> None:
+    if not _positive_finite(tol):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def edge_class_labels(
     P: Mesh, tol: float = DEFAULT_TOL.metric_eps
 ) -> tuple[EdgeClassTable, list[int]]:
@@ -76,8 +82,7 @@ def edge_class_labels(
     """
     if P.radius is None:
         raise ValueError("chord factors require an inscribed mesh")
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     factors = P.edge_lengths() / P.radius
     order = np.argsort(factors, kind="stable")
     ranked = factors[order]
@@ -86,7 +91,7 @@ def edge_class_labels(
     labels[order] = np.concatenate([[0], np.cumsum(gaps)])
     groups = np.split(ranked, np.flatnonzero(gaps) + 1)
     entries = tuple((float(np.mean(g)), len(g)) for g in groups)
-    if sum(c for _, c in entries) != len(P.edges):
+    if sum(c for _, c in entries) != len(factors):
         raise AssertionError("edge classes do not account for every edge")
     return EdgeClassTable(entries=entries, tol=tol), labels.tolist()
 
@@ -155,8 +160,7 @@ class FaceMetric:
 
 def face_metrics(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[FaceMetric]:
     """Leg/base ratio and apex angle of every triangular face."""
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     tri = _triangles(P)
     scale = P.radius
     if scale is None:
@@ -254,6 +258,7 @@ def congruent(
     and one of their neighbors: an isometry between the meshes must map such
     a pair to another such pair, so the candidate set is finite and complete.
     """
+    _check_policy(tol)
     if P.counts != Q.counts:
         return False
     if vertex_degree_histogram(P) != vertex_degree_histogram(Q):
@@ -476,6 +481,7 @@ def is_infinitesimally_rigid(obj, tol: TolerancePolicy = DEFAULT_TOL) -> Rigidit
     other framework, and one the certificate cannot prove (a flexible one,
     or one too ill-conditioned for the shift), gets the dense SVD.
     """
+    _check_policy(tol)
     pts, bars = _as_framework(obj)
     if len(pts) < 3:
         raise DegenerateGeometry("a framework needs at least 3 joints for a 3D verdict")

@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _check_tol,
     circumcenter_deviation,
     edge_class_labels,
     face_metrics,
     vertex_degree_histogram,
 )
 from .errors import ParseError
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _norms, build_mesh
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _Cycles, _norms, build_mesh
 
 __all__ = [
     "StrutSchedule",
@@ -37,11 +38,11 @@ __all__ = [
 
 def export_obj(P: Mesh, path: str | Path) -> None:
     """Write vertices and faces as OBJ `v` and `f` lines (indices 1-based)."""
-    lines = []
-    for x, y, z in P.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for face in P.faces:
-        lines.append("f " + " ".join(str(i + 1) for i in face))
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in P.vertices]
+    he = P._half_edges
+    words = [str(i) for i in (he.tail + 1).tolist()]
+    for a, b in zip(he.start.tolist(), (he.start + he.size).tolist()):
+        lines.append("f " + " ".join(words[a:b]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -60,9 +61,11 @@ def import_obj(
     allow_open=True boundary edges and a non-spherical Euler count are
     accepted.
     """
+    _check_policy(tol)
     verts: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, ...]] = []
-    face_lines: list[int] = []
+    flat: list[int] = []
+    sizes: list[int] = []
+    tops: list[tuple[int, int]] = []  # (largest index, line) of every face
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         parts = raw.split()
         if not parts:
@@ -86,15 +89,14 @@ def import_obj(
                 raise ParseError(f"line {ln}: face indices must be integers") from None
             if any(i < 1 for i in idx):
                 raise ParseError(f"line {ln}: face indices are 1-based and positive")
-            faces.append(idx)
-            face_lines.append(ln)
-    if not verts or not faces:
+            flat.extend(idx)
+            sizes.append(len(idx))
+            tops.append((max(idx), ln))
+    if not verts or not sizes:
         raise ParseError(f"{path}: no mesh data found")
-    for face, ln in zip(faces, face_lines):
-        if max(face) > len(verts):
-            raise ParseError(
-                f"line {ln}: face index {max(face)} exceeds vertex count {len(verts)}"
-            )
+    for top, ln in tops:
+        if top > len(verts):
+            raise ParseError(f"line {ln}: face index {top} exceeds vertex count {len(verts)}")
 
     arr = np.asarray(verts)
     dist = np.linalg.norm(arr, axis=1)
@@ -104,7 +106,7 @@ def import_obj(
         radius = mean
     return build_mesh(
         arr,
-        [tuple(i - 1 for i in face) for face in faces],
+        _Cycles(np.array(flat, dtype=np.intp) - 1, np.array(sizes, dtype=np.intp)),
         radius=radius,
         closed=not allow_open,
         tol=tol,
@@ -161,6 +163,8 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_e
 
 def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[tuple[str, object]]:
     """Quantity/value pairs summarizing a mesh, in a fixed order."""
+    _check_tol(tol)
+    he = P._half_edges
     v, s, f = P.counts
     rows: list[tuple[str, object]] = [
         ("vertices", v),
@@ -168,7 +172,7 @@ def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[tuple[st
         ("faces", f),
         ("euler_characteristic", v - s + f),
         ("closed", P.closed),
-        ("boundary_edges", len(P.boundary_edges)),
+        ("boundary_edges", int(np.count_nonzero(he.uses == 1))),
         ("radius", P.radius if P.radius is not None else ""),
     ]
     for degree, count in vertex_degree_histogram(P).items():
@@ -179,7 +183,7 @@ def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[tuple[st
         for i, (chord, count) in enumerate(table.entries):
             rows.append((f"class_{i}_chord_factor", chord))
             rows.append((f"class_{i}_count", count))
-    if (P._half_edges.size == 3).all():
+    if (he.size == 3).all():
         if P.radius is not None:
             rows.append(("circumcenter_deviation", circumcenter_deviation(P)))
         kinds = {"equilateral": 0, "isosceles": 0, "scalene": 0}

@@ -9,10 +9,10 @@ tolerances are expressed relative to its radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,6 +72,11 @@ class TolerancePolicy:
 DEFAULT_TOL = TolerancePolicy()
 
 
+def _check_policy(tol: object) -> None:
+    if not isinstance(tol, TolerancePolicy):
+        raise TypeError(f"tol must be a TolerancePolicy, got {type(tol).__name__}")
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products, each rounded exactly like a scalar `a[i] @ b[i]`."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
@@ -82,29 +87,29 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_rowdot(a, a))
 
 
-def _flatten(faces: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Face cycles as (all corner indices in order, length of each cycle)."""
+class _Cycles(NamedTuple):
+    """Face cycles as arrays: every corner id in cycle order, and each cycle's length."""
+
+    flat: np.ndarray
+    size: np.ndarray
+
+
+def _flatten(faces: Sequence[Sequence[int]]) -> _Cycles:
+    """Face cycles given as index sequences, as arrays."""
     size = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
     flat = np.fromiter(chain.from_iterable(faces), dtype=np.intp, count=int(size.sum()))
-    return flat, size
-
-
-def _cycles(flat: np.ndarray, size: np.ndarray) -> list[tuple]:
-    """Inverse of _flatten: split the corner list into one tuple per cycle."""
-    bounds = np.cumsum(size).tolist()
-    items = flat.tolist()
-    return [tuple(items[a:b]) for a, b in zip([0] + bounds[:-1], bounds)]
+    return _Cycles(flat, size)
 
 
 def _ring_sort(
     ring_of: np.ndarray, ids: np.ndarray, points: np.ndarray, axes: np.ndarray
-) -> list[tuple[int, ...]]:
+) -> _Cycles:
     """Order the ids of every ring by polar angle around the ring's axis (ties by id).
 
     Entry k places ids[k], at points[k] relative to the ring's center, in
     ring ring_of[k]; axes[r] points outward through ring r.  Angles run
     counter-clockwise seen from outside, starting near -pi.  Returns one
-    tuple of ids per axis.
+    cycle of ids per axis.
     """
     axes = axes / _norms(axes)[:, None]
     helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -113,7 +118,7 @@ def _ring_sort(
     t2 = np.cross(axes, t1)  # (t1, t2, axis) is right-handed
     angle = np.arctan2(_rowdot(points, t2[ring_of]), _rowdot(points, t1[ring_of]))
     order = np.lexsort((ids, angle, ring_of))
-    return _cycles(ids[order], np.bincount(ring_of, minlength=len(axes)))
+    return _Cycles(ids[order], np.bincount(ring_of, minlength=len(axes)))
 
 
 class _HalfEdges:
@@ -122,11 +127,12 @@ class _HalfEdges:
     Half-edge h runs tail[h] -> head[h] in face[h]; succ[h] is the next
     half-edge around that face and twin[h] the opposite half-edge (-1 on a
     boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1.
-    The undirected edges, as an (E, 2) id array, are derived on first use.
+    edges holds the undirected edges as an (E, 2) id array, low id first, in
+    lexicographic order, and uses[e] counts the half-edges along edge e.
     """
 
     def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int) -> None:
-        self.tail, self.size, self.n_vertices = flat, size, n_vertices
+        self.tail, self.size = flat, size
         self.start = np.cumsum(size) - size
         self.face = np.repeat(np.arange(len(size)), size)
         self.succ = np.arange(1, len(flat) + 1)
@@ -136,21 +142,15 @@ class _HalfEdges:
         order = np.argsort(keys)
         found = order[np.minimum(np.searchsorted(keys[order], wanted), len(flat) - 1)]
         self.twin = np.where(keys[found] == wanted, found, -1)
+        pairs, self.uses = np.unique(np.minimum(keys, wanted), return_counts=True)
+        self.edges = np.column_stack((pairs // n_vertices, pairs % n_vertices))
+        self.edges.setflags(write=False)
 
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """(E, 2) end ids of the undirected edges, low id first, in lexicographic order."""
-        return self.edge_uses()[0]
-
-    def edge_uses(self) -> tuple[np.ndarray, np.ndarray]:
-        """The undirected edges (filling the edges cache) and how many faces use each."""
-        n = self.n_vertices
-        lo, hi = np.minimum(self.tail, self.head), np.maximum(self.tail, self.head)
-        keys, uses = np.unique(lo * n + hi, return_counts=True)
-        ids = np.column_stack((keys // n, keys % n))
-        ids.setflags(write=False)
-        self.__dict__["edges"] = ids
-        return ids, uses
+    def reversed(self, flip: np.ndarray) -> _Cycles:
+        """The face cycles, each face f with flip[f] set read backwards."""
+        slot = np.arange(len(self.tail))
+        back = 2 * self.start[self.face] + self.size[self.face] - 1 - slot
+        return _Cycles(self.tail[np.where(flip[self.face], back, slot)], self.size)
 
     def face_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-face sums of per-half-edge values, added corner by corner in cycle order."""
@@ -174,29 +174,40 @@ class _HalfEdges:
 class Mesh:
     """Immutable indexed surface.
 
-    Faces are index cycles, counter-clockwise viewed from outside.  Edges are
-    derived at construction: each is a sorted index pair, and the edge list
-    is in lexicographic order.  Use :func:`build_mesh` to construct one; the
-    constructor itself performs no validation.
+    The validated half-edge table is the one stored face representation, and
+    every topology query reads it.  faces (index cycles, counter-clockwise
+    viewed from outside), edges (sorted index pairs in lexicographic order)
+    and boundary_edges (the edges used by exactly one face) are tuple views
+    of the table, built on first read.  Use :func:`build_mesh` to construct
+    one; the constructor itself performs no validation.
     """
 
     vertices: np.ndarray  # (V, 3) float64, read-only
-    faces: tuple[tuple[int, ...], ...]
     center: np.ndarray  # (3,) float64, read-only
     radius: float | None  # circumsphere radius when inscribed, else None
     closed: bool
-    edges: tuple[tuple[int, int], ...]
-    boundary_edges: tuple[tuple[int, int], ...]  # edges used by exactly one face
+    _half_edges: _HalfEdges = field(repr=False)
 
     @cached_property
-    def _half_edges(self) -> _HalfEdges:
-        """Half-edge table of the faces; every topology query reads it."""
-        return _HalfEdges(*_flatten(self.faces), len(self.vertices))
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        he = self._half_edges
+        items, ends = he.tail.tolist(), (he.start + he.size).tolist()
+        return tuple(tuple(items[a:b]) for a, b in zip(he.start.tolist(), ends))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self._half_edges.edges.tolist()))
+
+    @cached_property
+    def boundary_edges(self) -> tuple[tuple[int, int], ...]:
+        he = self._half_edges
+        return tuple(map(tuple, he.edges[he.uses == 1].tolist()))
 
     @property
     def counts(self) -> tuple[int, int, int]:
         """(vertex, edge, face) counts."""
-        return len(self.vertices), len(self.edges), len(self.faces)
+        he = self._half_edges
+        return len(self.vertices), len(he.edges), len(he.size)
 
     def degrees(self) -> np.ndarray:
         """Number of edges incident to each vertex."""
@@ -219,7 +230,7 @@ def _check_radius(radius: float) -> None:
 
 def build_mesh(
     vertices: Iterable[Sequence[float]],
-    faces: Iterable[Sequence[int]],
+    faces: Iterable[Sequence[int]] | _Cycles,
     *,
     center: Sequence[float] = (0.0, 0.0, 0.0),
     radius: float | None = None,
@@ -231,8 +242,9 @@ def build_mesh(
     Checks, in order: face sanity, the Euler formula (closed meshes), edge
     manifoldness, winding consistency, outward orientation, and, when a
     radius is given, that every vertex lies on the circumsphere within
-    tol.metric_eps * radius.
+    tol.metric_eps * radius.  The faces may also come as _Cycles arrays.
     """
+    _check_policy(tol)
     verts = np.asarray(list(vertices), dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
         raise ValueError("vertices must be a non-empty sequence of 3D points")
@@ -242,14 +254,14 @@ def build_mesh(
     if radius is not None:
         _check_radius(radius)
 
-    face_list = list(faces)
-    if not face_list:
+    flat, size = faces if isinstance(faces, _Cycles) else _flatten(list(faces))
+    if not len(size):
         raise ValueError("mesh must have at least one face")
-    flat, size = _flatten(face_list)
-    v, f = len(verts), len(face_list)
+    v, f = len(verts), len(size)
 
     def named(fi: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in face_list[fi])
+        first = int(size[:fi].sum())
+        return tuple(flat[first : first + size[fi]].tolist())
 
     short = np.flatnonzero(size < 3)
     if short.size:
@@ -263,14 +275,13 @@ def build_mesh(
     if repeats.size:
         raise DegenerateFace(f"face {named(repeats.min())} has fewer than 3 distinct vertices")
 
-    ids, uses = he.edge_uses()
-    s = len(ids)
+    s, uses = len(he.edges), he.uses
     if closed and v - s + f != 2:
         raise EulerViolation(f"V - S + F = {v} - {s} + {f} = {v - s + f}, expected 2")
 
     bad = np.flatnonzero((uses > 2) | ((uses != 2) & closed))
     if bad.size:
-        edge = tuple(ids[bad[0]].tolist())
+        edge = tuple(he.edges[bad[0]].tolist())
         raise NonManifoldEdge(f"edge {edge} belongs to {uses[bad[0]]} faces")
 
     directed = np.sort(flat * v + he.head)
@@ -292,36 +303,22 @@ def build_mesh(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )
 
-    # one int object per vertex, shared by every face and edge tuple
-    index = np.arange(v).astype(object)
-    edges = tuple(zip(index[ids[:, 0]].tolist(), index[ids[:, 1]].tolist()))
-    boundary = tuple(e for e, n in zip(edges, uses.tolist()) if n == 1)
     verts.setflags(write=False)
     ctr.setflags(write=False)
-    mesh = Mesh(
-        vertices=verts,
-        faces=tuple(_cycles(index[flat], size)),
-        center=ctr,
-        radius=radius,
-        closed=closed,
-        edges=edges,
-        boundary_edges=boundary,
-    )
-    mesh.__dict__["_half_edges"] = he  # fill the cache with the table just validated
-    return mesh
+    return Mesh(vertices=verts, center=ctr, radius=radius, closed=closed, _half_edges=he)
 
 
 # --- seed polyhedra ---------------------------------------------------------
 
 
-def _unit_tetrahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _unit_tetrahedron() -> tuple[np.ndarray, _Cycles]:
     verts = np.array(
         [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
     ) / math.sqrt(3.0)
     return verts, _triangle_faces(verts)
 
 
-def _unit_octahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _unit_octahedron() -> tuple[np.ndarray, _Cycles]:
     verts = np.array(
         [
             [1, 0, 0], [-1, 0, 0],
@@ -333,7 +330,7 @@ def _unit_octahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return verts, _triangle_faces(verts)
 
 
-def _unit_icosahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _unit_icosahedron() -> tuple[np.ndarray, _Cycles]:
     # The 12 cyclic permutations of (0, +-1, +-PHI), scaled to the unit sphere.
     raw = []
     for a, b in ((1.0, PHI), (1.0, -PHI), (-1.0, PHI), (-1.0, -PHI)):
@@ -344,7 +341,7 @@ def _unit_icosahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return verts, _triangle_faces(verts)
 
 
-def _triangle_faces(verts: np.ndarray) -> list[tuple[int, ...]]:
+def _triangle_faces(verts: np.ndarray) -> _Cycles:
     """Faces of a regular triangle-faced solid: mutually nearest vertex triples."""
     d2 = np.sum((verts[:, None, :] - verts[None, :, :]) ** 2, axis=2)
     edge2 = d2[d2 > 1e-12].min()
@@ -354,17 +351,16 @@ def _triangle_faces(verts: np.ndarray) -> list[tuple[int, ...]]:
         for i, j, k in combinations(range(len(verts)), 3)
         if adj[i, j] and adj[i, k] and adj[j, k]
     ]
-    return _outward(faces, verts)
+    return _outward(_flatten(faces), verts)
 
 
-def _outward(faces: list[tuple[int, ...]], verts: np.ndarray) -> list[tuple[int, ...]]:
-    """The faces, each reversed where needed to run counter-clockwise from outside."""
-    he = _HalfEdges(*_flatten(faces), len(verts))
-    inward = _rowdot(he.normals(verts), he.centroids(verts)) < 0.0
-    return [face[::-1] if flip else face for face, flip in zip(faces, inward.tolist())]
+def _outward(cycles: _Cycles, verts: np.ndarray) -> _Cycles:
+    """The cycles, each reversed where needed to run counter-clockwise from outside."""
+    he = _HalfEdges(*cycles, len(verts))
+    return he.reversed(_rowdot(he.normals(verts), he.centroids(verts)) < 0.0)
 
 
-def _unit_dodecahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
     # Vertices sit along the face-centroid directions of the icosahedron;
     # one pentagon wraps each icosahedron vertex.
     ico_verts, ico_faces = _unit_icosahedron()
@@ -374,26 +370,25 @@ def _unit_dodecahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
     return verts, _outward(_ring_sort(he.tail, he.face, verts[he.face], ico_verts), verts)
 
 
-def _unit_truncated_icosahedron() -> tuple[np.ndarray, list[tuple[int, ...]]]:
+def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
     # Cut every icosahedron edge at one third from each end: 60 vertices,
     # one pentagon per old vertex, one hexagon per old face.
     ico = build_mesh(*_unit_icosahedron())
-    he, ico_verts = ico._half_edges, ico.vertices
-    index: dict[tuple[int, int], int] = {}
-    pts = []
-    for a, b in ico.edges:
-        for u, v in ((a, b), (b, a)):
-            index[(u, v)] = len(pts)
-            pts.append((2.0 * ico_verts[u] + ico_verts[v]) / 3.0)
-    verts = np.array(pts)
+    he, ico_verts, n = ico._half_edges, ico.vertices, len(ico.vertices)
+    # point 2e (2e + 1) lies one third along edge e = (a, b) from a (from b)
+    near, far = he.edges.ravel(), he.edges[:, ::-1].ravel()
+    verts = (2.0 * ico_verts[near] + ico_verts[far]) / 3.0
     verts /= np.linalg.norm(verts, axis=1)[:, None]
 
     # cut[h] is the point one third along half-edge h; a face a, b, c gives
     # the hexagon ab, ba, bc, cb, ca, ac
-    cut = np.array([index[uv] for uv in zip(he.tail.tolist(), he.head.tolist())])
+    lo, hi = np.minimum(he.tail, he.head), np.maximum(he.tail, he.head)
+    edge = np.searchsorted(he.edges[:, 0] * n + he.edges[:, 1], lo * n + hi)
+    cut = 2 * edge + (he.tail > he.head)
     pentagons = _outward(_ring_sort(he.tail, cut, verts[cut], ico_verts), verts)
-    hexagons = np.column_stack([cut, cut[he.twin]]).reshape(-1, 6).tolist()
-    return verts, pentagons + [tuple(h) for h in hexagons]
+    hexagons = np.column_stack([cut, cut[he.twin]]).ravel()
+    flat = np.concatenate([pentagons.flat, hexagons])
+    return verts, _Cycles(flat, np.concatenate([pentagons.size, np.full(len(he.size), 6)]))
 
 
 _SEED_BUILDERS = {
@@ -463,7 +458,7 @@ def mirrored(P: Mesh) -> Mesh:
     verts[:, 0] *= -1.0
     ctr = P.center.copy()
     ctr[0] *= -1.0
-    faces = [tuple(reversed(f)) for f in P.faces]
+    faces = P._half_edges.reversed(np.ones(P.counts[2], dtype=bool))
     return build_mesh(verts, faces, center=ctr, radius=P.radius, closed=P.closed)
 
 
@@ -478,4 +473,5 @@ def rotated(P: Mesh, matrix: np.ndarray) -> Mesh:
     ):
         raise ValueError("matrix must be a finite 3x3 proper rotation")
     verts = (P.vertices - P.center) @ R.T + P.center
-    return build_mesh(verts, P.faces, center=P.center, radius=P.radius, closed=P.closed)
+    faces = _Cycles(P._half_edges.tail, P._half_edges.size)
+    return build_mesh(verts, faces, center=P.center, radius=P.radius, closed=P.closed)

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedSeed,
     VertexAtCenter,
 )
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh, seed
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _norms, build_mesh, seed
 
 __all__ = [
     "TessellationSpec",
@@ -176,6 +176,7 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
 
 def project_to_sphere(t: FlatTessellation, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
     """Push every tessellation point radially onto the seed circumsphere."""
+    _check_policy(tol)
     base = t.base
     if base.radius is None:
         raise ValueError("projection requires an inscribed seed (radius present)")
@@ -184,13 +185,7 @@ def project_to_sphere(t: FlatTessellation, tol: TolerancePolicy = DEFAULT_TOL) -
     if float(norms.min()) <= tol.metric_eps * base.radius:
         raise VertexAtCenter("a tessellation point coincides with the projection center")
     projected = base.center + offsets * (base.radius / norms)[:, None]
-    return build_mesh(
-        projected,
-        t.small_faces,
-        center=base.center,
-        radius=base.radius,
-        tol=tol,
-    )
+    return build_mesh(projected, t.small_faces, center=base.center, radius=base.radius, tol=tol)
 
 
 def stepping_projection(P: Mesh, levels: int, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
@@ -200,6 +195,7 @@ def stepping_projection(P: Mesh, levels: int, tol: TolerancePolicy = DEFAULT_TOL
     at every step spreads the edge lengths less than a single direct
     subdivision of the same frequency.
     """
+    _check_policy(tol)
     if not _is_int(levels) or levels < 1:
         raise ValueError("levels must be an integer >= 1")
     current = P
@@ -263,21 +259,13 @@ def schwarz_tiling(kind: str, radius: float = 1.0) -> list[np.ndarray]:
     if kind not in ("tetrahedron", "octahedron", "icosahedron"):
         raise UnsupportedSeed(f"no right-triangle tiling for seed {kind!r}")
     P = seed(kind, radius)
-
-    def project(p: np.ndarray) -> np.ndarray:
-        return p * (radius / float(np.linalg.norm(p)))
-
-    tiles = []
-    for a, b, c in P.faces:
-        A, B, C = P.vertices[a], P.vertices[b], P.vertices[c]
-        G = project((A + B + C) / 3.0)
-        mab, mbc, mca = project((A + B) / 2.0), project((B + C) / 2.0), project((C + A) / 2.0)
-        tiles.extend(
-            np.array(t)
-            for t in (
-                (A, mab, G), (B, mab, G),
-                (B, mbc, G), (C, mbc, G),
-                (C, mca, G), (A, mca, G),
-            )
-        )
-    return tiles
+    # corners (F, 3, xyz); per face the points mab, mbc, mca, G, projected
+    corner = P.vertices[P._half_edges.tail.reshape(-1, 3)]
+    mid = (corner + corner[:, [1, 2, 0]]) / 2.0
+    G = (corner[:, 0] + corner[:, 1] + corner[:, 2]) / 3.0
+    pts = np.concatenate([mid, G[:, None]], axis=1).reshape(-1, 3)
+    pts = (pts * (radius / _norms(pts))[:, None]).reshape(-1, 4, 3)
+    # tiles per face: (A, mab, G), (B, mab, G), (B, mbc, G), (C, mbc, G), (C, mca, G), (A, mca, G)
+    tiles = np.stack([corner[:, [0, 1, 1, 2, 2, 0]], pts[:, [0, 0, 1, 1, 2, 2]],
+                      pts[:, [3] * 6]], axis=2)
+    return list(tiles.reshape(-1, 3, 3))

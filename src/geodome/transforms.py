@@ -14,7 +14,7 @@ from .errors import (
     TriangularFacePresent,
 )
 from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh
-from .mesh import _check_radius, _cycles, _norms, _ring_sort, _rowdot, _unit
+from .mesh import _check_policy, _check_radius, _Cycles, _norms, _ring_sort, _rowdot, _unit
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
 
@@ -81,6 +81,7 @@ def dual(
     closed and strictly convex: across every edge, the next corner of the
     neighboring face must lie below the face's plane.
     """
+    _check_policy(tol)
     if not P.closed:
         raise ValueError("the polar dual requires a closed mesh")
     if sphere_radius is not None:
@@ -114,6 +115,7 @@ def gemmate(P: Mesh, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
     an isosceles (or better) triangle.  Requires an inscribed mesh whose
     faces are all non-triangular.
     """
+    _check_policy(tol)
     if P.radius is None:
         raise ValueError("pyramid augmentation requires an inscribed mesh")
     he = P._half_edges
@@ -125,7 +127,8 @@ def gemmate(P: Mesh, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
     apexes = P.center + normals * P.radius
 
     verts = np.vstack([P.vertices, apexes])
-    faces = np.column_stack([he.tail, he.head, len(P.vertices) + he.face])
+    flat = np.column_stack([he.tail, he.head, len(P.vertices) + he.face]).ravel()
+    faces = _Cycles(flat, np.full(len(he.tail), 3))
     return build_mesh(verts, faces, center=P.center, radius=P.radius, tol=tol)
 
 
@@ -146,9 +149,10 @@ def truncate_dome(
     shows up in Mesh.boundary_edges.  With strict=True a kept face dipping
     below the cut by more than the tolerance is an error.
     """
+    _check_policy(tol)
     if P.radius is None:
         raise ValueError("dome truncation requires an inscribed mesh")
-    if not 0.0 < height_fraction <= 1.0:
+    if isinstance(height_fraction, (bool, np.bool_)) or not 0.0 < height_fraction <= 1.0:
         raise ValueError("height_fraction must lie in (0, 1]")
     a = _unit(axis, "axis")
     z_cut = P.radius * (1.0 - 2.0 * height_fraction)
@@ -159,20 +163,20 @@ def truncate_dome(
     kept = np.flatnonzero(keep)
     if not kept.size:
         raise EmptyDome(f"no face centroid reaches the cut at fraction {height_fraction}")
-    if len(kept) == len(P.faces):
+    if len(kept) == len(he.size):
         return P
 
     if strict:
         low = np.minimum.reduceat(heights[he.tail], he.start)[kept]
         sag = np.flatnonzero(low < z_cut - tol.metric_eps * P.radius)
         if sag.size:
+            face = tuple(he.tail[he.face == kept[sag[0]]].tolist())
             raise StrictCutViolation(
-                f"kept face {P.faces[kept[sag[0]]]} has a vertex "
-                f"{z_cut - low[sag[0]]:.3e} below the cut"
+                f"kept face {face} has a vertex {z_cut - low[sag[0]]:.3e} below the cut"
             )
 
     used, local = np.unique(he.tail[keep[he.face]], return_inverse=True)
-    faces = _cycles(local, he.size[kept])
+    faces = _Cycles(local, he.size[kept])
     return build_mesh(
         P.vertices[used], faces, center=P.center, radius=P.radius, closed=False, tol=tol
     )

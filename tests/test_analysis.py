@@ -74,7 +74,7 @@ def test_edge_classes_merge_at_coarse_tolerance(sphere_2v):
 
 
 def test_edge_classes_reject_bad_tolerance(sphere_2v):
-    for bad in (0.0, -1e-9, math.nan):
+    for bad in (0.0, -1e-9, math.nan, math.inf, True):
         with pytest.raises(ValueError):
             edge_length_classes(sphere_2v, tol=bad)
         with pytest.raises(ValueError):
@@ -101,7 +101,7 @@ def test_face_metrics_rejects_bad_tolerance(sphere_2v):
     verts = t.vertices.copy()
     verts[0] *= 2.0  # not inscribed: the scale is the mean edge length
     for P in (sphere_2v, build_mesh(verts, t.faces)):
-        for bad in (math.nan, 0.0, -1e-9):
+        for bad in (math.nan, 0.0, -1e-9, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 face_metrics(P, tol=bad)
 

@@ -211,6 +211,7 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "-o", str(tmp_path / "x.obj")]) == 2
     assert main(["generate", "--m", "3", "--stepping",
                  "-o", str(tmp_path / "x.obj")]) == 2
+    assert main(["analyze", "-i", str(sphere), "--tol", "inf"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,18 @@ from geodome import (
     UnsupportedSeed,
     build_mesh,
     congruent,
+    dual,
+    gemmate,
+    import_obj,
+    is_infinitesimally_rigid,
     mirrored,
+    project_to_sphere,
     rotated,
     rotation_to_z,
     seed,
+    stepping_projection,
+    subdivide,
+    truncate_dome,
 )
 
 SEED_COUNTS = {
@@ -156,11 +165,63 @@ def test_build_mesh_rejects_bad_radius():
             build_mesh(t.vertices, t.faces, radius=bad)
 
 
-def test_edge_id_array_matches_edges():
-    for P in (seed("icosahedron"), seed("truncated_icosahedron")):
+def test_edge_id_array_matches_edges(sphere_21):
+    R = rotation_to_z((1.0, 2.0, 2.0))
+    for P in (
+        seed("icosahedron"),
+        seed("truncated_icosahedron"),
+        truncate_dome(sphere_21, 0.5),
+        dual(sphere_21),
+        gemmate(seed("dodecahedron")),
+        mirrored(sphere_21),
+        rotated(sphere_21, R),
+    ):
         ids = P._half_edges.edges
         assert ids.shape == (len(P.edges), 2) and not ids.flags.writeable
         assert [tuple(e) for e in ids.tolist()] == list(P.edges)
+        # the views of a mesh built from arrays equal those built from its tuples
+        Q = build_mesh(P.vertices, P.faces, center=P.center, radius=P.radius, closed=P.closed)
+        for name in ("faces", "edges", "boundary_edges"):
+            got = getattr(P, name)
+            assert got == getattr(Q, name)
+            assert type(got) is tuple and all(type(t) is tuple for t in got)
+            assert all(type(i) is int for t in got for i in t)
+
+
+def test_mesh_stores_only_the_half_edge_table(sphere_21):
+    assert [f.name for f in dataclasses.fields(Mesh)] == [
+        "vertices", "center", "radius", "closed", "_half_edges"
+    ]
+    P = rotated(sphere_21, np.eye(3))
+    views = ("faces", "edges", "boundary_edges")
+    assert not set(views) & set(vars(P))
+    assert P.counts == (72, 210, 140)
+    assert not set(views) & set(vars(P))
+    assert P.faces is P.faces and set(views) & set(vars(P)) == {"faces"}
+    assert "_half_edges" not in repr(P)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda P, tol: build_mesh(P.vertices, P.faces, tol=tol),
+        lambda P, tol: project_to_sphere(subdivide(P, 2, 0), tol),
+        lambda P, tol: stepping_projection(P, 1, tol),
+        lambda P, tol: dual(P, tol=tol),
+        lambda P, tol: gemmate(dual(P), tol),
+        lambda P, tol: truncate_dome(P, 0.5, tol=tol),
+        lambda P, tol: congruent(P, P, tol=tol),
+        lambda P, tol: is_infinitesimally_rigid(P, tol),
+        lambda P, tol: import_obj("never-read.obj", tol=tol),
+    ],
+    ids=[
+        "build_mesh", "project_to_sphere", "stepping_projection", "dual", "gemmate",
+        "truncate_dome", "congruent", "is_infinitesimally_rigid", "import_obj",
+    ],
+)
+def test_tolerance_policy_required(call, icosa):
+    with pytest.raises(TypeError, match="tol must be a TolerancePolicy, got float"):
+        call(icosa, 1e-9)
 
 
 def test_tolerance_policy_validation():
@@ -184,6 +245,7 @@ def test_mirrored_flips_and_revalidates(icosa):
     assert M.counts == icosa.counts
     np.testing.assert_array_equal(M.vertices[:, 0], -icosa.vertices[:, 0])
     np.testing.assert_array_equal(M.vertices[:, 1:], icosa.vertices[:, 1:])
+    assert M.faces == tuple(f[::-1] for f in icosa.faces)
 
 
 def test_rotated_preserves_congruence(icosa):

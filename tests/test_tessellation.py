@@ -324,3 +324,36 @@ def test_axes_up_to_sign_matches_dict_reference(kind, make_sphere):
         for dirs in (P.vertices, (P.vertices[a] + P.vertices[b]) / 2.0, P.face_centroids()):
             got, want = _axes_up_to_sign(dirs - P.center), _dict_axes_up_to_sign(dirs - P.center)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _loop_schwarz_tiling(kind: str, radius: float) -> list[np.ndarray]:
+    """Per-face version of `schwarz_tiling`, kept as its reference."""
+    P = seed(kind, radius)
+
+    def project(p: np.ndarray) -> np.ndarray:
+        return p * (radius / float(np.linalg.norm(p)))
+
+    tiles = []
+    for a, b, c in P.faces:
+        A, B, C = P.vertices[a], P.vertices[b], P.vertices[c]
+        G = project((A + B + C) / 3.0)
+        mab, mbc, mca = project((A + B) / 2.0), project((B + C) / 2.0), project((C + A) / 2.0)
+        tiles.extend(
+            np.array(t)
+            for t in (
+                (A, mab, G), (B, mab, G),
+                (B, mbc, G), (C, mbc, G),
+                (C, mca, G), (A, mca, G),
+            )
+        )
+    return tiles
+
+
+@pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+def test_schwarz_tiling_matches_loop_reference(kind, radius):
+    got, want = schwarz_tiling(kind, radius), _loop_schwarz_tiling(kind, radius)
+    assert isinstance(got, list) and len(got) == len(want)
+    for tile, ref in zip(got, want):
+        assert tile.shape == ref.shape == (3, 3) and tile.dtype == ref.dtype
+        assert tile.tobytes() == ref.tobytes()

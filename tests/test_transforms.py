@@ -124,8 +124,8 @@ def test_truncate_hemisphere_counts(make_sphere):
 
 
 def test_truncate_rejects_bad_fraction(sphere_2v):
-    for bad in (0.0, -0.2, 1.2):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -0.2, 1.2, np.nan, True, np.True_):
+        with pytest.raises(ValueError, match="height_fraction"):
             truncate_dome(sphere_2v, bad)
     for axis in ((0, 0, 0), (0, 0, np.nan), (np.inf, 0, 1)):
         with pytest.raises(ValueError):
