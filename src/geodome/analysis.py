@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,27 +221,17 @@ def detect_frequency(P: Mesh) -> int:
     return m
 
 
-def _neighbors(P: Mesh, v: int) -> list[int]:
-    """Vertices sharing an edge with v, in increasing order."""
-    he = P._half_edges
-    return np.union1d(he.head[he.tail == v], he.tail[he.head == v]).tolist()
+def _frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Right-handed orthonormal frames, columns of (N, 3, 3): e1 along a[i], e2 toward b[i]."""
+    e1 = a / _norms(a)[:, None]
+    e2 = b - _rowdot(b, e1)[:, None] * e1
+    e2 /= _norms(e2)[:, None]
+    return np.stack([e1, e2, np.cross(e1, e2)], axis=2)
 
 
-def _rare_degree_vertices(P: Mesh) -> list[int]:
-    degrees = P.degrees()
-    values, counts = np.unique(degrees, return_counts=True)
-    rare = values[np.lexsort((values, counts))[0]]
-    return np.flatnonzero(degrees == rare).tolist()
-
-
-def _frame(a: np.ndarray, b: np.ndarray, flip: bool) -> np.ndarray:
-    e1 = a / np.linalg.norm(a)
-    e2 = b - float(b @ e1) * e1
-    e2 /= np.linalg.norm(e2)
-    e3 = np.cross(e1, e2)
-    if flip:
-        e3 = -e3
-    return np.column_stack([e1, e2, e3])
+def _turn(points: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """points @ R.T for a rotation or a stack of them, rounded alike for every stack size."""
+    return sum(points[:, k, None] * R[..., None, :, k] for k in range(3))
 
 
 def congruent(
@@ -254,115 +243,121 @@ def congruent(
     """Whether an isometry carries the vertex set of P onto that of Q.
 
     Only rotations about the centers are searched unless allow_reflection is
-    set.  Candidate alignments are anchored on vertices of the rarest degree
-    and one of their neighbors: an isometry between the meshes must map such
-    a pair to another such pair, so the candidate set is finite and complete.
+    set.  Candidate alignments map a vertex of the rarest degree and its
+    lowest-numbered neighbor onto an edge of Q with the same end degrees, as
+    an isometry between the meshes must.  One KD-tree query moves up to 12 of
+    P's rarest-degree vertices under every candidate and drops a candidate
+    that leaves one farther than metric_eps from Q.  Each survivor in turn
+    gets the full test: every vertex within metric_eps of a distinct vertex.
+    The first candidate in (anchor, neighbor) order, the identity on a copy
+    of P, is tried alone before the rest.
     """
     _check_policy(tol)
-    if P.counts != Q.counts:
-        return False
-    if vertex_degree_histogram(P) != vertex_degree_histogram(Q):
+    if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
         return False
     if (P.radius is None) != (Q.radius is None):
         return False
-    scale = P.radius if P.radius is not None else 1.0
-    eps = tol.metric_eps * scale
+    eps = tol.metric_eps * (P.radius if P.radius is not None else 1.0)
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
 
     from scipy.spatial import cKDTree
 
-    p_verts = P.vertices - P.center
-    q_verts = Q.vertices - Q.center
-    degrees_p = P.degrees()
-    degrees_q = Q.degrees()
-
-    anchor = _rare_degree_vertices(P)[0]
-    nbr = min(_neighbors(P, anchor))
-    frame_p = _frame(p_verts[anchor], p_verts[nbr], flip=False)
-
+    p_verts, q_verts = P.vertices - P.center, Q.vertices - Q.center
+    degrees_p, degrees_q = P.degrees(), Q.degrees()
+    # vertices of the rarest degree among those on an edge, the lower degree on ties
+    values, counts = np.unique(degrees_p[degrees_p > 0], return_counts=True)
+    rare = np.flatnonzero(degrees_p == values[np.lexsort((values, counts))[0]])
+    edges = P._half_edges.edges
+    nbr = np.concatenate([edges[edges[:, 0] == rare[0], 1], edges[edges[:, 1] == rare[0], 0]]).min()
+    ends = np.concatenate([Q._half_edges.edges, Q._half_edges.edges[:, ::-1]])
+    ends = ends[(degrees_q[ends] == (degrees_p[rare[0]], degrees_p[nbr])).all(axis=1)]
+    ends = ends[np.lexsort(ends.T[::-1])]  # in (anchor, neighbor) order
+    frames = _frames(q_verts[ends[:, 0]], q_verts[ends[:, 1]])
+    if allow_reflection:  # each frame, then its mirror image
+        frames = np.stack([frames, frames * (1.0, 1.0, -1.0)], axis=1).reshape(-1, 3, 3)
+    turns = frames @ _frames(p_verts[rare[:1]], p_verts[[nbr]])[0].T
     tree = cKDTree(q_verts)
-    flips = (False, True) if allow_reflection else (False,)
-    for a2 in _rare_degree_vertices(Q):
-        if degrees_q[a2] != degrees_p[anchor]:
-            continue
-        for b2 in _neighbors(Q, a2):
-            if degrees_q[b2] != degrees_p[nbr]:
-                continue
-            for flip in flips:
-                frame_q = _frame(q_verts[a2], q_verts[b2], flip)
-                moved = p_verts @ (frame_q @ frame_p.T).T
-                dist, idx = tree.query(moved, k=1)
-                if float(dist.max()) <= eps and len(set(idx.tolist())) == len(idx):
-                    return True
+    for group in (turns[:1], turns[1:]):
+        near, _ = tree.query(_turn(p_verts[rare[:12]], group))  # 12: all of them, on a sphere
+        for R in group[(near <= eps).all(axis=1)]:
+            dist, idx = tree.query(_turn(p_verts, R))
+            if dist.max() <= eps and np.unique(idx).size == idx.size:
+                return True
     return False
+
+
+_TABLE_ENTRIES = 1 << 22  # bounds the memory of one table of candidate dart maps
+
+
+def _dart_kinds(P: Mesh, tail: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """(tail degree, head degree, face size) of every dart, coded as one integer."""
+    degrees, top, he = P.degrees(), len(P.vertices) + 1, P._half_edges
+    return (degrees[tail] * top + degrees[tail[succ]]) * top + he.size[he.face]
+
+
+def _dart_tree(succ: np.ndarray, twin: np.ndarray, root: int) -> list[tuple] | None:
+    """Breadth-first tree of the darts from root over succ and twin (len(succ)
+    on a boundary): per level (darts, parents, step), step 1 for a parent's
+    succ and 0 for its twin.  None if a dart is not reached."""
+    n = len(succ)
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[[root, n]] = True
+    frontier, levels = np.array([root]), []
+    while frontier.size:
+        kids, first = np.unique(np.concatenate([twin[frontier], succ[frontier]]), return_index=True)
+        kids, first = kids[~seen[kids]], first[~seen[kids]]
+        seen[kids] = True
+        levels.append((kids, np.tile(frontier, 2)[first], (first >= frontier.size).astype(np.intp)))
+        frontier = kids
+    return levels if seen.all() else None
 
 
 def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     """Whether P and Q have the same face-edge-vertex incidence structure.
 
-    Walks half-edges in lockstep from every compatible anchor pair,
-    propagating through faces and across edges; a complete, consistent walk
-    is an isomorphism.  Boundary half-edges must map to boundary half-edges.
-    Mirror images match (the reversed orientation of Q is tried too).
+    An isomorphism of connected maps is fixed by the image of one dart
+    (Weinberg 1966): here the first dart of P of the rarest kind (tail degree,
+    head degree, face size), imaged on each dart of Q of that kind.  One
+    breadth-first tree of P's darts over next and twin extends all candidates
+    to dart maps, an array pass per level.  A map that commutes with next and
+    twin (boundary to boundary) and induces a consistent, injective vertex map
+    is an isomorphism.  Q is tried as given, then with its faces reversed, so
+    mirror images match; in each orientation the first candidate is tried
+    alone before the rest, so a copy of P costs one.
     """
-    if P.counts != Q.counts:
+    if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
         return False
-    if vertex_degree_histogram(P) != vertex_degree_histogram(Q):
+    he_p, he_q, n = P._half_edges, Q._half_edges, len(P._half_edges.tail)
+    kinds, first, counts = np.unique(
+        _dart_kinds(P, he_p.tail, he_p.succ), return_index=True, return_counts=True
+    )
+    rarest = np.lexsort((kinds, counts))[0]
+    twin_p = np.where(he_p.twin < 0, n, he_p.twin)
+    levels = _dart_tree(he_p.succ, twin_p, first[rarest])
+    if levels is None:
         return False
-    he_p, he_q = P._half_edges, Q._half_edges
-    walk_p = [t.tolist() for t in (he_p.tail, he_p.head, he_p.succ, he_p.twin)]
-    tail_p, head_p = walk_p[:2]
-    degrees_p = P.degrees()
-    degrees_q = Q.degrees()
-    start = tail_p.index(_rare_degree_vertices(P)[0])
-    ends = degrees_p[tail_p[start]], degrees_p[head_p[start]]
-
-    # (tail, head, next, twin) of Q's half-edges, then with every face walked
-    # backwards: half-edge h runs head -> tail and is followed by its predecessor
-    for tables in (
-        (he_q.tail, he_q.head, he_q.succ, he_q.twin),
-        (he_q.head, he_q.tail, np.argsort(he_q.succ), he_q.twin),
-    ):
-        seeds = (degrees_q[tables[0]] == ends[0]) & (degrees_q[tables[1]] == ends[1])
-        walk_q = [t.tolist() for t in tables]
-        for seed_edge in np.flatnonzero(seeds).tolist():
-            if _walk_matches(walk_p, walk_q, start, seed_edge, len(P.vertices)):
+    # rep[i] is a dart leaving the i-th used vertex of P, and dart h leaves vertex tail_of[h]
+    _, rep, tail_of = np.unique(he_p.tail, return_index=True, return_inverse=True)
+    twin_q = np.append(np.where(he_q.twin < 0, n, he_q.twin), n)  # dart n is "no dart"
+    rows = max(1, _TABLE_ENTRIES // (n + 1))
+    # Q's (tail, next), then with faces reversed: h leaves its head, followed by its predecessor
+    for tail, succ in ((he_q.tail, he_q.succ), (he_q.head, np.argsort(he_q.succ))):
+        steps = np.stack([twin_q, np.append(succ, n)])
+        starts = np.flatnonzero(_dart_kinds(Q, tail, succ) == kinds[rarest])
+        for group in [starts[:1]] + [starts[i : i + rows] for i in range(1, len(starts), rows)]:
+            M = np.full((len(group), n + 1), n)
+            M[:, first[rarest]] = group
+            for kids, parents, step in levels:
+                M[:, kids] = steps[step, M[:, parents]]
+            image = M[:, :n]
+            mapped = (image < n) & (steps[1, image] == M[:, he_p.succ])
+            corners = tail[image[(mapped & (steps[0, image] == M[:, twin_p])).all(axis=1)]]
+            vmap = corners[:, rep]
+            vmap = np.sort(vmap[(corners == vmap[:, tail_of]).all(axis=1)], axis=1)
+            if (vmap[:, 1:] != vmap[:, :-1]).all(axis=1).any():
                 return True
     return False
-
-
-def _walk_matches(walk_p, walk_q, start: int, seed_edge: int, n_vertices: int) -> bool:
-    tail_p, head_p, next_p, twin_p = walk_p
-    tail_q, head_q, next_q, twin_q = walk_q
-    mapping = [-1] * len(tail_p)
-    mapping[start] = seed_edge
-    vmap = [-1] * n_vertices
-    vmap[tail_p[start]], vmap[head_p[start]] = tail_q[seed_edge], head_q[seed_edge]
-    queue = deque([start])
-    while queue:
-        e = queue.popleft()
-        img = mapping[e]
-        for ne, nimg in ((next_p[e], next_q[img]), (twin_p[e], twin_q[img])):
-            if ne < 0 or nimg < 0:
-                if ne != nimg:  # a boundary half-edge maps only to a boundary one
-                    return False
-                continue
-            known = mapping[ne]
-            if known < 0:
-                for v, w in ((tail_p[ne], tail_q[nimg]), (head_p[ne], head_q[nimg])):
-                    if vmap[v] < 0:
-                        vmap[v] = w
-                    elif vmap[v] != w:
-                        return False
-                mapping[ne] = nimg
-                queue.append(ne)
-            elif known != nimg:
-                return False
-    if -1 in mapping:
-        return False
-    image = [w for w in vmap if w >= 0]
-    return len(set(image)) == len(image)
 
 
 # --- infinitesimal rigidity --------------------------------------------------

@@ -245,12 +245,16 @@ def build_mesh(
     tol.metric_eps * radius.  The faces may also come as _Cycles arrays.
     """
     _check_policy(tol)
-    verts = np.asarray(list(vertices), dtype=float)
+    verts = np.array(vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
         raise ValueError("vertices must be a non-empty sequence of 3D points")
     if not np.isfinite(verts).all():
         raise ValueError("vertex coordinates must be finite")
-    ctr = np.asarray(center, dtype=float)
+    ctr = np.array(center, dtype=float)
+    if ctr.shape != (3,) or not np.isfinite(ctr).all():
+        raise ValueError("center must be a finite 3-vector")
+    if not isinstance(closed, (bool, np.bool_)):
+        raise TypeError(f"closed must be a bool, got {type(closed).__name__}")
     if radius is not None:
         _check_radius(radius)
 

@@ -20,6 +20,7 @@ from geodome import (
     combinatorially_isomorphic,
     congruent,
     detect_frequency,
+    dual,
     edge_class_labels,
     edge_length_classes,
     face_metrics,
@@ -184,6 +185,190 @@ def test_combinatorial_isomorphism_of_open_meshes(make_sphere):
     assert combinatorially_isomorphic(dome, dome)
     assert combinatorially_isomorphic(dome, rotated(dome, rotation_to_z((1.0, -2.0, 0.5))))
     assert combinatorially_isomorphic(dome, mirrored(dome))
+
+
+def test_congruence_and_isomorphism_with_an_unused_vertex(icosa):
+    def with_point(P, point):
+        return build_mesh(np.vstack([P.vertices, [point]]), P.faces, closed=False)
+
+    M = with_point(icosa, (0.0, 0.0, 0.5))
+    for Q in (M, rotated(M, rotation_to_z((1.0, -2.0, 0.5)))):
+        assert congruent(M, Q) and combinatorially_isomorphic(M, Q)
+    moved = with_point(icosa, (0.0, 0.0, 0.4))
+    assert not congruent(M, moved, allow_reflection=True)
+    assert combinatorially_isomorphic(M, moved)
+
+
+# --- loop references: the per-candidate searches these tests compare against --
+
+
+def _reference_rare_degree_vertices(P):
+    degrees = P.degrees()
+    values, counts = np.unique(degrees[degrees > 0], return_counts=True)
+    rare = values[np.lexsort((values, counts))[0]]
+    return np.flatnonzero(degrees == rare).tolist()
+
+
+def _reference_neighbors(P, v):
+    he = P._half_edges
+    return np.union1d(he.head[he.tail == v], he.tail[he.head == v]).tolist()
+
+
+def _reference_frame(a, b, flip):
+    e1 = a / np.linalg.norm(a)
+    e2 = b - float(b @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    e3 = np.cross(e1, e2)
+    return np.column_stack([e1, e2, -e3 if flip else e3])
+
+
+def _reference_congruent(P, Q, allow_reflection=False, tol=TolerancePolicy()):
+    """One KD-tree query per (rare vertex, neighbor, flip) alignment of Q."""
+    from scipy.spatial import cKDTree
+
+    if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
+        return False
+    if (P.radius is None) != (Q.radius is None):
+        return False
+    eps = tol.metric_eps * (P.radius if P.radius is not None else 1.0)
+    if P.radius is not None and abs(P.radius - Q.radius) > eps:
+        return False
+    p_verts, q_verts = P.vertices - P.center, Q.vertices - Q.center
+    degrees_p, degrees_q = P.degrees(), Q.degrees()
+    anchor = _reference_rare_degree_vertices(P)[0]
+    nbr = min(_reference_neighbors(P, anchor))
+    frame_p = _reference_frame(p_verts[anchor], p_verts[nbr], flip=False)
+    tree = cKDTree(q_verts)
+    for a2 in _reference_rare_degree_vertices(Q):
+        if degrees_q[a2] != degrees_p[anchor]:
+            continue
+        for b2 in _reference_neighbors(Q, a2):
+            if degrees_q[b2] != degrees_p[nbr]:
+                continue
+            for flip in (False, True) if allow_reflection else (False,):
+                frame_q = _reference_frame(q_verts[a2], q_verts[b2], flip)
+                dist, idx = tree.query(p_verts @ (frame_q @ frame_p.T).T, k=1)
+                if float(dist.max()) <= eps and len(set(idx.tolist())) == len(idx):
+                    return True
+    return False
+
+
+def _reference_isomorphic(P, Q):
+    """A lockstep breadth-first walk of half-edges from every compatible anchor."""
+    if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
+        return False
+    he_p, he_q = P._half_edges, Q._half_edges
+    walk_p = [t.tolist() for t in (he_p.tail, he_p.head, he_p.succ, he_p.twin)]
+    degrees_p, degrees_q = P.degrees(), Q.degrees()
+    start = walk_p[0].index(_reference_rare_degree_vertices(P)[0])
+    ends = degrees_p[walk_p[0][start]], degrees_p[walk_p[1][start]]
+    for tables in (
+        (he_q.tail, he_q.head, he_q.succ, he_q.twin),
+        (he_q.head, he_q.tail, np.argsort(he_q.succ), he_q.twin),
+    ):
+        seeds = (degrees_q[tables[0]] == ends[0]) & (degrees_q[tables[1]] == ends[1])
+        walk_q = [t.tolist() for t in tables]
+        for seed_edge in np.flatnonzero(seeds).tolist():
+            if _reference_walk(walk_p, walk_q, start, seed_edge, len(P.vertices)):
+                return True
+    return False
+
+
+def _reference_walk(walk_p, walk_q, start, seed_edge, n_vertices):
+    from collections import deque
+
+    tail_p, head_p, next_p, twin_p = walk_p
+    tail_q, head_q, next_q, twin_q = walk_q
+    mapping = [-1] * len(tail_p)
+    mapping[start] = seed_edge
+    vmap = [-1] * n_vertices
+    vmap[tail_p[start]], vmap[head_p[start]] = tail_q[seed_edge], head_q[seed_edge]
+    queue = deque([start])
+    while queue:
+        e = queue.popleft()
+        img = mapping[e]
+        for ne, nimg in ((next_p[e], next_q[img]), (twin_p[e], twin_q[img])):
+            if ne < 0 or nimg < 0:
+                if ne != nimg:
+                    return False
+                continue
+            known = mapping[ne]
+            if known < 0:
+                for v, w in ((tail_p[ne], tail_q[nimg]), (head_p[ne], head_q[nimg])):
+                    if vmap[v] < 0:
+                        vmap[v] = w
+                    elif vmap[v] != w:
+                        return False
+                mapping[ne] = nimg
+                queue.append(ne)
+            elif known != nimg:
+                return False
+    if -1 in mapping:
+        return False
+    image = [w for w in vmap if w >= 0]
+    return len(set(image)) == len(image)
+
+
+def _relabeled(P):
+    """P with its vertices renumbered and its faces listed in another order."""
+    perm = np.random.default_rng(5).permutation(len(P.vertices))
+    new_id = np.argsort(perm)
+    faces = [tuple(new_id[list(f[1:] + f[:1])].tolist()) for f in P.faces[::-1]]
+    return build_mesh(P.vertices[perm], faces, radius=P.radius, closed=P.closed)
+
+
+def test_congruence_and_isomorphism_match_loop_references(make_sphere):
+    R = rotation_to_z((1.0, -2.0, 0.5))
+    up = {(m, n): make_sphere(m, n, vertex_up=True) for m, n in ((2, 1), (1, 2))}
+    gem = gemmate(seed("dodecahedron"))
+    meshes = {
+        "(2,1)": up[2, 1],
+        "(1,2)": up[1, 2],
+        "(2,1) mirrored": mirrored(up[2, 1]),
+        "(2,1) rotated": rotated(up[2, 1], R),
+        "(2,1) relabeled": _relabeled(up[2, 1]),
+        "(2,1) dome": truncate_dome(up[2, 1], 0.5),
+        "(1,2) dome": truncate_dome(up[1, 2], 0.5),
+        "(2,1) dome mirrored": mirrored(truncate_dome(up[2, 1], 0.5)),
+        "(2,1) dome relabeled": _relabeled(truncate_dome(up[2, 1], 0.5)),
+        "(2,1) dual": dual(up[2, 1]),
+        "(1,2) dual": dual(up[1, 2]),
+        "(2,1) rotated dual": dual(rotated(up[2, 1], R)),
+        "dodecahedron": seed("dodecahedron"),
+        "icosahedron dual": dual(seed("icosahedron")),
+        "gemmated dodecahedron": gem,
+        "gemmated dodecahedron mirrored": mirrored(gem),
+        "gemmated dodecahedron rotated": rotated(gem, R),
+        "octahedral (2,1)": make_sphere(2, 1, "octahedron"),
+        "octahedral (1,2)": make_sphere(1, 2, "octahedron"),
+        "octahedral (2,1) mirrored": mirrored(make_sphere(2, 1, "octahedron")),
+        "octahedral (2,1) dome": truncate_dome(make_sphere(2, 1, "octahedron"), 0.8),
+        "octahedral (1,2) dome": truncate_dome(make_sphere(1, 2, "octahedron"), 0.8),
+        "(7,0)": make_sphere(7, 0),
+        "(5,3)": make_sphere(5, 3),
+        "(3,5)": make_sphere(3, 5),
+    }
+    checks = (
+        combinatorially_isomorphic, _reference_isomorphic,
+        congruent, _reference_congruent,
+        lambda P, Q: congruent(P, Q, allow_reflection=True),
+        lambda P, Q: _reference_congruent(P, Q, allow_reflection=True),
+    )
+    verdicts = {
+        (a, b): [f(P, Q) for f in checks]
+        for a, P in meshes.items()
+        for b, Q in meshes.items()
+        if P.counts == Q.counts
+    }
+    assert len(verdicts) == 85
+    for pair, (iso, ref_iso, rot, ref_rot, refl, ref_refl) in verdicts.items():
+        assert (iso, rot, refl) == (ref_iso, ref_rot, ref_refl), pair
+    # equal counts and degree histograms, yet not isomorphic
+    assert verdicts["(7,0)", "(5,3)"][0] is verdicts["(3,5)", "(7,0)"][0] is False
+    assert verdicts["(5,3)", "(3,5)"][:2] == [True, True]
+    assert verdicts["(2,1)", "(2,1) mirrored"][2:] == [False, False, True, True]
+    # the first candidate dart fails here, a later one succeeds
+    assert verdicts["octahedral (2,1) dome", "octahedral (1,2) dome"][:2] == [True, True]
 
 
 def test_rigidity_matrix_shape(icosa):

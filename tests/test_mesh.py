@@ -165,6 +165,34 @@ def test_build_mesh_rejects_bad_radius():
             build_mesh(t.vertices, t.faces, radius=bad)
 
 
+@pytest.mark.parametrize(
+    "option,error,message",
+    [
+        ({"center": (math.nan, 0.0, 0.0)}, ValueError, "center must be a finite 3-vector"),
+        ({"center": (0.0, -math.inf, 0.0)}, ValueError, "center must be a finite 3-vector"),
+        ({"center": (0.0, 0.0)}, ValueError, "center must be a finite 3-vector"),
+        ({"closed": "yes"}, TypeError, "closed must be a bool, got str"),
+        ({"closed": 1}, TypeError, "closed must be a bool, got int"),
+    ],
+)
+def test_build_mesh_checks_center_and_closed(option, error, message):
+    t = seed("tetrahedron")
+    with pytest.raises(error, match=message):
+        build_mesh(t.vertices, t.faces, **option)
+
+
+def test_build_mesh_copies_its_inputs():
+    t = seed("tetrahedron")
+    from_points = build_mesh((tuple(p) for p in t.vertices.tolist()), t.faces)
+    np.testing.assert_array_equal(from_points.vertices, t.vertices)
+    verts, ctr = t.vertices.copy(), np.zeros(3)
+    P = build_mesh(verts, t.faces, center=ctr, closed=np.True_)
+    assert verts.flags.writeable and ctr.flags.writeable
+    verts[0], ctr[0] = 0.0, 1.0
+    np.testing.assert_array_equal(P.vertices, t.vertices)
+    np.testing.assert_array_equal(P.center, np.zeros(3))
+
+
 def test_edge_id_array_matches_edges(sphere_21):
     R = rotation_to_z((1.0, 2.0, 2.0))
     for P in (
