@@ -8,136 +8,20 @@ edge-length classes, symmetry circles, congruence, and rigidity.
 
 from __future__ import annotations
 
-from .analysis import (
-    EdgeClassTable,
-    FaceMetric,
-    RigidityReport,
-    angle_dms,
-    circumcenter_deviation,
-    combinatorially_isomorphic,
-    congruent,
-    detect_frequency,
-    edge_class_labels,
-    edge_length_classes,
-    face_metrics,
-    is_infinitesimally_rigid,
-    rigidity_matrix,
-    verify_counts,
-    vertex_degree_histogram,
-)
-from .errors import (
-    DegenerateFace,
-    DegenerateGeometry,
-    EmptyDome,
-    EulerViolation,
-    FaceThroughCenter,
-    GeodomeError,
-    InvalidOrientation,
-    InvalidSpec,
-    NonManifoldEdge,
-    NonTriangularFace,
-    NonTriangularSeed,
-    NotClassI,
-    ParseError,
-    StrictCutViolation,
-    TriangularFacePresent,
-    UnsupportedSeed,
-    VertexAtCenter,
-)
-from .io import (
-    StrutSchedule,
-    analysis_rows,
-    export_analysis_csv,
-    export_obj,
-    export_schedule,
-    import_obj,
-    strut_schedule,
-)
-from .mesh import (
-    DEFAULT_TOL,
-    SEED_KINDS,
-    Mesh,
-    TolerancePolicy,
-    build_mesh,
-    mirrored,
-    rotated,
-    rotation_to_z,
-    seed,
-)
-from .tessellation import (
-    FlatTessellation,
-    GreatCircleSet,
-    TessellationSpec,
-    great_circles,
-    project_to_sphere,
-    schwarz_tiling,
-    stepping_projection,
-    subdivide,
-    triangulation_number,
-)
-from .transforms import dual, gemmate, truncate_dome
+from . import analysis, errors, io, mesh, tessellation, transforms
+from .analysis import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .io import *  # noqa: F403
+from .mesh import *  # noqa: F403
+from .tessellation import *  # noqa: F403
+from .transforms import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "DegenerateFace",
-    "DegenerateGeometry",
-    "EdgeClassTable",
-    "EmptyDome",
-    "EulerViolation",
-    "FaceMetric",
-    "FaceThroughCenter",
-    "FlatTessellation",
-    "GeodomeError",
-    "GreatCircleSet",
-    "InvalidOrientation",
-    "InvalidSpec",
-    "Mesh",
-    "NonManifoldEdge",
-    "NonTriangularFace",
-    "NonTriangularSeed",
-    "NotClassI",
-    "ParseError",
-    "RigidityReport",
-    "SEED_KINDS",
-    "StrictCutViolation",
-    "StrutSchedule",
-    "TessellationSpec",
-    "TolerancePolicy",
-    "TriangularFacePresent",
-    "UnsupportedSeed",
-    "VertexAtCenter",
-    "analysis_rows",
-    "angle_dms",
-    "build_mesh",
-    "circumcenter_deviation",
-    "combinatorially_isomorphic",
-    "congruent",
-    "detect_frequency",
-    "dual",
-    "edge_class_labels",
-    "edge_length_classes",
-    "export_analysis_csv",
-    "export_obj",
-    "export_schedule",
-    "face_metrics",
-    "gemmate",
-    "great_circles",
-    "import_obj",
-    "is_infinitesimally_rigid",
-    "mirrored",
-    "project_to_sphere",
-    "rigidity_matrix",
-    "rotated",
-    "rotation_to_z",
-    "schwarz_tiling",
-    "seed",
-    "stepping_projection",
-    "strut_schedule",
-    "subdivide",
-    "triangulation_number",
-    "truncate_dome",
-    "verify_counts",
-    "vertex_degree_histogram",
-]
+__all__: list[str] = []
+__all__ += analysis.__all__
+__all__ += errors.__all__
+__all__ += io.__all__
+__all__ += mesh.__all__
+__all__ += tessellation.__all__
+__all__ += transforms.__all__

@@ -385,6 +385,8 @@ def _as_framework(obj) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("framework points must be an (N, 3) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("framework points must be finite")
     pairs = [tuple(bar) for bar in edges]
     for bar in pairs:
         if not (

@@ -15,6 +15,7 @@ import sys
 from .analysis import is_infinitesimally_rigid
 from .errors import GeodomeError, InvalidSpec, ParseError
 from .io import (
+    _write_analysis_csv,
     analysis_rows,
     export_analysis_csv,
     export_obj,
@@ -61,7 +62,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     for quantity, value in rows:
         print(f"{quantity:<{width}}  {value}")
     if args.csv:
-        export_analysis_csv(mesh, args.csv, args.tol)
+        _write_analysis_csv(rows, args.csv)
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> None:

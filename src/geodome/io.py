@@ -23,7 +23,8 @@ from .analysis import (
     vertex_degree_histogram,
 )
 from .errors import ParseError
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _Cycles, _norms, build_mesh
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _common_radius, _Cycles
+from .mesh import _norms, build_mesh
 
 __all__ = [
     "StrutSchedule",
@@ -46,6 +47,12 @@ def export_obj(P: Mesh, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _check_plain(line: str) -> None:
+    """Refuse underscores and non-ASCII characters, which float() and int() read but OBJ lacks."""
+    if "_" in line or not line.isascii():
+        raise ValueError(f"underscore or non-ASCII character in {line.strip()!r}")
+
+
 def import_obj(
     path: str | Path,
     *,
@@ -54,8 +61,9 @@ def import_obj(
 ) -> Mesh:
     """Read the OBJ subset written by export_obj and validate it as a mesh.
 
-    Only `v` and `f` lines are interpreted; other line types are ignored.
-    Face indices are strictly positive 1-based integers.  A detected common
+    The file is UTF-8 text.  Only `v` and `f` lines are interpreted, and
+    they must be ASCII without underscores; other lines are ignored.  Face
+    indices are strictly positive 1-based integers.  A detected common
     distance of all vertices from the origin is recorded as the circumsphere
     radius.  Validation failures (from build_mesh) propagate; with
     allow_open=True boundary edges and a non-spherical Euler count are
@@ -66,7 +74,11 @@ def import_obj(
     flat: list[int] = []
     sizes: list[int] = []
     tops: list[tuple[int, int]] = []  # (largest index, line) of every face
-    for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    for ln, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -74,6 +86,7 @@ def import_obj(
             if len(parts) != 4:
                 raise ParseError(f"line {ln}: expected 'v x y z'")
             try:
+                _check_plain(raw)
                 x, y, z = (float(p) for p in parts[1:])
             except ValueError as exc:
                 raise ParseError(f"line {ln}: bad coordinate ({exc})") from None
@@ -84,6 +97,7 @@ def import_obj(
             if len(parts) < 4:
                 raise ParseError(f"line {ln}: a face needs at least 3 indices")
             try:
+                _check_plain(raw)
                 idx = tuple(int(p) for p in parts[1:])
             except ValueError:
                 raise ParseError(f"line {ln}: face indices must be integers") from None
@@ -99,15 +113,10 @@ def import_obj(
             raise ParseError(f"line {ln}: face index {top} exceeds vertex count {len(verts)}")
 
     arr = np.asarray(verts)
-    dist = np.linalg.norm(arr, axis=1)
-    mean = float(dist.mean())
-    radius = None
-    if mean > 0.0 and float(dist.max() - dist.min()) <= tol.metric_eps * mean:
-        radius = mean
     return build_mesh(
         arr,
         _Cycles(np.array(flat, dtype=np.intp) - 1, np.array(sizes, dtype=np.intp)),
-        radius=radius,
+        radius=_common_radius(np.linalg.norm(arr, axis=1), tol),
         closed=not allow_open,
         tol=tol,
     )
@@ -194,10 +203,12 @@ def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[tuple[st
     return rows
 
 
+def _write_analysis_csv(rows: list[tuple[str, object]], path: str | Path) -> None:
+    """Write analysis rows as a quantity,value CSV table."""
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows([("quantity", "value"), *rows])
+
+
 def export_analysis_csv(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_eps) -> None:
     """Write the analysis summary as a quantity,value CSV table."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["quantity", "value"])
-        for quantity, value in analysis_rows(P, tol):
-            writer.writerow([quantity, value])
+    _write_analysis_csv(analysis_rows(P, tol), path)

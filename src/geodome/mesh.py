@@ -39,14 +39,6 @@ __all__ = [
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-SEED_KINDS = (
-    "tetrahedron",
-    "octahedron",
-    "icosahedron",
-    "dodecahedron",
-    "truncated_icosahedron",
-)
-
 
 def _positive_finite(x: float) -> bool:
     """Whether x is a number in (0, inf), bools excluded."""
@@ -75,6 +67,14 @@ DEFAULT_TOL = TolerancePolicy()
 def _check_policy(tol: object) -> None:
     if not isinstance(tol, TolerancePolicy):
         raise TypeError(f"tol must be a TolerancePolicy, got {type(tol).__name__}")
+
+
+def _common_radius(values: np.ndarray, tol: TolerancePolicy) -> float | None:
+    """The mean of values when it is positive and max - min <= tol.metric_eps * mean, else None."""
+    mean = float(values.mean())
+    if mean > 0.0 and float(values.max() - values.min()) <= tol.metric_eps * mean:
+        return mean
+    return None
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,6 +129,8 @@ class _HalfEdges:
     boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1.
     edges holds the undirected edges as an (E, 2) id array, low id first, in
     lexicographic order, and uses[e] counts the half-edges along edge e.
+    repeated holds, ascending, one entry per repeat of a directed-edge key
+    tail * n_vertices + head (empty when no directed edge is traversed twice).
     """
 
     def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int) -> None:
@@ -140,7 +142,9 @@ class _HalfEdges:
         self.head = flat[self.succ]
         keys, wanted = flat * n_vertices + self.head, self.head * n_vertices + flat
         order = np.argsort(keys)
-        found = order[np.minimum(np.searchsorted(keys[order], wanted), len(flat) - 1)]
+        ordered = keys[order]
+        self.repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        found = order[np.minimum(np.searchsorted(ordered, wanted), len(flat) - 1)]
         self.twin = np.where(keys[found] == wanted, found, -1)
         pairs, self.uses = np.unique(np.minimum(keys, wanted), return_counts=True)
         self.edges = np.column_stack((pairs // n_vertices, pairs % n_vertices))
@@ -178,15 +182,21 @@ class Mesh:
     every topology query reads it.  faces (index cycles, counter-clockwise
     viewed from outside), edges (sorted index pairs in lexicographic order)
     and boundary_edges (the edges used by exactly one face) are tuple views
-    of the table, built on first read.  Use :func:`build_mesh` to construct
-    one; the constructor itself performs no validation.
+    of the table, built on first read; closed is derived from it as well.
+    Use :func:`build_mesh` to construct one; the constructor itself performs
+    no validation.
     """
 
     vertices: np.ndarray  # (V, 3) float64, read-only
     center: np.ndarray  # (3,) float64, read-only
     radius: float | None  # circumsphere radius when inscribed, else None
-    closed: bool
     _half_edges: _HalfEdges = field(repr=False)
+
+    @property
+    def closed(self) -> bool:
+        """Whether the mesh is a closed sphere: every edge on two faces and V - E + F = 2."""
+        v, e, f = self.counts
+        return bool((self._half_edges.uses == 2).all()) and v - e + f == 2
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
@@ -242,7 +252,9 @@ def build_mesh(
     Checks, in order: face sanity, the Euler formula (closed meshes), edge
     manifoldness, winding consistency, outward orientation, and, when a
     radius is given, that every vertex lies on the circumsphere within
-    tol.metric_eps * radius.  The faces may also come as _Cycles arrays.
+    tol.metric_eps * radius.  closed=True requires a closed sphere (see
+    Mesh.closed); closed=False also accepts boundary edges and any Euler
+    count.  The faces may also come as _Cycles arrays.
     """
     _check_policy(tol)
     verts = np.array(vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=float)
@@ -288,10 +300,8 @@ def build_mesh(
         edge = tuple(he.edges[bad[0]].tolist())
         raise NonManifoldEdge(f"edge {edge} belongs to {uses[bad[0]]} faces")
 
-    directed = np.sort(flat * v + he.head)
-    twice = directed[1:][directed[1:] == directed[:-1]]
-    if twice.size:
-        key = int(twice[0])
+    if he.repeated.size:
+        key = int(he.repeated[0])
         raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
     pts = verts - ctr
@@ -309,7 +319,7 @@ def build_mesh(
 
     verts.setflags(write=False)
     ctr.setflags(write=False)
-    return Mesh(vertices=verts, center=ctr, radius=radius, closed=closed, _half_edges=he)
+    return Mesh(vertices=verts, center=ctr, radius=radius, _half_edges=he)
 
 
 # --- seed polyhedra ---------------------------------------------------------
@@ -402,6 +412,8 @@ _SEED_BUILDERS = {
     "dodecahedron": _unit_dodecahedron,
     "truncated_icosahedron": _unit_truncated_icosahedron,
 }
+
+SEED_KINDS = tuple(_SEED_BUILDERS)
 
 
 def _unit(vector: Sequence[float], name: str) -> np.ndarray:

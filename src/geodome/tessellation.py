@@ -11,7 +11,6 @@ floating-point merge is ever needed.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -43,19 +42,9 @@ def _is_int(k: object) -> bool:
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
-def _validate_mn(m: int, n: int) -> None:
-    if not (_is_int(m) and _is_int(n)):
-        raise InvalidSpec(f"(m, n) = ({m!r}, {n!r}) must be integers")
-    if m < 0 or n < 0:
-        raise InvalidSpec(f"(m, n) = ({m}, {n}) must be non-negative")
-    if m == 0 and n == 0:
-        raise InvalidSpec("(m, n) = (0, 0) describes no tessellation")
-
-
 def triangulation_number(m: int, n: int) -> int:
     """T = m^2 + m*n + n^2: unit tiles per subdivided face."""
-    _validate_mn(m, n)
-    return m * m + m * n + n * n
+    return TessellationSpec(m, n).T
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,13 @@ class TessellationSpec:
     n: int
 
     def __post_init__(self) -> None:
-        _validate_mn(self.m, self.n)
+        m, n = self.m, self.n
+        if not (_is_int(m) and _is_int(n)):
+            raise InvalidSpec(f"(m, n) = ({m!r}, {n!r}) must be integers")
+        if m < 0 or n < 0:
+            raise InvalidSpec(f"(m, n) = ({m}, {n}) must be non-negative")
+        if m == 0 and n == 0:
+            raise InvalidSpec("(m, n) = (0, 0) describes no tessellation")
 
     @property
     def T(self) -> int:

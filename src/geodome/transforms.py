@@ -14,7 +14,8 @@ from .errors import (
     TriangularFacePresent,
 )
 from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh
-from .mesh import _check_policy, _check_radius, _Cycles, _norms, _ring_sort, _rowdot, _unit
+from .mesh import _check_policy, _check_radius, _common_radius, _Cycles, _norms, _ring_sort
+from .mesh import _rowdot, _unit
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
 
@@ -45,9 +46,7 @@ def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: TolerancePolicy) -> floa
     in the same circumsphere.
     """
     _off_center(offsets, tol, float(np.linalg.norm(P.vertices - P.center, axis=1).mean()))
-    span = float(offsets.max() - offsets.min())
-    mean = float(offsets.mean())
-    tangent = mean if mean > 0.0 and span <= tol.metric_eps * mean else None
+    tangent = _common_radius(offsets, tol)
     if P.radius is not None and tangent is not None:
         return math.sqrt(P.radius * tangent)
     if P.radius is not None:
@@ -101,9 +100,7 @@ def dual(
 
     faces = _ring_sort(he.tail, he.face, poles[he.face] - P.center, P.vertices - P.center)
 
-    dist = np.linalg.norm(poles - P.center, axis=1)
-    mean = float(dist.mean())
-    radius = mean if float(dist.max() - dist.min()) <= tol.metric_eps * mean else None
+    radius = _common_radius(np.linalg.norm(poles - P.center, axis=1), tol)
     return build_mesh(poles, faces, center=P.center, radius=radius, tol=tol)
 
 

@@ -426,6 +426,12 @@ def test_rigidity_framework_input_validation():
     assert bare == RigidityReport(0, 9, 0, 3) and not bare.rigid
     with pytest.raises(ValueError):
         is_infinitesimally_rigid((pts, ids.astype(float)))
+    # joints are finite: no NaN matrix, no failed SVD
+    for bad in (math.nan, math.inf, -math.inf):
+        joints = pts[:3] + [(0, 0, bad)]
+        for call in (rigidity_matrix, is_infinitesimally_rigid):
+            with pytest.raises(ValueError, match="framework points must be finite"):
+                call((joints, ids))
 
 
 DEFAULT_EPS = TolerancePolicy().rank_eps

@@ -79,14 +79,28 @@ def test_obj_import_open_requires_flag(sphere_21, tmp_path):
         ("v 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "line 4"),
         ("v 0 0 1\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", "line 4"),
         ("v 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 x\n", "line 4"),
+        # Python's float and int read these, OBJ does not
+        ("v 0_1 0 1\n", "line 1: bad coordinate"),
+        ("v \u0660 \u0661 \u0660\n", "line 1: bad coordinate"),
+        ("v 0 0 1\nv 1 0 0\nv 0 1 0\nf 0_1 2 3\n", "line 4: face indices must be integers"),
+        ("v 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 \u0663\n", "line 4: face indices must be integers"),
     ],
 )
 def test_obj_parse_errors(text, phrase, tmp_path):
     path = tmp_path / "bad.obj"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError) as err:
         import_obj(path, allow_open=True)
     assert phrase in str(err.value)
+
+
+def test_obj_undecodable_bytes_are_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.obj"
+    path.write_bytes(b"\xff\xfev 0 0 1\n")
+    with pytest.raises(ParseError, match="byte 0"):
+        import_obj(path)
+    assert main(["analyze", "-i", str(path)]) == 3
+    assert "byte 0" in capsys.readouterr().err
 
 
 def test_obj_ignores_comments_and_blanks(tmp_path):

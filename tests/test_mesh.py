@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import geodome
 from geodome import (
     DEFAULT_TOL,
     DegenerateFace,
@@ -20,6 +21,7 @@ from geodome import (
     build_mesh,
     congruent,
     dual,
+    export_obj,
     gemmate,
     import_obj,
     is_infinitesimally_rigid,
@@ -146,7 +148,8 @@ def test_flipped_face_rejected():
     t = seed("tetrahedron")
     faces = list(t.faces)
     faces[0] = faces[0][::-1]
-    with pytest.raises(InvalidOrientation):
+    # three directed edges repeat; the message names the smallest, 0 -> 2
+    with pytest.raises(InvalidOrientation, match=r"directed edge \(0, 2\) traversed twice"):
         build_mesh(t.vertices, faces)
 
 
@@ -218,7 +221,7 @@ def test_edge_id_array_matches_edges(sphere_21):
 
 def test_mesh_stores_only_the_half_edge_table(sphere_21):
     assert [f.name for f in dataclasses.fields(Mesh)] == [
-        "vertices", "center", "radius", "closed", "_half_edges"
+        "vertices", "center", "radius", "_half_edges"
     ]
     P = rotated(sphere_21, np.eye(3))
     views = ("faces", "edges", "boundary_edges")
@@ -227,6 +230,38 @@ def test_mesh_stores_only_the_half_edge_table(sphere_21):
     assert not set(views) & set(vars(P))
     assert P.faces is P.faces and set(views) & set(vars(P)) == {"faces"}
     assert "_half_edges" not in repr(P)
+
+
+def test_closed_is_derived_from_the_half_edge_table(sphere_21, tmp_path):
+    # a closed sphere read as possibly open is still closed, and has the same dual
+    path = tmp_path / "sphere.obj"
+    export_obj(sphere_21, path)
+    loose = import_obj(path, allow_open=True)
+    assert loose.closed
+    export_obj(dual(loose), tmp_path / "loose.obj")
+    export_obj(dual(import_obj(path)), tmp_path / "strict.obj")
+    assert (tmp_path / "loose.obj").read_bytes() == (tmp_path / "strict.obj").read_bytes()
+    # a dome has boundary edges
+    assert not truncate_dome(sphere_21, 0.5).closed
+    # two concentric spheres have no boundary, but V - E + F = 4
+    n = len(sphere_21.vertices)
+    verts = np.vstack([sphere_21.vertices, 0.5 * sphere_21.vertices])
+    faces = list(sphere_21.faces) + [tuple(i + n for i in f) for f in sphere_21.faces]
+    union = build_mesh(verts, faces, closed=False)
+    assert not union.boundary_edges and not union.closed
+    with pytest.raises(EulerViolation):
+        build_mesh(verts, faces, closed=True)
+
+
+def test_package_exports_every_module_export():
+    from geodome import analysis, errors, io, mesh, tessellation, transforms
+
+    modules = (analysis, errors, io, mesh, tessellation, transforms)
+    assert len(set(geodome.__all__)) == len(geodome.__all__)
+    assert set(geodome.__all__) == {name for m in modules for name in m.__all__}
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(geodome, name) is getattr(m, name), f"{m.__name__}.{name}"
 
 
 @pytest.mark.parametrize(
