@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class EdgeClassTable:
 
 
 def _check_tol(tol: float) -> None:
+    if not isinstance(tol, (numbers.Real, np.bool_)):
+        raise TypeError(f"tol must be a number, got {type(tol).__name__}")
     if not _positive_finite(tol):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
@@ -119,7 +122,7 @@ def circumcenter_deviation(P: Mesh) -> float:
     """
     if P.radius is None:
         raise ValueError("deviation is measured relative to the circumsphere radius")
-    A, B, C = np.moveaxis(P.vertices[_triangles(P)] - P.center, 1, 0)
+    A, B, C = np.moveaxis(P.vertices[_triangles(P)], 1, 0)
     u, v = B - A, C - A
     uu, vv, uv = _rowdot(u, u), _rowdot(v, v), _rowdot(u, v)
     det = uu * vv - uv * uv
@@ -242,7 +245,7 @@ def congruent(
 ) -> bool:
     """Whether an isometry carries the vertex set of P onto that of Q.
 
-    Only rotations about the centers are searched unless allow_reflection is
+    Only rotations about the origin are searched unless allow_reflection is
     set.  Candidate alignments map a vertex of the rarest degree and its
     lowest-numbered neighbor onto an edge of Q with the same end degrees, as
     an isometry between the meshes must.  One KD-tree query moves up to 12 of
@@ -263,7 +266,7 @@ def congruent(
 
     from scipy.spatial import cKDTree
 
-    p_verts, q_verts = P.vertices - P.center, Q.vertices - Q.center
+    p_verts, q_verts = P.vertices, Q.vertices
     degrees_p, degrees_q = P.degrees(), Q.degrees()
     # vertices of the rarest degree among those on an edge, the lower degree on ties
     values, counts = np.unique(degrees_p[degrees_p > 0], return_counts=True)

@@ -188,7 +188,6 @@ class Mesh:
     """
 
     vertices: np.ndarray  # (V, 3) float64, read-only
-    center: np.ndarray  # (3,) float64, read-only
     radius: float | None  # circumsphere radius when inscribed, else None
     _half_edges: _HalfEdges = field(repr=False)
 
@@ -242,7 +241,6 @@ def build_mesh(
     vertices: Iterable[Sequence[float]],
     faces: Iterable[Sequence[int]] | _Cycles,
     *,
-    center: Sequence[float] = (0.0, 0.0, 0.0),
     radius: float | None = None,
     closed: bool = True,
     tol: TolerancePolicy = DEFAULT_TOL,
@@ -251,10 +249,11 @@ def build_mesh(
 
     Checks, in order: face sanity, the Euler formula (closed meshes), edge
     manifoldness, winding consistency, outward orientation, and, when a
-    radius is given, that every vertex lies on the circumsphere within
-    tol.metric_eps * radius.  closed=True requires a closed sphere (see
-    Mesh.closed); closed=False also accepts boundary edges and any Euler
-    count.  The faces may also come as _Cycles arrays.
+    radius is given, that every vertex lies on the sphere of that radius
+    about the origin within tol.metric_eps * radius.  The radius is stored
+    as a float.  closed=True requires a closed sphere (see Mesh.closed);
+    closed=False also accepts boundary edges and any Euler count.  The faces
+    may also come as _Cycles arrays.
     """
     _check_policy(tol)
     verts = np.array(vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=float)
@@ -262,9 +261,6 @@ def build_mesh(
         raise ValueError("vertices must be a non-empty sequence of 3D points")
     if not np.isfinite(verts).all():
         raise ValueError("vertex coordinates must be finite")
-    ctr = np.array(center, dtype=float)
-    if ctr.shape != (3,) or not np.isfinite(ctr).all():
-        raise ValueError("center must be a finite 3-vector")
     if not isinstance(closed, (bool, np.bool_)):
         raise TypeError(f"closed must be a bool, got {type(closed).__name__}")
     if radius is not None:
@@ -304,22 +300,21 @@ def build_mesh(
         key = int(he.repeated[0])
         raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
-    pts = verts - ctr
-    inward = np.flatnonzero(_rowdot(he.normals(pts), he.centroids(pts)) <= 0.0)
+    inward = np.flatnonzero(_rowdot(he.normals(verts), he.centroids(verts)) <= 0.0)
     if inward.size:
         raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
 
     if radius is not None:
-        dist = np.linalg.norm(verts - ctr, axis=1)
+        dist = np.linalg.norm(verts, axis=1)
         worst = float(np.abs(dist - radius).max())
         if worst > tol.metric_eps * radius:
             raise ValueError(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )
+        radius = float(radius)
 
     verts.setflags(write=False)
-    ctr.setflags(write=False)
-    return Mesh(vertices=verts, center=ctr, radius=radius, _half_edges=he)
+    return Mesh(vertices=verts, radius=radius, _half_edges=he)
 
 
 # --- seed polyhedra ---------------------------------------------------------
@@ -470,16 +465,12 @@ def seed(kind: str, radius: float = 1.0, *, vertex_up: bool = False) -> Mesh:
 
 def mirrored(P: Mesh) -> Mesh:
     """Reflection of P through the plane x = 0 (face cycles reversed to stay outward)."""
-    verts = P.vertices.copy()
-    verts[:, 0] *= -1.0
-    ctr = P.center.copy()
-    ctr[0] *= -1.0
     faces = P._half_edges.reversed(np.ones(P.counts[2], dtype=bool))
-    return build_mesh(verts, faces, center=ctr, radius=P.radius, closed=P.closed)
+    return build_mesh(P.vertices * (-1.0, 1.0, 1.0), faces, radius=P.radius, closed=P.closed)
 
 
 def rotated(P: Mesh, matrix: np.ndarray) -> Mesh:
-    """P transformed by a proper rotation matrix (R Rᵀ = I within metric_eps) about its center."""
+    """P transformed by a proper rotation matrix (R Rᵀ = I within metric_eps) about the origin."""
     R = np.asarray(matrix, dtype=float)
     if not (
         R.shape == (3, 3)
@@ -488,6 +479,6 @@ def rotated(P: Mesh, matrix: np.ndarray) -> Mesh:
         and np.linalg.det(R) > 0.0
     ):
         raise ValueError("matrix must be a finite 3x3 proper rotation")
-    verts = (P.vertices - P.center) @ R.T + P.center
+    verts = P.vertices @ R.T + 0.0  # + 0.0: export_obj would write -0.0 as -0
     faces = _Cycles(P._half_edges.tail, P._half_edges.size)
-    return build_mesh(verts, faces, center=P.center, radius=P.radius, closed=P.closed)
+    return build_mesh(verts, faces, radius=P.radius, closed=P.closed)

@@ -175,12 +175,12 @@ def project_to_sphere(t: FlatTessellation, tol: TolerancePolicy = DEFAULT_TOL) -
     base = t.base
     if base.radius is None:
         raise ValueError("projection requires an inscribed seed (radius present)")
-    offsets = t.points - base.center
-    norms = np.linalg.norm(offsets, axis=1)
+    norms = np.linalg.norm(t.points, axis=1)
     if float(norms.min()) <= tol.metric_eps * base.radius:
         raise VertexAtCenter("a tessellation point coincides with the projection center")
-    projected = base.center + offsets * (base.radius / norms)[:, None]
-    return build_mesh(projected, t.small_faces, center=base.center, radius=base.radius, tol=tol)
+    # + 0.0: export_obj would write -0.0 as -0
+    projected = t.points * (base.radius / norms)[:, None] + 0.0
+    return build_mesh(projected, t.small_faces, radius=base.radius, tol=tol)
 
 
 def stepping_projection(P: Mesh, levels: int, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
@@ -231,15 +231,11 @@ def great_circles(P: Mesh) -> GreatCircleSet:
     For the icosahedron this yields 31 distinct normals: 6 through vertex
     pairs, 15 through edge midpoints, 10 through face centroids.
     """
-    ctr = P.center
-    vertex_dirs = P.vertices - ctr
     a, b = P._half_edges.edges.T
-    edge_dirs = (P.vertices[a] + P.vertices[b]) / 2.0 - ctr
-    face_dirs = P.face_centroids() - ctr
     return GreatCircleSet(
-        vertex_axes=_axes_up_to_sign(vertex_dirs),
-        edge_axes=_axes_up_to_sign(edge_dirs),
-        face_axes=_axes_up_to_sign(face_dirs),
+        vertex_axes=_axes_up_to_sign(P.vertices),
+        edge_axes=_axes_up_to_sign((P.vertices[a] + P.vertices[b]) / 2.0),
+        face_axes=_axes_up_to_sign(P.face_centroids()),
     )
 
 

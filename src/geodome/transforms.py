@@ -21,16 +21,15 @@ __all__ = ["dual", "gemmate", "truncate_dome"]
 
 
 def _face_planes(P: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normal and center offset of every face plane."""
+    """Outward unit normal and offset from the origin of every face plane."""
     he = P._half_edges
-    pts = P.vertices - P.center
-    normals = he.normals(pts)
+    normals = he.normals(P.vertices)
     normals /= _norms(normals)[:, None]
-    return normals, _rowdot(he.centroids(pts), normals)
+    return normals, _rowdot(he.centroids(P.vertices), normals)
 
 
 def _off_center(offsets: np.ndarray, tol: TolerancePolicy, rho: float) -> None:
-    """Reject a face plane passing within tolerance of the center."""
+    """Reject a face plane passing within tolerance of the origin."""
     hit = np.flatnonzero(np.abs(offsets) <= tol.metric_eps * rho)
     if hit.size:
         raise FaceThroughCenter(f"face {hit[0]} lies in a plane through the center")
@@ -45,7 +44,7 @@ def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: TolerancePolicy) -> floa
     uses their geometric mean, which maps each such mesh to a dual inscribed
     in the same circumsphere.
     """
-    _off_center(offsets, tol, float(np.linalg.norm(P.vertices - P.center, axis=1).mean()))
+    _off_center(offsets, tol, float(np.linalg.norm(P.vertices, axis=1).mean()))
     tangent = _common_radius(offsets, tol)
     if P.radius is not None and tangent is not None:
         return math.sqrt(P.radius * tangent)
@@ -65,7 +64,7 @@ def dual(
     sphere_radius: float | None = None,
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> Mesh:
-    """Polar dual with respect to a sphere about the center of P.
+    """Polar dual with respect to a sphere about the origin.
 
     Each face plane at foot distance d maps to the pole at distance
     rho^2 / d along the plane's perpendicular foot direction; each vertex
@@ -90,18 +89,19 @@ def dual(
     _off_center(offsets, tol, rho)
     he = P._half_edges
     # height of the far corner across each edge above the plane of the near face
-    far = P.vertices[he.head[he.succ[he.twin]]] - P.center
+    far = P.vertices[he.head[he.succ[he.twin]]]
     lift = _rowdot(far, normals[he.face]) - offsets[he.face]
     bad = np.flatnonzero(lift > -tol.metric_eps * rho)
     if bad.size:
         edge = (int(he.tail[bad[0]]), int(he.head[bad[0]]))
         raise ValueError(f"mesh is not strictly convex at edge {edge}")
-    poles = P.center + normals * (rho * rho / offsets)[:, None]
+    # + 0.0: export_obj would write -0.0 as -0
+    poles = normals * (rho * rho / offsets)[:, None] + 0.0
 
-    faces = _ring_sort(he.tail, he.face, poles[he.face] - P.center, P.vertices - P.center)
+    faces = _ring_sort(he.tail, he.face, poles[he.face], P.vertices)
 
-    radius = _common_radius(np.linalg.norm(poles - P.center, axis=1), tol)
-    return build_mesh(poles, faces, center=P.center, radius=radius, tol=tol)
+    radius = _common_radius(np.linalg.norm(poles, axis=1), tol)
+    return build_mesh(poles, faces, radius=radius, tol=tol)
 
 
 def gemmate(P: Mesh, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
@@ -121,12 +121,12 @@ def gemmate(P: Mesh, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
         raise TriangularFacePresent(f"face {triangles[0]} is a triangle")
     normals, offsets = _face_planes(P)
     _off_center(offsets, tol, P.radius)
-    apexes = P.center + normals * P.radius
+    apexes = normals * P.radius + 0.0  # + 0.0: export_obj would write -0.0 as -0
 
     verts = np.vstack([P.vertices, apexes])
     flat = np.column_stack([he.tail, he.head, len(P.vertices) + he.face]).ravel()
     faces = _Cycles(flat, np.full(len(he.tail), 3))
-    return build_mesh(verts, faces, center=P.center, radius=P.radius, tol=tol)
+    return build_mesh(verts, faces, radius=P.radius, tol=tol)
 
 
 def truncate_dome(
@@ -140,7 +140,7 @@ def truncate_dome(
     """Keep the faces of an inscribed sphere above a horizontal cut.
 
     The cut height for a fraction h is z = R * (1 - 2h), measured along the
-    axis from the center: h = 0.5 keeps the upper hemisphere, h = 1 the whole
+    axis from the origin: h = 0.5 keeps the upper hemisphere, h = 1 the whole
     sphere.  A face is kept when its centroid is at or above the cut; no
     vertex is moved or clipped, so the result is an open shell whose boundary
     shows up in Mesh.boundary_edges.  With strict=True a kept face dipping
@@ -155,7 +155,7 @@ def truncate_dome(
     z_cut = P.radius * (1.0 - 2.0 * height_fraction)
 
     he = P._half_edges
-    heights = (P.vertices - P.center) @ a
+    heights = P.vertices @ a
     keep = he.face_sum(heights[he.tail]) / he.size >= z_cut
     kept = np.flatnonzero(keep)
     if not kept.size:
@@ -174,6 +174,4 @@ def truncate_dome(
 
     used, local = np.unique(he.tail[keep[he.face]], return_inverse=True)
     faces = _Cycles(local, he.size[kept])
-    return build_mesh(
-        P.vertices[used], faces, center=P.center, radius=P.radius, closed=False, tol=tol
-    )
+    return build_mesh(P.vertices[used], faces, radius=P.radius, closed=False, tol=tol)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geodome import (
+    DEFAULT_TOL,
     DegenerateGeometry,
     NonTriangularFace,
     NotClassI,
@@ -80,6 +81,11 @@ def test_edge_classes_reject_bad_tolerance(sphere_2v):
             edge_length_classes(sphere_2v, tol=bad)
         with pytest.raises(ValueError):
             edge_class_labels(sphere_2v, tol=bad)
+    for bad, name in ((DEFAULT_TOL, "TolerancePolicy"), ("1e-9", "str")):
+        with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
+            edge_length_classes(sphere_2v, bad)
+        with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
+            edge_class_labels(sphere_2v, bad)
 
 
 def test_face_metrics_kinds(sphere_2v, sphere_21):
@@ -105,6 +111,9 @@ def test_face_metrics_rejects_bad_tolerance(sphere_2v):
         for bad in (math.nan, 0.0, -1e-9, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 face_metrics(P, tol=bad)
+        for bad, name in ((DEFAULT_TOL, "TolerancePolicy"), ("1e-9", "str")):
+            with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
+                face_metrics(P, bad)
 
 
 def test_face_metrics_requires_triangles():
@@ -233,7 +242,7 @@ def _reference_congruent(P, Q, allow_reflection=False, tol=TolerancePolicy()):
     eps = tol.metric_eps * (P.radius if P.radius is not None else 1.0)
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
-    p_verts, q_verts = P.vertices - P.center, Q.vertices - Q.center
+    p_verts, q_verts = P.vertices, Q.vertices
     degrees_p, degrees_q = P.degrees(), Q.degrees()
     anchor = _reference_rare_degree_vertices(P)[0]
     nbr = min(_reference_neighbors(P, anchor))

@@ -17,11 +17,19 @@ import geodome
 from geodome import (
     ParseError,
     analysis_rows,
+    dual,
     export_analysis_csv,
     export_obj,
     export_schedule,
+    gemmate,
     import_obj,
+    mirrored,
+    project_to_sphere,
+    rotated,
+    rotation_to_z,
+    seed,
     strut_schedule,
+    subdivide,
     truncate_dome,
 )
 from geodome.cli import main
@@ -43,6 +51,32 @@ def test_obj_roundtrip_bytes_stable(sphere_21, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     np.testing.assert_array_equal(back.vertices, sphere_21.vertices)
     assert back.faces == sphere_21.faces
+
+
+def test_int_radius_schedule_and_csv_survive_obj_roundtrip(tmp_path):
+    P = seed("icosahedron", 2)
+    export_obj(P, tmp_path / "s.obj")
+    back = import_obj(tmp_path / "s.obj")
+    for write in (export_schedule, export_analysis_csv):
+        write(P, tmp_path / "a")
+        write(back, tmp_path / "b")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+    assert type(P.radius) is float
+
+
+def test_outputs_carry_no_negative_zero(tmp_path):
+    # mirrored() yields -0.0 coordinates; the transforms below must not pass them on
+    octa = mirrored(seed("octahedron"))
+    sphere = project_to_sphere(subdivide(octa, 2, 0))
+    flip = rotation_to_z((0.0, 0.0, -1.0))
+    meshes = [sphere, rotated(sphere, flip), rotated(seed("octahedron"), flip)]
+    duals = [dual(mirrored(seed(kind))) for kind in ("tetrahedron", "octahedron", "icosahedron")]
+    meshes += duals + [gemmate(D) for D in duals[1:]]
+    for i, P in enumerate(meshes):
+        v = P.vertices
+        assert not (np.signbit(v) & (v == 0.0)).any(), i
+        export_obj(P, tmp_path / "z.obj")
+        assert "-0" not in (tmp_path / "z.obj").read_text().split(), i
 
 
 def test_obj_import_detects_radius(sphere_21, tmp_path):

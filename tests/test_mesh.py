@@ -55,7 +55,7 @@ def test_seed_counts(kind, counts):
 @pytest.mark.parametrize("kind", sorted(SEED_COUNTS))
 def test_seed_vertices_on_sphere(kind):
     P = seed(kind, radius=2.5)
-    dist = np.linalg.norm(P.vertices - P.center, axis=1)
+    dist = np.linalg.norm(P.vertices, axis=1)
     np.testing.assert_allclose(dist, 2.5, rtol=0, atol=1e-12)
     assert P.radius == 2.5
     assert P.closed
@@ -171,14 +171,11 @@ def test_build_mesh_rejects_bad_radius():
 @pytest.mark.parametrize(
     "option,error,message",
     [
-        ({"center": (math.nan, 0.0, 0.0)}, ValueError, "center must be a finite 3-vector"),
-        ({"center": (0.0, -math.inf, 0.0)}, ValueError, "center must be a finite 3-vector"),
-        ({"center": (0.0, 0.0)}, ValueError, "center must be a finite 3-vector"),
         ({"closed": "yes"}, TypeError, "closed must be a bool, got str"),
         ({"closed": 1}, TypeError, "closed must be a bool, got int"),
     ],
 )
-def test_build_mesh_checks_center_and_closed(option, error, message):
+def test_build_mesh_checks_closed(option, error, message):
     t = seed("tetrahedron")
     with pytest.raises(error, match=message):
         build_mesh(t.vertices, t.faces, **option)
@@ -188,12 +185,11 @@ def test_build_mesh_copies_its_inputs():
     t = seed("tetrahedron")
     from_points = build_mesh((tuple(p) for p in t.vertices.tolist()), t.faces)
     np.testing.assert_array_equal(from_points.vertices, t.vertices)
-    verts, ctr = t.vertices.copy(), np.zeros(3)
-    P = build_mesh(verts, t.faces, center=ctr, closed=np.True_)
-    assert verts.flags.writeable and ctr.flags.writeable
-    verts[0], ctr[0] = 0.0, 1.0
+    verts = t.vertices.copy()
+    P = build_mesh(verts, t.faces, closed=np.True_)
+    assert verts.flags.writeable
+    verts[0] = 0.0
     np.testing.assert_array_equal(P.vertices, t.vertices)
-    np.testing.assert_array_equal(P.center, np.zeros(3))
 
 
 def test_edge_id_array_matches_edges(sphere_21):
@@ -211,7 +207,7 @@ def test_edge_id_array_matches_edges(sphere_21):
         assert ids.shape == (len(P.edges), 2) and not ids.flags.writeable
         assert [tuple(e) for e in ids.tolist()] == list(P.edges)
         # the views of a mesh built from arrays equal those built from its tuples
-        Q = build_mesh(P.vertices, P.faces, center=P.center, radius=P.radius, closed=P.closed)
+        Q = build_mesh(P.vertices, P.faces, radius=P.radius, closed=P.closed)
         for name in ("faces", "edges", "boundary_edges"):
             got = getattr(P, name)
             assert got == getattr(Q, name)
@@ -221,7 +217,7 @@ def test_edge_id_array_matches_edges(sphere_21):
 
 def test_mesh_stores_only_the_half_edge_table(sphere_21):
     assert [f.name for f in dataclasses.fields(Mesh)] == [
-        "vertices", "center", "radius", "_half_edges"
+        "vertices", "radius", "_half_edges"
     ]
     P = rotated(sphere_21, np.eye(3))
     views = ("faces", "edges", "boundary_edges")

@@ -83,7 +83,7 @@ def test_subdivide_rejects_non_triangular_seed():
 
 def test_projection_lands_on_sphere(make_sphere):
     P = make_sphere(3, 2, radius=4.0)
-    dist = np.linalg.norm(P.vertices - P.center, axis=1)
+    dist = np.linalg.norm(P.vertices, axis=1)
     np.testing.assert_allclose(dist, 4.0, rtol=0, atol=1e-12)
     assert verify_counts(P, TessellationSpec(3, 2))
 
@@ -322,7 +322,7 @@ def test_axes_up_to_sign_matches_dict_reference(kind, make_sphere):
     for P in meshes:
         a, b = P._half_edges.edges.T
         for dirs in (P.vertices, (P.vertices[a] + P.vertices[b]) / 2.0, P.face_centroids()):
-            got, want = _axes_up_to_sign(dirs - P.center), _dict_axes_up_to_sign(dirs - P.center)
+            got, want = _axes_up_to_sign(dirs), _dict_axes_up_to_sign(dirs)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

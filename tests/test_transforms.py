@@ -95,7 +95,7 @@ def test_gemmate_dodecahedron_is_pentakis():
     assert G.counts == (32, 90, 60)
     assert vertex_degree_histogram(G) == {5: 12, 6: 20}
     assert G.radius == 1.0
-    dist = np.linalg.norm(G.vertices - G.center, axis=1)
+    dist = np.linalg.norm(G.vertices, axis=1)
     np.testing.assert_allclose(dist, 1.0, atol=1e-12)
 
 
