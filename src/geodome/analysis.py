@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +67,7 @@ class EdgeClassTable:
 
 
 def _check_tol(tol: float) -> None:
-    if not isinstance(tol, (numbers.Real, np.bool_)):
-        raise TypeError(f"tol must be a number, got {type(tol).__name__}")
-    if not _positive_finite(tol):
+    if not _positive_finite(tol, "tol"):
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
@@ -160,8 +157,10 @@ class FaceMetric:
     apex_vertex: int | None
 
 
-def face_metrics(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[FaceMetric]:
-    """Leg/base ratio and apex angle of every triangular face."""
+def _face_shapes(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
+    """Per triangular face: how many corners sit between two legs equal
+    within tol (0 scalene, 3 equilateral, else isosceles), and the leg/base
+    ratio, apex cosine and apex vertex read at the first such corner."""
     _check_tol(tol)
     tri = _triangles(P)
     scale = P.radius
@@ -179,9 +178,14 @@ def face_metrics(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[FaceMetri
     ratio = 0.5 * (lens[:, 1] + lens[:, 2]) / lens[:, 0]
     u, v = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
     cosine = _rowdot(u, v) / (_norms(u) * _norms(v))
-    columns = (same.sum(axis=1), ratio, cosine, tri[rows, apex])
+    return same.sum(axis=1), ratio, cosine, tri[rows, apex]
+
+
+def face_metrics(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[FaceMetric]:
+    """Leg/base ratio and apex angle of every triangular face."""
+    columns = (col.tolist() for col in _face_shapes(P, tol))
     out = []
-    for fi, (n_same, r, c, top) in enumerate(zip(*(col.tolist() for col in columns))):
+    for fi, (n_same, r, c, top) in enumerate(zip(*columns)):
         if n_same == 3:
             out.append(FaceMetric(fi, "equilateral", 1.0, math.pi / 3.0, None))
         elif n_same == 0:

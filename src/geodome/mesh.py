@@ -9,6 +9,7 @@ tolerances are expressed relative to its radius.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -40,8 +41,11 @@ __all__ = [
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _positive_finite(x: float) -> bool:
-    """Whether x is a number in (0, inf), bools excluded."""
+def _positive_finite(x: object, name: str) -> bool:
+    """Whether x is a number in (0, inf), bools excluded; a TypeError naming
+    the parameter when x is not a number at all."""
+    if not isinstance(x, (numbers.Real, np.bool_)):
+        raise TypeError(f"{name} must be a number, got {type(x).__name__}")
     return not isinstance(x, (bool, np.bool_)) and 0.0 < x < math.inf
 
 
@@ -57,7 +61,7 @@ class TolerancePolicy:
     rank_eps: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not (_positive_finite(self.metric_eps) and _positive_finite(self.rank_eps)):
+        if not all(_positive_finite(getattr(self, k), k) for k in ("metric_eps", "rank_eps")):
             raise ValueError("tolerances must be positive and finite")
 
 
@@ -232,9 +236,9 @@ class Mesh:
         return np.linalg.norm(self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]], axis=1)
 
 
-def _check_radius(radius: float) -> None:
-    if not _positive_finite(radius):
-        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+def _check_radius(radius: float, name: str = "radius") -> None:
+    if not _positive_finite(radius, name):
+        raise ValueError(f"{name} must be positive and finite, got {radius!r}")
 
 
 def build_mesh(

@@ -22,7 +22,8 @@ from .errors import (
     UnsupportedSeed,
     VertexAtCenter,
 )
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _norms, build_mesh, seed
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _Cycles, _norms, build_mesh
+from .mesh import seed
 
 __all__ = [
     "TessellationSpec",
@@ -83,8 +84,8 @@ class FlatTessellation:
 
     base: Mesh
     spec: TessellationSpec
-    points: np.ndarray  # (N, 3) float64
-    small_faces: tuple[tuple[int, int, int], ...]
+    points: np.ndarray  # (N, 3) float64, read-only
+    small_faces: np.ndarray  # (F * T, 3) intp point ids, one row per tile, read-only
 
 
 # (dp, dq) steps from a lattice point (p, q) to the corners of its up and down tiles
@@ -164,9 +165,8 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     fr, w, v = frame[first[order]], nums[first[order]], P.vertices
     pts = (w[:, :1] * v[fr[:, 0]] + w[:, 1:2] * v[fr[:, 1]] + w[:, 2:] * v[fr[:, 2]]) / T
     pts.setflags(write=False)
-    return FlatTessellation(
-        base=P, spec=spec, points=pts, small_faces=tuple(map(tuple, small_faces.tolist()))
-    )
+    small_faces.setflags(write=False)
+    return FlatTessellation(base=P, spec=spec, points=pts, small_faces=small_faces)
 
 
 def project_to_sphere(t: FlatTessellation, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
@@ -180,7 +180,8 @@ def project_to_sphere(t: FlatTessellation, tol: TolerancePolicy = DEFAULT_TOL) -
         raise VertexAtCenter("a tessellation point coincides with the projection center")
     # + 0.0: export_obj would write -0.0 as -0
     projected = t.points * (base.radius / norms)[:, None] + 0.0
-    return build_mesh(projected, t.small_faces, radius=base.radius, tol=tol)
+    faces = _Cycles(t.small_faces.reshape(-1), np.full(len(t.small_faces), 3))
+    return build_mesh(projected, faces, radius=base.radius, tol=tol)
 
 
 def stepping_projection(P: Mesh, levels: int, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -15,12 +16,14 @@ import pytest
 import geodome
 
 from geodome import (
+    DEFAULT_TOL,
     ParseError,
     analysis_rows,
     dual,
     export_analysis_csv,
     export_obj,
     export_schedule,
+    face_metrics,
     gemmate,
     import_obj,
     mirrored,
@@ -180,6 +183,48 @@ def test_schedule_json_stable_and_shaped(sphere_21, tmp_path):
     assert len(data["struts"]) == 210
 
 
+def _schedule_doc(P, tol=DEFAULT_TOL.metric_eps):
+    """The document export_schedule writes, built here from strut_schedule."""
+    s = strut_schedule(P, tol)
+    return {
+        "radius": s.radius,
+        "nodes": [{"id": i, "x": x, "y": y, "z": z} for i, x, y, z in s.nodes],
+        "struts": [
+            {"id": k, "a": a, "b": b, "chord_factor": c, "class_label": g}
+            for k, a, b, c, g in s.struts
+        ],
+        "classes": [{"chord_factor": c, "count": n} for c, n in s.classes],
+    }
+
+
+def test_schedule_bytes_are_json_dumps_indent_2(sphere_21, make_sphere, tmp_path):
+    mirror = mirrored(project_to_sphere(subdivide(seed("octahedron"), 2, 0)))
+    meshes = [
+        sphere_21,
+        make_sphere(10, 6),
+        truncate_dome(make_sphere(3, 1, vertex_up=True), 0.5),
+        make_sphere(2, 0, radius=2),
+        mirror,
+    ]
+    path = tmp_path / "s.json"
+    for i, P in enumerate(meshes):
+        for tol in (DEFAULT_TOL.metric_eps, 1e-3):
+            export_schedule(P, path, tol)
+            assert path.read_text() == json.dumps(_schedule_doc(P, tol), indent=2) + "\n", (i, tol)
+    assert '"x": -0.0,' in path.read_text()
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-2, 3e-2])
+def test_analysis_rows_count_face_kinds_like_face_metrics(tol, sphere_2v, sphere_21):
+    meshes = [sphere_2v, sphere_21, gemmate(seed("dodecahedron")), truncate_dome(sphere_21, 0.5)]
+    for i, P in enumerate(meshes):
+        rows = dict(analysis_rows(P, tol))
+        kinds = Counter(m.kind for m in face_metrics(P, tol))
+        for kind in ("equilateral", "isosceles", "scalene"):
+            count = rows[f"{kind}_faces"]
+            assert type(count) is int and count == kinds[kind], (i, kind)
+
+
 def test_analysis_rows_and_csv(sphere_2v, tmp_path):
     rows = analysis_rows(sphere_2v)
     table = dict(rows)
@@ -292,3 +337,20 @@ def test_cli_rigidity_of_a_dome_leaves_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert "rigid          False" in out.stdout
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_under_python_O_writes_the_library_bytes(sphere_21, tmp_path):
+    # -O strips assert statements: every check the commands rely on must raise on its own
+    obj = tmp_path / "s.obj"
+    export_obj(sphere_21, obj)
+    export_schedule(sphere_21, tmp_path / "lib.json")
+    export_analysis_csv(sphere_21, tmp_path / "lib.csv")
+    env = dict(os.environ, PYTHONPATH=str(Path(geodome.__file__).parents[1]))
+    for args in (
+        ["export", "-i", obj, "--format", "json", "-o", tmp_path / "cli.json"],
+        ["analyze", "-i", obj, "--csv", tmp_path / "cli.csv"],
+    ):
+        cmd = [sys.executable, "-O", "-m", "geodome.cli", *map(str, args)]
+        subprocess.run(cmd, env=env, capture_output=True, check=True)
+    for name in ("json", "csv"):
+        assert (tmp_path / f"cli.{name}").read_bytes() == (tmp_path / f"lib.{name}").read_bytes()

@@ -283,6 +283,22 @@ def test_tolerance_policy_required(call, icosa):
         call(icosa, 1e-9)
 
 
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda P: seed("icosahedron", "2"), "radius"),
+        (lambda P: build_mesh(P.vertices, P.faces, radius="1"), "radius"),
+        (lambda P: truncate_dome(P, "0.5"), "height_fraction"),
+        (lambda P: dual(P, sphere_radius="1"), "sphere_radius"),
+        (lambda P: TolerancePolicy("1"), "metric_eps"),
+    ],
+    ids=["seed", "build_mesh", "truncate_dome", "dual", "TolerancePolicy"],
+)
+def test_number_parameters_name_a_wrong_type(call, name, icosa):
+    with pytest.raises(TypeError, match=f"^{name} must be a number, got str$"):
+        call(icosa)
+
+
 def test_tolerance_policy_validation():
     with pytest.raises(ValueError):
         TolerancePolicy(metric_eps=0.0)

@@ -251,8 +251,10 @@ def _loop_subdivide(P, m, n):
     if len(small_faces) != expected:
         raise AssertionError(f"assembled {len(small_faces)} tiles, expected {expected}")
     pts = np.array(points)
-    pts.setflags(write=False)
-    return FlatTessellation(base=P, spec=spec, points=pts, small_faces=tuple(small_faces))
+    faces = np.array(small_faces, dtype=np.intp).reshape(-1, 3)
+    for array in (pts, faces):
+        array.setflags(write=False)
+    return FlatTessellation(base=P, spec=spec, points=pts, small_faces=faces)
 
 
 def _outcome(build, P, m, n):
@@ -261,8 +263,8 @@ def _outcome(build, P, m, n):
         t = build(P, m, n)
     except (AssertionError, ValueError) as exc:
         return type(exc), str(exc)
-    index_types = {type(i) for face in t.small_faces for i in face}
-    return t.points.tobytes(), t.points.shape, t.points.flags.writeable, t.small_faces, index_types
+    arrays = (t.points, t.small_faces)
+    return [(a.tobytes(), a.shape, a.dtype, a.flags.writeable) for a in arrays]
 
 
 def _walks(most):
