@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import DegenerateGeometry, NonTriangularFace, NotClassI
 from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy
-from .mesh import _check_policy, _norms, _positive_finite, _rowdot
-from .tessellation import TessellationSpec, _is_int
+from .mesh import _check_policy, _flag, _flatten, _norms, _real, _rowdot
+from .tessellation import TessellationSpec
 
 __all__ = [
     "EdgeClassTable",
@@ -40,6 +40,8 @@ def _sphere_counts(seed_faces: int, T: int) -> tuple[int, int, int]:
 def verify_counts(P: Mesh, spec: TessellationSpec) -> bool:
     """True when P has the vertex/edge/face counts of a full (m, n) sphere
     on the tetrahedron, octahedron or icosahedron."""
+    if not isinstance(spec, TessellationSpec):
+        raise TypeError(f"spec must be a TessellationSpec, got {type(spec).__name__}")
     return any(P.counts == _sphere_counts(f0, spec.T) for f0 in (4, 8, 20))
 
 
@@ -66,11 +68,6 @@ class EdgeClassTable:
         return len(self.entries)
 
 
-def _check_tol(tol: float) -> None:
-    if not _positive_finite(tol, "tol"):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-
-
 def edge_class_labels(
     P: Mesh, tol: float = DEFAULT_TOL.metric_eps
 ) -> tuple[EdgeClassTable, list[int]]:
@@ -81,7 +78,7 @@ def edge_class_labels(
     """
     if P.radius is None:
         raise ValueError("chord factors require an inscribed mesh")
-    _check_tol(tol)
+    _real(tol, "tol")
     factors = P.edge_lengths() / P.radius
     order = np.argsort(factors, kind="stable")
     ranked = factors[order]
@@ -134,7 +131,7 @@ def circumcenter_deviation(P: Mesh) -> float:
 
 def angle_dms(radians: float) -> tuple[int, int, float]:
     """An angle as (degrees, arcminutes, arcseconds)."""
-    total = math.degrees(radians)
+    total = math.degrees(_real(radians, "radians", lo=-math.inf))
     deg = int(total)
     rem = (total - deg) * 60.0
     minutes = int(rem)
@@ -161,7 +158,7 @@ def _face_shapes(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
     """Per triangular face: how many corners sit between two legs equal
     within tol (0 scalene, 3 equilateral, else isosceles), and the leg/base
     ratio, apex cosine and apex vertex read at the first such corner."""
-    _check_tol(tol)
+    _real(tol, "tol")
     tri = _triangles(P)
     scale = P.radius
     if scale is None:
@@ -260,6 +257,7 @@ def congruent(
     of P, is tried alone before the rest.
     """
     _check_policy(tol)
+    allow_reflection = _flag(allow_reflection, "allow_reflection")
     if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
         return False
     if (P.radius is None) != (Q.radius is None):
@@ -394,18 +392,19 @@ def _as_framework(obj) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("framework points must be an (N, 3) array")
     if not np.isfinite(pts).all():
         raise ValueError("framework points must be finite")
-    pairs = [tuple(bar) for bar in edges]
-    for bar in pairs:
-        if not (
-            len(bar) == 2
-            and all(_is_int(i) and 0 <= i < len(pts) for i in bar)
-            and bar[0] != bar[1]
-        ):
-            raise ValueError(
-                f"invalid framework edge ({', '.join(map(str, bar))}): "
-                f"it must join two distinct integer joint ids below {len(pts)}"
-            )
-    return pts, np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    edges = list(edges)
+    flat, size = _flatten(edges, "framework edge")
+    ok = size == 2
+    if ok.all():
+        bars = flat.reshape(-1, 2)
+        ok = (bars >= 0).all(axis=1) & (bars < len(pts)).all(axis=1) & (bars[:, 0] != bars[:, 1])
+    if not ok.all():
+        bar = edges[np.flatnonzero(~ok)[0]]
+        raise ValueError(
+            f"invalid framework edge ({', '.join(map(str, bar))}): "
+            f"it must join two distinct integer joint ids below {len(pts)}"
+        )
+    return pts, flat.reshape(-1, 2)
 
 
 def _bar_triplets(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -15,16 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    _check_tol,
-    _face_shapes,
-    circumcenter_deviation,
-    edge_class_labels,
-    vertex_degree_histogram,
-)
+from .analysis import _face_shapes, circumcenter_deviation, edge_class_labels
+from .analysis import vertex_degree_histogram
 from .errors import ParseError
 from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _common_radius, _Cycles
-from .mesh import _norms, build_mesh
+from .mesh import _flag, _norms, _real, build_mesh
 
 __all__ = [
     "StrutSchedule",
@@ -69,6 +64,7 @@ def import_obj(
     accepted.
     """
     _check_policy(tol)
+    allow_open = _flag(allow_open, "allow_open")
     verts: list[tuple[float, float, float]] = []
     flat: list[int] = []
     sizes: list[int] = []
@@ -184,7 +180,7 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_e
 
 def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[tuple[str, object]]:
     """Quantity/value pairs summarizing a mesh, in a fixed order."""
-    _check_tol(tol)
+    _real(tol, "tol")
     he = P._half_edges
     v, s, f = P.counts
     rows: list[tuple[str, object]] = [

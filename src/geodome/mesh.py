@@ -41,12 +41,29 @@ __all__ = [
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def _positive_finite(x: object, name: str) -> bool:
-    """Whether x is a number in (0, inf), bools excluded; a TypeError naming
-    the parameter when x is not a number at all."""
+def _real(x: object, name: str, lo: float = 0.0, hi: float = math.inf) -> float:
+    """x as a float if it is a finite number in (lo, hi], bools excluded; else a
+    TypeError (no number at all) or ValueError that names the parameter."""
     if not isinstance(x, (numbers.Real, np.bool_)):
         raise TypeError(f"{name} must be a number, got {type(x).__name__}")
-    return not isinstance(x, (bool, np.bool_)) and 0.0 < x < math.inf
+    if isinstance(x, (bool, np.bool_)) or not (lo < x <= hi and math.isfinite(x)):
+        span = (f"lie in ({lo:g}, {hi:g}]" if hi < math.inf
+                else "be positive and finite" if lo == 0.0
+                else "be finite" if lo == -math.inf else f"be finite and above {lo:g}")
+        raise ValueError(f"{name} must {span}, got {x!r}")
+    return float(x)
+
+
+def _flag(x: object, name: str) -> bool:
+    """x as a bool; a TypeError naming the parameter unless it is a bool or np.bool_."""
+    if not isinstance(x, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {type(x).__name__}")
+    return bool(x)
+
+
+def _is_int(k: object) -> bool:
+    """Whether k is an integer, bools excluded."""
+    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
 @dataclass(frozen=True)
@@ -61,8 +78,8 @@ class TolerancePolicy:
     rank_eps: float = 1e-10
 
     def __post_init__(self) -> None:
-        if not all(_positive_finite(getattr(self, k), k) for k in ("metric_eps", "rank_eps")):
-            raise ValueError("tolerances must be positive and finite")
+        for k in ("metric_eps", "rank_eps"):
+            _real(getattr(self, k), k)
 
 
 DEFAULT_TOL = TolerancePolicy()
@@ -98,11 +115,16 @@ class _Cycles(NamedTuple):
     size: np.ndarray
 
 
-def _flatten(faces: Sequence[Sequence[int]]) -> _Cycles:
-    """Face cycles given as index sequences, as arrays."""
+def _flatten(faces: Sequence[Sequence[int]], name: str = "face") -> _Cycles:
+    """Cycles given as sequences of integer ids, as arrays; a bool, float or
+    string id is refused, not converted, with a ValueError naming its cycle."""
     size = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
-    flat = np.fromiter(chain.from_iterable(faces), dtype=np.intp, count=int(size.sum()))
-    return _Cycles(flat, size)
+    ids = list(chain.from_iterable(faces))
+    if not all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, ids))):
+        bad = next(f for f in faces if not all(map(_is_int, f)))
+        shown = tuple(i.item() if isinstance(i, np.generic) else i for i in bad)
+        raise ValueError(f"{name} {shown} has an id that is not an integer")
+    return _Cycles(np.array(ids, dtype=np.intp), size)
 
 
 def _ring_sort(
@@ -236,11 +258,6 @@ class Mesh:
         return np.linalg.norm(self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]], axis=1)
 
 
-def _check_radius(radius: float, name: str = "radius") -> None:
-    if not _positive_finite(radius, name):
-        raise ValueError(f"{name} must be positive and finite, got {radius!r}")
-
-
 def build_mesh(
     vertices: Iterable[Sequence[float]],
     faces: Iterable[Sequence[int]] | _Cycles,
@@ -256,8 +273,9 @@ def build_mesh(
     radius is given, that every vertex lies on the sphere of that radius
     about the origin within tol.metric_eps * radius.  The radius is stored
     as a float.  closed=True requires a closed sphere (see Mesh.closed);
-    closed=False also accepts boundary edges and any Euler count.  The faces
-    may also come as _Cycles arrays.
+    closed=False also accepts boundary edges and any Euler count.  Face ids
+    must be integers: bools, floats and strings are refused, not truncated.
+    The faces may also come as _Cycles arrays.
     """
     _check_policy(tol)
     verts = np.array(vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=float)
@@ -265,10 +283,9 @@ def build_mesh(
         raise ValueError("vertices must be a non-empty sequence of 3D points")
     if not np.isfinite(verts).all():
         raise ValueError("vertex coordinates must be finite")
-    if not isinstance(closed, (bool, np.bool_)):
-        raise TypeError(f"closed must be a bool, got {type(closed).__name__}")
+    closed = _flag(closed, "closed")
     if radius is not None:
-        _check_radius(radius)
+        radius = _real(radius, "radius")
 
     flat, size = faces if isinstance(faces, _Cycles) else _flatten(list(faces))
     if not len(size):
@@ -315,7 +332,6 @@ def build_mesh(
             raise ValueError(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )
-        radius = float(radius)
 
     verts.setflags(write=False)
     return Mesh(vertices=verts, radius=radius, _half_edges=he)
@@ -332,14 +348,8 @@ def _unit_tetrahedron() -> tuple[np.ndarray, _Cycles]:
 
 
 def _unit_octahedron() -> tuple[np.ndarray, _Cycles]:
-    verts = np.array(
-        [
-            [1, 0, 0], [-1, 0, 0],
-            [0, 1, 0], [0, -1, 0],
-            [0, 0, 1], [0, 0, -1],
-        ],
-        dtype=float,
-    )
+    axes = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    verts = np.array(axes, dtype=float)
     return verts, _triangle_faces(verts)
 
 
@@ -417,7 +427,10 @@ SEED_KINDS = tuple(_SEED_BUILDERS)
 
 def _unit(vector: Sequence[float], name: str) -> np.ndarray:
     """The vector scaled to unit length; it must be a finite non-zero 3-vector."""
-    v = np.asarray(vector, dtype=float)
+    try:
+        v = np.asarray(vector, dtype=float)
+    except (TypeError, ValueError):  # not numbers at all, such as a string
+        v = np.empty(0)
     length = float(np.linalg.norm(v)) if v.shape == (3,) else math.nan
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"{name} must be a finite non-zero 3-vector")
@@ -440,13 +453,9 @@ def rotation_to_z(direction: Sequence[float]) -> np.ndarray:
     axis = np.cross(v, z)
     axis /= np.linalg.norm(axis)
     s = math.sqrt(max(0.0, 1.0 - c * c))
-    K = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
+    K = np.array([[0.0, -axis[2], axis[1]],
+                  [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
@@ -459,9 +468,9 @@ def seed(kind: str, radius: float = 1.0, *, vertex_up: bool = False) -> Mesh:
     """
     if kind not in _SEED_BUILDERS:
         raise UnsupportedSeed(f"unknown seed kind {kind!r}; expected one of {SEED_KINDS}")
-    _check_radius(radius)
+    _real(radius, "radius")
     verts, faces = _SEED_BUILDERS[kind]()
-    if vertex_up:
+    if _flag(vertex_up, "vertex_up"):
         top = int(np.lexsort((np.arange(len(verts)), -verts[:, 2]))[0])
         verts = verts @ rotation_to_z(verts[top]).T
     return build_mesh(verts * radius, faces, radius=radius)
@@ -475,13 +484,12 @@ def mirrored(P: Mesh) -> Mesh:
 
 def rotated(P: Mesh, matrix: np.ndarray) -> Mesh:
     """P transformed by a proper rotation matrix (R Rᵀ = I within metric_eps) about the origin."""
-    R = np.asarray(matrix, dtype=float)
-    if not (
-        R.shape == (3, 3)
-        and np.isfinite(R).all()
-        and np.abs(R @ R.T - np.eye(3)).max() <= DEFAULT_TOL.metric_eps
-        and np.linalg.det(R) > 0.0
-    ):
+    try:
+        R = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError):  # not numbers at all, such as a string
+        R = np.empty(0)
+    proper = R.shape == (3, 3) and np.isfinite(R).all() and np.linalg.det(R) > 0.0
+    if not (proper and np.abs(R @ R.T - np.eye(3)).max() <= DEFAULT_TOL.metric_eps):
         raise ValueError("matrix must be a finite 3x3 proper rotation")
     verts = P.vertices @ R.T + 0.0  # + 0.0: export_obj would write -0.0 as -0
     faces = _Cycles(P._half_edges.tail, P._half_edges.size)

@@ -11,7 +11,6 @@ floating-point merge is ever needed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,8 @@ from .errors import (
     UnsupportedSeed,
     VertexAtCenter,
 )
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _Cycles, _norms, build_mesh
-from .mesh import seed
+from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _Cycles, _is_int, _norms
+from .mesh import build_mesh, seed
 
 __all__ = [
     "TessellationSpec",
@@ -36,11 +35,6 @@ __all__ = [
     "great_circles",
     "schwarz_tiling",
 ]
-
-
-def _is_int(k: object) -> bool:
-    """Whether k is an integer, bools excluded."""
-    return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
 def triangulation_number(m: int, n: int) -> int:

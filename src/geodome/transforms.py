@@ -14,8 +14,8 @@ from .errors import (
     TriangularFacePresent,
 )
 from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh
-from .mesh import _check_policy, _check_radius, _common_radius, _Cycles, _norms, _ring_sort
-from .mesh import _positive_finite, _rowdot, _unit
+from .mesh import _check_policy, _common_radius, _Cycles, _flag, _norms, _real, _ring_sort
+from .mesh import _rowdot, _unit
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
 
@@ -83,7 +83,7 @@ def dual(
     if not P.closed:
         raise ValueError("the polar dual requires a closed mesh")
     if sphere_radius is not None:
-        _check_radius(sphere_radius, "sphere_radius")
+        _real(sphere_radius, "sphere_radius")
     normals, offsets = _face_planes(P)
     rho = sphere_radius if sphere_radius is not None else _polarity_radius(P, offsets, tol)
     _off_center(offsets, tol, rho)
@@ -149,9 +149,9 @@ def truncate_dome(
     _check_policy(tol)
     if P.radius is None:
         raise ValueError("dome truncation requires an inscribed mesh")
-    if not (_positive_finite(height_fraction, "height_fraction") and height_fraction <= 1.0):
-        raise ValueError("height_fraction must lie in (0, 1]")
+    _real(height_fraction, "height_fraction", hi=1.0)
     a = _unit(axis, "axis")
+    strict = _flag(strict, "strict")
     z_cut = P.radius * (1.0 - 2.0 * height_fraction)
 
     he = P._half_edges

@@ -50,6 +50,11 @@ def test_verify_counts(sphere_21, icosa):
     assert not verify_counts(icosa, TessellationSpec(2, 1))
 
 
+def test_verify_counts_requires_a_spec(sphere_21):
+    with pytest.raises(TypeError, match="^spec must be a TessellationSpec, got tuple$"):
+        verify_counts(sphere_21, (2, 1))
+
+
 @pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
 @pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2), (3, 2)])
 def test_verify_counts_on_every_triangular_seed(make_sphere, kind, m, n):
@@ -109,7 +114,7 @@ def test_face_metrics_rejects_bad_tolerance(sphere_2v):
     verts[0] *= 2.0  # not inscribed: the scale is the mean edge length
     for P in (sphere_2v, build_mesh(verts, t.faces)):
         for bad in (math.nan, 0.0, -1e-9, math.inf, True, np.True_):
-            with pytest.raises(ValueError, match="tolerance must be positive"):
+            with pytest.raises(ValueError, match="tol must be positive"):
                 face_metrics(P, tol=bad)
         for bad, name in ((DEFAULT_TOL, "TolerancePolicy"), ("1e-9", "str")):
             with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
@@ -141,6 +146,18 @@ def test_angle_dms_roundtrip():
     d, m, s = angle_dms(math.radians(12.0 + 34.0 / 60.0 + 56.7 / 3600.0))
     assert (d, m) == (12, 34)
     assert s == pytest.approx(56.7, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, np.True_])
+def test_angle_dms_rejects_non_finite_and_bool(bad):
+    # inf overflowed int(), nan failed inside int(), and True read as 1 rad = 57°17'
+    with pytest.raises(ValueError, match="^radians must be finite, got "):
+        angle_dms(bad)
+
+
+def test_angle_dms_names_a_wrong_type():
+    with pytest.raises(TypeError, match="^radians must be a number, got str$"):
+        angle_dms("1.0")
 
 
 def test_circumcenter_deviation_small_on_spheres(icosa, sphere_21):

@@ -1,0 +1,140 @@
+"""The boundary contract, checked over the whole public API.
+
+Every callable in geodome.__all__ is called once with valid arguments, then
+once per wrong-kind value of each of its float, int and bool parameters.
+Each such call must raise a TypeError, ValueError or GeodomeError whose
+message names the parameter, never a message from inside numpy or Python.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import geodome
+from geodome import GeodomeError
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "geodome"
+
+# Records the library fills in itself, not entry points; build_mesh is the
+# checked way to make a Mesh.
+RECORDS = {
+    "EdgeClassTable", "FaceMetric", "FlatTessellation", "GreatCircleSet", "Mesh",
+    "RigidityReport", "StrutSchedule",
+}
+
+BAD_NUMBERS = ("1", math.nan, math.inf, True, np.True_)
+BAD_FLAGS = ("no", 1, None)
+
+
+def _valid_calls(tmp: Path) -> dict[str, tuple[tuple, dict]]:
+    """One call per public callable, (args, kwargs), that must succeed."""
+    P = geodome.seed("icosahedron")
+    obj = tmp / "icosahedron.obj"
+    geodome.export_obj(P, obj)
+    return {
+        "verify_counts": ((P, geodome.TessellationSpec(1, 0)), {}),
+        "edge_length_classes": ((P,), {}),
+        "edge_class_labels": ((P,), {}),
+        "vertex_degree_histogram": ((P,), {}),
+        "circumcenter_deviation": ((P,), {}),
+        "face_metrics": ((P,), {}),
+        "angle_dms": ((1.0,), {}),
+        "detect_frequency": ((P,), {}),
+        "congruent": ((P, P), {}),
+        "combinatorially_isomorphic": ((P, P), {}),
+        "rigidity_matrix": ((P,), {}),
+        "is_infinitesimally_rigid": ((P,), {}),
+        "export_obj": ((P, tmp / "out.obj"), {}),
+        "import_obj": ((obj,), {}),
+        "strut_schedule": ((P,), {}),
+        "export_schedule": ((P, tmp / "out.json"), {}),
+        "analysis_rows": ((P,), {}),
+        "export_analysis_csv": ((P, tmp / "out.csv"), {}),
+        "TolerancePolicy": ((), {}),
+        "build_mesh": ((P.vertices, P.faces), {}),
+        "seed": (("icosahedron",), {}),
+        "mirrored": ((P,), {}),
+        "rotated": ((P, np.eye(3)), {}),
+        "rotation_to_z": (((0.0, 0.0, 1.0),), {}),
+        "TessellationSpec": ((2, 1), {}),
+        "triangulation_number": ((2, 1), {}),
+        "subdivide": ((P, 2, 1), {}),
+        "project_to_sphere": ((geodome.subdivide(P, 2, 0),), {}),
+        "stepping_projection": ((P, 1), {}),
+        "great_circles": ((P,), {}),
+        "schwarz_tiling": (("icosahedron",), {}),
+        "dual": ((P,), {}),
+        "gemmate": ((geodome.seed("dodecahedron"),), {}),
+        "truncate_dome": ((P, 0.5), {}),
+    }
+
+
+def _entry_points() -> list[str]:
+    names = []
+    for name in geodome.__all__:
+        obj = getattr(geodome, name)
+        if not callable(obj) or name in RECORDS:
+            continue
+        if isinstance(obj, type) and issubclass(obj, GeodomeError):
+            continue
+        names.append(name)
+    return names
+
+
+def _kind(annotation: object) -> tuple[str | None, bool]:
+    """("float" | "int" | "bool" | None, whether None is allowed) of an annotation."""
+    text = annotation if isinstance(annotation, str) else getattr(annotation, "__name__", "")
+    parts = {part.strip() for part in text.split("|")}
+    return next((k for k in ("bool", "int", "float") if k in parts), None), "None" in parts
+
+
+def _bad_values(param: inspect.Parameter) -> tuple:
+    kind, optional = _kind(param.annotation)
+    if kind == "bool":
+        return BAD_FLAGS
+    if kind in ("int", "float"):
+        return BAD_NUMBERS if optional else BAD_NUMBERS + (None,)
+    return ()
+
+
+def test_table_covers_every_entry_point(tmp_path):
+    assert sorted(_valid_calls(tmp_path)) == sorted(_entry_points())
+
+
+def test_every_number_and_flag_is_checked_at_the_boundary(tmp_path):
+    calls = _valid_calls(tmp_path)
+    checked = 0
+    for name in _entry_points():
+        fn = getattr(geodome, name)
+        args, kwargs = calls[name]
+        fn(*args, **kwargs)  # the base call is valid, so each error below is the parameter's
+        signature = inspect.signature(fn)
+        for param in signature.parameters.values():
+            for bad in _bad_values(param):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                bound.arguments[param.name] = bad
+                with pytest.raises((TypeError, ValueError, GeodomeError)) as caught:
+                    fn(*bound.args, **bound.kwargs)
+                message = str(caught.value)
+                assert re.search(rf"\b{param.name}\b", message), (name, param.name, bad, message)
+                checked += 1
+    # 5 flags, 20 numbers that refuse None and 2 that accept it
+    assert checked == 5 * len(BAD_FLAGS) + 20 * (len(BAD_NUMBERS) + 1) + 2 * len(BAD_NUMBERS)
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements; invariants must raise instead
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert statement at lines {lines}"

@@ -181,6 +181,20 @@ def test_build_mesh_checks_closed(option, error, message):
         build_mesh(t.vertices, t.faces, **option)
 
 
+@pytest.mark.parametrize(
+    "face,shown",
+    [([0, 1, 2.7], r"\(0, 1, 2.7\)"), ([0, True, 2], r"\(0, True, 2\)"),
+     (["0", "1", "2"], r"\('0', '1', '2'\)"), (np.array([0.0, 1.0, 2.0]), r"\(0.0, 1.0, 2.0\)")],
+    ids=["float", "bool", "str", "float-array"],
+)
+def test_build_mesh_refuses_non_integer_face_ids(face, shown):
+    # the ids are refused, not truncated or parsed into face (0, 1, 2)
+    t = seed("tetrahedron")
+    with pytest.raises(ValueError, match=f"^face {shown} has an id that is not an integer$"):
+        build_mesh(t.vertices, [[0, 2, 3], face], closed=False)
+    assert build_mesh(t.vertices, [[0, 2, 3], np.array([0, 1, 2])], closed=False).counts[2] == 2
+
+
 def test_build_mesh_copies_its_inputs():
     t = seed("tetrahedron")
     from_points = build_mesh((tuple(p) for p in t.vertices.tolist()), t.faces)
@@ -341,7 +355,7 @@ def test_rotation_to_z_sends_direction_to_pole():
 
 
 def test_rotation_to_z_rejects_bad_direction():
-    for bad in [(0, 0, 0), (math.nan, 0, 1), (math.inf, 0, 0), (1, 2), [(0, 0, 1)]]:
+    for bad in [(0, 0, 0), (math.nan, 0, 1), (math.inf, 0, 0), (1, 2), [(0, 0, 1)], "abc"]:
         with pytest.raises(ValueError, match="direction must be a finite non-zero 3-vector"):
             rotation_to_z(bad)
 
@@ -351,7 +365,7 @@ def test_rotated_rejects_non_rotation(icosa):
     tilted = R.copy()
     tilted[0, 0] += 1e-6
     for bad in (2.0 * np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.eye(2), np.full((3, 3), np.nan),
-                np.eye(4), tilted, -R):
+                np.eye(4), tilted, -R, "abc"):
         with pytest.raises(ValueError, match="finite 3x3 proper rotation"):
             rotated(icosa, bad)
     assert congruent(icosa, rotated(icosa, R.tolist()))
