@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, NonTriangularFace, NotClassI
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy
-from .mesh import _check_policy, _flag, _flatten, _norms, _real, _rowdot
+from .mesh import DEFAULT_TOL, Mesh, _flag, _flatten, _floats, _norms, _real, _rowdot
 from .tessellation import TessellationSpec
 
 __all__ = [
@@ -68,9 +67,7 @@ class EdgeClassTable:
         return len(self.entries)
 
 
-def edge_class_labels(
-    P: Mesh, tol: float = DEFAULT_TOL.metric_eps
-) -> tuple[EdgeClassTable, list[int]]:
+def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable, list[int]]:
     """Classify edges by chord factor; also label each edge with its class row.
 
     Single-linkage clustering on the sorted lengths: a gap larger than tol
@@ -78,7 +75,7 @@ def edge_class_labels(
     """
     if P.radius is None:
         raise ValueError("chord factors require an inscribed mesh")
-    _real(tol, "tol")
+    tol = _real(tol, "tol")
     factors = P.edge_lengths() / P.radius
     order = np.argsort(factors, kind="stable")
     ranked = factors[order]
@@ -92,7 +89,7 @@ def edge_class_labels(
     return EdgeClassTable(entries=entries, tol=tol), labels.tolist()
 
 
-def edge_length_classes(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> EdgeClassTable:
+def edge_length_classes(P: Mesh, tol: float = DEFAULT_TOL) -> EdgeClassTable:
     """Strut length classes of an inscribed mesh (see edge_class_labels)."""
     table, _ = edge_class_labels(P, tol)
     return table
@@ -158,7 +155,7 @@ def _face_shapes(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
     """Per triangular face: how many corners sit between two legs equal
     within tol (0 scalene, 3 equilateral, else isosceles), and the leg/base
     ratio, apex cosine and apex vertex read at the first such corner."""
-    _real(tol, "tol")
+    tol = _real(tol, "tol")
     tri = _triangles(P)
     scale = P.radius
     if scale is None:
@@ -178,7 +175,7 @@ def _face_shapes(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
     return same.sum(axis=1), ratio, cosine, tri[rows, apex]
 
 
-def face_metrics(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[FaceMetric]:
+def face_metrics(P: Mesh, tol: float = DEFAULT_TOL) -> list[FaceMetric]:
     """Leg/base ratio and apex angle of every triangular face."""
     columns = (col.tolist() for col in _face_shapes(P, tol))
     out = []
@@ -242,7 +239,7 @@ def congruent(
     P: Mesh,
     Q: Mesh,
     allow_reflection: bool = False,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> bool:
     """Whether an isometry carries the vertex set of P onto that of Q.
 
@@ -251,18 +248,18 @@ def congruent(
     lowest-numbered neighbor onto an edge of Q with the same end degrees, as
     an isometry between the meshes must.  One KD-tree query moves up to 12 of
     P's rarest-degree vertices under every candidate and drops a candidate
-    that leaves one farther than metric_eps from Q.  Each survivor in turn
-    gets the full test: every vertex within metric_eps of a distinct vertex.
+    that leaves one farther than tol * radius from Q.  Each survivor in turn
+    gets the full test: every vertex within tol * radius of a distinct vertex.
     The first candidate in (anchor, neighbor) order, the identity on a copy
     of P, is tried alone before the rest.
     """
-    _check_policy(tol)
+    tol = _real(tol, "tol")
     allow_reflection = _flag(allow_reflection, "allow_reflection")
     if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
         return False
     if (P.radius is None) != (Q.radius is None):
         return False
-    eps = tol.metric_eps * (P.radius if P.radius is not None else 1.0)
+    eps = tol * (P.radius if P.radius is not None else 1.0)
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
 
@@ -387,7 +384,7 @@ def _as_framework(obj) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(obj, Mesh):
         return np.asarray(obj.vertices, dtype=float), obj._half_edges.edges
     points, edges = obj
-    pts = np.asarray(points, dtype=float)
+    pts = _floats(points)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("framework points must be an (N, 3) array")
     if not np.isfinite(pts).all():
@@ -469,7 +466,7 @@ def _certified_full_rank(pts: np.ndarray, bars: np.ndarray, rank_eps: float) -> 
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
 
 
-def is_infinitesimally_rigid(obj, tol: TolerancePolicy = DEFAULT_TOL) -> RigidityReport:
+def is_infinitesimally_rigid(obj, rank_eps: float = 1e-10) -> RigidityReport:
     """Rank test of the rigidity matrix against 3V - 6.
 
     The rank is the number of singular values above rank_eps times the
@@ -484,19 +481,19 @@ def is_infinitesimally_rigid(obj, tol: TolerancePolicy = DEFAULT_TOL) -> Rigidit
     other framework, and one the certificate cannot prove (a flexible one,
     or one too ill-conditioned for the shift), gets the dense SVD.
     """
-    _check_policy(tol)
+    rank_eps = _real(rank_eps, "rank_eps")
     pts, bars = _as_framework(obj)
     if len(pts) < 3:
         raise DegenerateGeometry("a framework needs at least 3 joints for a 3D verdict")
     spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    if spread[1] <= tol.rank_eps * max(spread[0], 1e-300):
+    if spread[1] <= rank_eps * max(spread[0], 1e-300):
         raise DegenerateGeometry("joints are collinear")
     required = 3 * len(pts) - 6
-    if len(bars) == required and _certified_full_rank(pts, bars, tol.rank_eps):
+    if len(bars) == required and _certified_full_rank(pts, bars, rank_eps):
         rank = required
     else:
         sv = np.linalg.svd(_dense_rigidity(pts, bars), compute_uv=False)
-        rank = int(np.sum(sv > tol.rank_eps * sv.max(initial=0.0)))  # no bars: rank 0
+        rank = int(np.sum(sv > rank_eps * sv.max(initial=0.0)))  # no bars: rank 0
     return RigidityReport(
         edge_rows=len(bars),
         dof_cols=3 * len(pts),

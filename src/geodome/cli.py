@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = commands.add_parser("analyze", help="print counts, classes, and face metrics")
     _add_input(ana, allow_open=True)
-    ana.add_argument("--tol", type=float, default=DEFAULT_TOL.metric_eps,
+    ana.add_argument("--tol", type=float, default=DEFAULT_TOL,
                      help="length classification tolerance")
     ana.add_argument("--csv", help="also write the table to this CSV file")
     ana.set_defaults(func=_cmd_analyze)
@@ -156,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = commands.add_parser("export", help="rewrite a mesh as obj, json schedule, or csv")
     _add_input(exp, allow_open=True)
     exp.add_argument("--format", choices=("obj", "json", "csv"), required=True)
-    exp.add_argument("--tol", type=float, default=DEFAULT_TOL.metric_eps)
+    exp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     exp.add_argument("-o", "--output", required=True)
     exp.set_defaults(func=_cmd_export)
 

@@ -18,8 +18,7 @@ import numpy as np
 from .analysis import _face_shapes, circumcenter_deviation, edge_class_labels
 from .analysis import vertex_degree_histogram
 from .errors import ParseError
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, _check_policy, _common_radius, _Cycles
-from .mesh import _flag, _norms, _real, build_mesh
+from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, build_mesh
 
 __all__ = [
     "StrutSchedule",
@@ -51,7 +50,7 @@ def import_obj(
     path: str | Path,
     *,
     allow_open: bool = False,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> Mesh:
     """Read the OBJ subset written by export_obj and validate it as a mesh.
 
@@ -63,7 +62,7 @@ def import_obj(
     allow_open=True boundary edges and a non-spherical Euler count are
     accepted.
     """
-    _check_policy(tol)
+    tol = _real(tol, "tol")
     allow_open = _flag(allow_open, "allow_open")
     verts: list[tuple[float, float, float]] = []
     flat: list[int] = []
@@ -132,7 +131,7 @@ class StrutSchedule:
     classes: tuple[tuple[float, int], ...]
 
 
-def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> StrutSchedule:
+def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL) -> StrutSchedule:
     """Schedule of an inscribed mesh: every edge priced by its length class."""
     if P.radius is None:
         raise ValueError("a strut schedule requires an inscribed mesh")
@@ -165,7 +164,7 @@ def _json_rows(row: str, values: tuple[tuple, ...]) -> str:
     return ",\n".join([row] * len(values)) % tuple(chain.from_iterable(values))
 
 
-def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_eps) -> None:
+def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None:
     """Write the strut schedule as JSON with a stable key order.
 
     The text is exactly `json.dumps(doc, indent=2) + "\\n"` of the schedule
@@ -178,9 +177,9 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_e
     Path(path).write_text(_SCHEDULE % (float(s.radius), *(_json_rows(*r) for r in rows)))
 
 
-def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL.metric_eps) -> list[tuple[str, object]]:
+def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]:
     """Quantity/value pairs summarizing a mesh, in a fixed order."""
-    _real(tol, "tol")
+    tol = _real(tol, "tol")
     he = P._half_edges
     v, s, f = P.counts
     rows: list[tuple[str, object]] = [
@@ -217,6 +216,6 @@ def _write_analysis_csv(rows: list[tuple[str, object]], path: str | Path) -> Non
         csv.writer(handle).writerows([("quantity", "value"), *rows])
 
 
-def export_analysis_csv(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL.metric_eps) -> None:
+def export_analysis_csv(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None:
     """Write the analysis summary as a quantity,value CSV table."""
     _write_analysis_csv(analysis_rows(P, tol), path)

@@ -29,7 +29,6 @@ __all__ = [
     "PHI",
     "SEED_KINDS",
     "DEFAULT_TOL",
-    "TolerancePolicy",
     "Mesh",
     "build_mesh",
     "seed",
@@ -61,39 +60,28 @@ def _flag(x: object, name: str) -> bool:
     return bool(x)
 
 
+def _floats(x: object) -> np.ndarray:
+    """x, an array or any iterable, as a new float array; an empty one when
+    it is not numbers at all, such as a string, for the caller to refuse."""
+    try:
+        return np.array(x if isinstance(x, np.ndarray) else list(x), dtype=float)
+    except (TypeError, ValueError):
+        return np.empty(0)
+
+
 def _is_int(k: object) -> bool:
     """Whether k is an integer, bools excluded."""
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Numeric tolerances for geometry checks.
-
-    metric_eps is relative to the circumsphere radius; rank_eps is relative
-    to the largest singular value of whatever matrix is being ranked.
-    """
-
-    metric_eps: float = 1e-9
-    rank_eps: float = 1e-10
-
-    def __post_init__(self) -> None:
-        for k in ("metric_eps", "rank_eps"):
-            _real(getattr(self, k), k)
+# Geometry tolerance, relative to the circumsphere radius.
+DEFAULT_TOL = 1e-9
 
 
-DEFAULT_TOL = TolerancePolicy()
-
-
-def _check_policy(tol: object) -> None:
-    if not isinstance(tol, TolerancePolicy):
-        raise TypeError(f"tol must be a TolerancePolicy, got {type(tol).__name__}")
-
-
-def _common_radius(values: np.ndarray, tol: TolerancePolicy) -> float | None:
-    """The mean of values when it is positive and max - min <= tol.metric_eps * mean, else None."""
+def _common_radius(values: np.ndarray, tol: float) -> float | None:
+    """The mean of values when it is positive and max - min <= tol * mean, else None."""
     mean = float(values.mean())
-    if mean > 0.0 and float(values.max() - values.min()) <= tol.metric_eps * mean:
+    if mean > 0.0 and float(values.max() - values.min()) <= tol * mean:
         return mean
     return None
 
@@ -116,10 +104,16 @@ class _Cycles(NamedTuple):
 
 
 def _flatten(faces: Sequence[Sequence[int]], name: str = "face") -> _Cycles:
-    """Cycles given as sequences of integer ids, as arrays; a bool, float or
-    string id is refused, not converted, with a ValueError naming its cycle."""
-    size = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
-    ids = list(chain.from_iterable(faces))
+    """Cycles given as sequences of integer ids, as arrays; a cycle that is not
+    a sequence (a bare id) and a bool, float or string id are refused, not
+    converted, with a ValueError naming the cycle."""
+    try:
+        size = np.fromiter(map(len, faces), dtype=np.intp, count=len(faces))
+        ids = list(chain.from_iterable(faces))
+    except TypeError:  # a cycle that is not a sequence, such as a bare id
+        bad = next(f for f in faces if np.ndim(f) == 0)
+        bad = bad.item() if isinstance(bad, np.generic) else bad
+        raise ValueError(f"{name} {bad!r} is not a sequence of ids") from None
     if not all(issubclass(t, numbers.Integral) and t is not bool for t in set(map(type, ids))):
         bad = next(f for f in faces if not all(map(_is_int, f)))
         shown = tuple(i.item() if isinstance(i, np.generic) else i for i in bad)
@@ -264,21 +258,21 @@ def build_mesh(
     *,
     radius: float | None = None,
     closed: bool = True,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> Mesh:
     """Validate and freeze a mesh.
 
     Checks, in order: face sanity, the Euler formula (closed meshes), edge
     manifoldness, winding consistency, outward orientation, and, when a
     radius is given, that every vertex lies on the sphere of that radius
-    about the origin within tol.metric_eps * radius.  The radius is stored
+    about the origin within tol * radius.  The radius is stored
     as a float.  closed=True requires a closed sphere (see Mesh.closed);
     closed=False also accepts boundary edges and any Euler count.  Face ids
     must be integers: bools, floats and strings are refused, not truncated.
     The faces may also come as _Cycles arrays.
     """
-    _check_policy(tol)
-    verts = np.array(vertices if isinstance(vertices, np.ndarray) else list(vertices), dtype=float)
+    tol = _real(tol, "tol")
+    verts = _floats(vertices)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
         raise ValueError("vertices must be a non-empty sequence of 3D points")
     if not np.isfinite(verts).all():
@@ -328,7 +322,7 @@ def build_mesh(
     if radius is not None:
         dist = np.linalg.norm(verts, axis=1)
         worst = float(np.abs(dist - radius).max())
-        if worst > tol.metric_eps * radius:
+        if worst > tol * radius:
             raise ValueError(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )
@@ -427,10 +421,7 @@ SEED_KINDS = tuple(_SEED_BUILDERS)
 
 def _unit(vector: Sequence[float], name: str) -> np.ndarray:
     """The vector scaled to unit length; it must be a finite non-zero 3-vector."""
-    try:
-        v = np.asarray(vector, dtype=float)
-    except (TypeError, ValueError):  # not numbers at all, such as a string
-        v = np.empty(0)
+    v = _floats(vector)
     length = float(np.linalg.norm(v)) if v.shape == (3,) else math.nan
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError(f"{name} must be a finite non-zero 3-vector")
@@ -483,13 +474,10 @@ def mirrored(P: Mesh) -> Mesh:
 
 
 def rotated(P: Mesh, matrix: np.ndarray) -> Mesh:
-    """P transformed by a proper rotation matrix (R Rᵀ = I within metric_eps) about the origin."""
-    try:
-        R = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError):  # not numbers at all, such as a string
-        R = np.empty(0)
+    """P turned about the origin by a proper rotation matrix (R Rᵀ = I within DEFAULT_TOL)."""
+    R = _floats(matrix)
     proper = R.shape == (3, 3) and np.isfinite(R).all() and np.linalg.det(R) > 0.0
-    if not (proper and np.abs(R @ R.T - np.eye(3)).max() <= DEFAULT_TOL.metric_eps):
+    if not (proper and np.abs(R @ R.T - np.eye(3)).max() <= DEFAULT_TOL):
         raise ValueError("matrix must be a finite 3x3 proper rotation")
     verts = P.vertices @ R.T + 0.0  # + 0.0: export_obj would write -0.0 as -0
     faces = _Cycles(P._half_edges.tail, P._half_edges.size)

@@ -13,9 +13,8 @@ from .errors import (
     StrictCutViolation,
     TriangularFacePresent,
 )
-from .mesh import DEFAULT_TOL, Mesh, TolerancePolicy, build_mesh
-from .mesh import _check_policy, _common_radius, _Cycles, _flag, _norms, _real, _ring_sort
-from .mesh import _rowdot, _unit
+from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _ring_sort
+from .mesh import _rowdot, _unit, build_mesh
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
 
@@ -28,14 +27,14 @@ def _face_planes(P: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return normals, _rowdot(he.centroids(P.vertices), normals)
 
 
-def _off_center(offsets: np.ndarray, tol: TolerancePolicy, rho: float) -> None:
+def _off_center(offsets: np.ndarray, tol: float, rho: float) -> None:
     """Reject a face plane passing within tolerance of the origin."""
-    hit = np.flatnonzero(np.abs(offsets) <= tol.metric_eps * rho)
+    hit = np.flatnonzero(np.abs(offsets) <= tol * rho)
     if hit.size:
         raise FaceThroughCenter(f"face {hit[0]} lies in a plane through the center")
 
 
-def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: TolerancePolicy) -> float:
+def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: float) -> float:
     """Radius of the canonical polarity sphere of P, given its face-plane offsets.
 
     The rule is chosen so that taking the dual twice is the identity: a mesh
@@ -62,7 +61,7 @@ def dual(
     P: Mesh,
     *,
     sphere_radius: float | None = None,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> Mesh:
     """Polar dual with respect to a sphere about the origin.
 
@@ -79,7 +78,7 @@ def dual(
     closed and strictly convex: across every edge, the next corner of the
     neighboring face must lie below the face's plane.
     """
-    _check_policy(tol)
+    tol = _real(tol, "tol")
     if not P.closed:
         raise ValueError("the polar dual requires a closed mesh")
     if sphere_radius is not None:
@@ -91,7 +90,7 @@ def dual(
     # height of the far corner across each edge above the plane of the near face
     far = P.vertices[he.head[he.succ[he.twin]]]
     lift = _rowdot(far, normals[he.face]) - offsets[he.face]
-    bad = np.flatnonzero(lift > -tol.metric_eps * rho)
+    bad = np.flatnonzero(lift > -tol * rho)
     if bad.size:
         edge = (int(he.tail[bad[0]]), int(he.head[bad[0]]))
         raise ValueError(f"mesh is not strictly convex at edge {edge}")
@@ -104,7 +103,7 @@ def dual(
     return build_mesh(poles, faces, radius=radius, tol=tol)
 
 
-def gemmate(P: Mesh, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
+def gemmate(P: Mesh, tol: float = DEFAULT_TOL) -> Mesh:
     """Erect a right pyramid on every face, apex on the circumsphere.
 
     Each apex is the central projection of the face's perpendicular foot, so
@@ -112,7 +111,7 @@ def gemmate(P: Mesh, tol: TolerancePolicy = DEFAULT_TOL) -> Mesh:
     an isosceles (or better) triangle.  Requires an inscribed mesh whose
     faces are all non-triangular.
     """
-    _check_policy(tol)
+    tol = _real(tol, "tol")
     if P.radius is None:
         raise ValueError("pyramid augmentation requires an inscribed mesh")
     he = P._half_edges
@@ -135,7 +134,7 @@ def truncate_dome(
     *,
     axis: Sequence[float] = (0.0, 0.0, 1.0),
     strict: bool = False,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> Mesh:
     """Keep the faces of an inscribed sphere above a horizontal cut.
 
@@ -146,7 +145,7 @@ def truncate_dome(
     shows up in Mesh.boundary_edges.  With strict=True a kept face dipping
     below the cut by more than the tolerance is an error.
     """
-    _check_policy(tol)
+    tol = _real(tol, "tol")
     if P.radius is None:
         raise ValueError("dome truncation requires an inscribed mesh")
     _real(height_fraction, "height_fraction", hi=1.0)
@@ -165,7 +164,7 @@ def truncate_dome(
 
     if strict:
         low = np.minimum.reduceat(heights[he.tail], he.start)[kept]
-        sag = np.flatnonzero(low < z_cut - tol.metric_eps * P.radius)
+        sag = np.flatnonzero(low < z_cut - tol * P.radius)
         if sag.size:
             face = tuple(he.tail[he.face == kept[sag[0]]].tolist())
             raise StrictCutViolation(

@@ -14,7 +14,6 @@ from geodome import (
     NotClassI,
     RigidityReport,
     TessellationSpec,
-    TolerancePolicy,
     angle_dms,
     build_mesh,
     circumcenter_deviation,
@@ -78,6 +77,8 @@ def test_edge_classes_merge_at_coarse_tolerance(sphere_2v):
     coarse = edge_length_classes(sphere_2v, tol=1.0)
     assert coarse.class_count == 1
     assert coarse.entries[0][1] == 120
+    # the table records the checked float, whatever number type came in
+    assert type(edge_length_classes(sphere_2v, tol=1).tol) is float
 
 
 def test_edge_classes_reject_bad_tolerance(sphere_2v):
@@ -86,7 +87,7 @@ def test_edge_classes_reject_bad_tolerance(sphere_2v):
             edge_length_classes(sphere_2v, tol=bad)
         with pytest.raises(ValueError):
             edge_class_labels(sphere_2v, tol=bad)
-    for bad, name in ((DEFAULT_TOL, "TolerancePolicy"), ("1e-9", "str")):
+    for bad, name in (((1e-9,), "tuple"), ("1e-9", "str")):
         with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
             edge_length_classes(sphere_2v, bad)
         with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
@@ -116,7 +117,7 @@ def test_face_metrics_rejects_bad_tolerance(sphere_2v):
         for bad in (math.nan, 0.0, -1e-9, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="tol must be positive"):
                 face_metrics(P, tol=bad)
-        for bad, name in ((DEFAULT_TOL, "TolerancePolicy"), ("1e-9", "str")):
+        for bad, name in (((1e-9,), "tuple"), ("1e-9", "str")):
             with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
                 face_metrics(P, bad)
 
@@ -248,7 +249,7 @@ def _reference_frame(a, b, flip):
     return np.column_stack([e1, e2, -e3 if flip else e3])
 
 
-def _reference_congruent(P, Q, allow_reflection=False, tol=TolerancePolicy()):
+def _reference_congruent(P, Q, allow_reflection=False, tol=DEFAULT_TOL):
     """One KD-tree query per (rare vertex, neighbor, flip) alignment of Q."""
     from scipy.spatial import cKDTree
 
@@ -256,7 +257,7 @@ def _reference_congruent(P, Q, allow_reflection=False, tol=TolerancePolicy()):
         return False
     if (P.radius is None) != (Q.radius is None):
         return False
-    eps = tol.metric_eps * (P.radius if P.radius is not None else 1.0)
+    eps = tol * (P.radius if P.radius is not None else 1.0)
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
     p_verts, q_verts = P.vertices, Q.vertices
@@ -452,6 +453,13 @@ def test_rigidity_framework_input_validation():
     assert bare == RigidityReport(0, 9, 0, 3) and not bare.rigid
     with pytest.raises(ValueError):
         is_infinitesimally_rigid((pts, ids.astype(float)))
+    # a flat id list is not a list of bars
+    with pytest.raises(ValueError, match="^framework edge 0 is not a sequence of ids$"):
+        is_infinitesimally_rigid((pts, [0, 1]))
+    # joints are numbers: a string is named, not left to numpy's conversion message
+    for call in (rigidity_matrix, is_infinitesimally_rigid):
+        with pytest.raises(ValueError, match=r"^framework points must be an \(N, 3\) array$"):
+            call(([("a", 0, 0)] + pts[1:], ids))
     # joints are finite: no NaN matrix, no failed SVD
     for bad in (math.nan, math.inf, -math.inf):
         joints = pts[:3] + [(0, 0, bad)]
@@ -460,13 +468,13 @@ def test_rigidity_framework_input_validation():
                 call((joints, ids))
 
 
-DEFAULT_EPS = TolerancePolicy().rank_eps
+DEFAULT_EPS = 1e-10  # the default rank_eps of is_infinitesimally_rigid
 
 
-def _dense_report(P, tol=TolerancePolicy()):
+def _dense_report(P, rank_eps=DEFAULT_EPS):
     """The report of the dense SVD alone, which the certificate must reproduce."""
     sv = np.linalg.svd(rigidity_matrix(P), compute_uv=False)
-    rank = int(np.sum(sv > tol.rank_eps * sv[0]))
+    rank = int(np.sum(sv > rank_eps * sv[0]))
     return RigidityReport(len(P.edges), 3 * len(P.vertices), rank, 3 * len(P.vertices) - 6)
 
 
@@ -500,7 +508,7 @@ def test_flat_framework_falls_back_to_dense_rank():
 
 
 def test_raised_rank_eps_is_never_proven_weaker(sphere_2v):
-    coarse = TolerancePolicy(rank_eps=0.3)
-    assert not _certified_full_rank(*_framework(sphere_2v), coarse.rank_eps)
-    report = is_infinitesimally_rigid(sphere_2v, coarse)
+    coarse = 0.3
+    assert not _certified_full_rank(*_framework(sphere_2v), coarse)
+    report = is_infinitesimally_rigid(sphere_2v, rank_eps=coarse)
     assert report == _dense_report(sphere_2v, coarse) and report.rank < 120

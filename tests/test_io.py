@@ -183,7 +183,7 @@ def test_schedule_json_stable_and_shaped(sphere_21, tmp_path):
     assert len(data["struts"]) == 210
 
 
-def _schedule_doc(P, tol=DEFAULT_TOL.metric_eps):
+def _schedule_doc(P, tol=DEFAULT_TOL):
     """The document export_schedule writes, built here from strut_schedule."""
     s = strut_schedule(P, tol)
     return {
@@ -208,7 +208,7 @@ def test_schedule_bytes_are_json_dumps_indent_2(sphere_21, make_sphere, tmp_path
     ]
     path = tmp_path / "s.json"
     for i, P in enumerate(meshes):
-        for tol in (DEFAULT_TOL.metric_eps, 1e-3):
+        for tol in (DEFAULT_TOL, 1e-3):
             export_schedule(P, path, tol)
             assert path.read_text() == json.dumps(_schedule_doc(P, tol), indent=2) + "\n", (i, tol)
     assert '"x": -0.0,' in path.read_text()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from geodome import (
     InvalidOrientation,
     Mesh,
     NonManifoldEdge,
-    TolerancePolicy,
     UnsupportedSeed,
     build_mesh,
     congruent,
@@ -193,6 +193,17 @@ def test_build_mesh_refuses_non_integer_face_ids(face, shown):
     with pytest.raises(ValueError, match=f"^face {shown} has an id that is not an integer$"):
         build_mesh(t.vertices, [[0, 2, 3], face], closed=False)
     assert build_mesh(t.vertices, [[0, 2, 3], np.array([0, 1, 2])], closed=False).counts[2] == 2
+    # a flat id list is not a list of faces
+    for flat in ([0, 1, 2], np.arange(3)):
+        with pytest.raises(ValueError, match="^face 0 is not a sequence of ids$"):
+            build_mesh(t.vertices, flat, closed=False)
+
+
+def test_build_mesh_refuses_non_numeric_vertices():
+    t = seed("tetrahedron")
+    for bad in ([["a", 0, 0]] + t.vertices[1:].tolist(), [[0, 0, 1], [0, 1]], [], "abc"):
+        with pytest.raises(ValueError, match="^vertices must be a non-empty sequence of 3D points$"):
+            build_mesh(bad, t.faces)
 
 
 def test_build_mesh_copies_its_inputs():
@@ -275,26 +286,28 @@ def test_package_exports_every_module_export():
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,name",
     [
-        lambda P, tol: build_mesh(P.vertices, P.faces, tol=tol),
-        lambda P, tol: project_to_sphere(subdivide(P, 2, 0), tol),
-        lambda P, tol: stepping_projection(P, 1, tol),
-        lambda P, tol: dual(P, tol=tol),
-        lambda P, tol: gemmate(dual(P), tol),
-        lambda P, tol: truncate_dome(P, 0.5, tol=tol),
-        lambda P, tol: congruent(P, P, tol=tol),
-        lambda P, tol: is_infinitesimally_rigid(P, tol),
-        lambda P, tol: import_obj("never-read.obj", tol=tol),
+        (lambda P, tol: build_mesh(P.vertices, P.faces, tol=tol), "tol"),
+        (lambda P, tol: project_to_sphere(subdivide(P, 2, 0), tol), "tol"),
+        (lambda P, tol: stepping_projection(P, 1, tol), "tol"),
+        (lambda P, tol: dual(P, tol=tol), "tol"),
+        (lambda P, tol: gemmate(dual(P), tol), "tol"),
+        (lambda P, tol: truncate_dome(P, 0.5, tol=tol), "tol"),
+        (lambda P, tol: congruent(P, P, tol=tol), "tol"),
+        (lambda P, tol: is_infinitesimally_rigid(P, tol), "rank_eps"),
+        (lambda P, tol: import_obj("never-read.obj", tol=tol), "tol"),
     ],
     ids=[
         "build_mesh", "project_to_sphere", "stepping_projection", "dual", "gemmate",
         "truncate_dome", "congruent", "is_infinitesimally_rigid", "import_obj",
     ],
 )
-def test_tolerance_policy_required(call, icosa):
-    with pytest.raises(TypeError, match="tol must be a TolerancePolicy, got float"):
-        call(icosa, 1e-9)
+def test_every_tolerance_is_a_checked_float(call, name, icosa):
+    with pytest.raises(TypeError, match=f"^{name} must be a number, got str$"):
+        call(icosa, "1e-9")
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got 0.0$"):
+        call(icosa, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -304,28 +317,29 @@ def test_tolerance_policy_required(call, icosa):
         (lambda P: build_mesh(P.vertices, P.faces, radius="1"), "radius"),
         (lambda P: truncate_dome(P, "0.5"), "height_fraction"),
         (lambda P: dual(P, sphere_radius="1"), "sphere_radius"),
-        (lambda P: TolerancePolicy("1"), "metric_eps"),
+        (lambda P: dual(P, tol="1"), "tol"),
     ],
-    ids=["seed", "build_mesh", "truncate_dome", "dual", "TolerancePolicy"],
+    ids=["seed", "build_mesh", "truncate_dome", "dual", "dual-tol"],
 )
 def test_number_parameters_name_a_wrong_type(call, name, icosa):
     with pytest.raises(TypeError, match=f"^{name} must be a number, got str$"):
         call(icosa)
 
 
-def test_tolerance_policy_validation():
+def test_tolerance_validation():
+    t = seed("tetrahedron")
     with pytest.raises(ValueError):
-        TolerancePolicy(metric_eps=0.0)
+        build_mesh(t.vertices, t.faces, tol=0.0)
     with pytest.raises(ValueError):
-        TolerancePolicy(rank_eps=-1e-9)
+        is_infinitesimally_rigid(t, rank_eps=-1e-9)
     # nan compares false everywhere: it would silently fail every tolerance test
     for bad in (math.nan, math.inf, True, np.True_):
-        with pytest.raises(ValueError, match="positive and finite"):
-            TolerancePolicy(metric_eps=bad)
-        with pytest.raises(ValueError, match="positive and finite"):
-            TolerancePolicy(rank_eps=bad)
-    assert DEFAULT_TOL.metric_eps == 1e-9
-    assert DEFAULT_TOL.rank_eps == 1e-10
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            build_mesh(t.vertices, t.faces, tol=bad)
+        with pytest.raises(ValueError, match="^rank_eps must be positive and finite"):
+            is_infinitesimally_rigid(t, rank_eps=bad)
+    assert DEFAULT_TOL == 1e-9
+    assert inspect.signature(is_infinitesimally_rigid).parameters["rank_eps"].default == 1e-10
 
 
 def test_mirrored_flips_and_revalidates(icosa):
