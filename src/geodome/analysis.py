@@ -235,37 +235,34 @@ def _turn(points: np.ndarray, R: np.ndarray) -> np.ndarray:
     return sum(points[:, k, None] * R[..., None, :, k] for k in range(3))
 
 
-def congruent(
-    P: Mesh,
-    Q: Mesh,
-    allow_reflection: bool = False,
-    tol: float = DEFAULT_TOL,
-) -> bool:
+def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
     """Whether an isometry carries the vertex set of P onto that of Q.
 
     Only rotations about the origin are searched unless allow_reflection is
-    set.  Candidate alignments map a vertex of the rarest degree and its
-    lowest-numbered neighbor onto an edge of Q with the same end degrees, as
-    an isometry between the meshes must.  One KD-tree query moves up to 12 of
-    P's rarest-degree vertices under every candidate and drops a candidate
-    that leaves one farther than tol * radius from Q.  Each survivor in turn
-    gets the full test: every vertex within tol * radius of a distinct vertex.
-    The first candidate in (anchor, neighbor) order, the identity on a copy
-    of P, is tried alone before the rest.
+    set.  Distances are compared with eps = DEFAULT_TOL times P's radius, or
+    times the mean distance of P's vertices from the origin when P has no
+    circumsphere.  Candidate alignments map a vertex of the rarest degree and
+    its lowest-numbered neighbor onto an edge of Q with the same end degrees,
+    as an isometry between the meshes must.  One KD-tree query moves up to 12
+    of P's rarest-degree vertices under every candidate and drops a candidate
+    that leaves one farther than eps from Q.  Each survivor in turn gets the
+    full test: every vertex within eps of a distinct vertex.  The first
+    candidate in (anchor, neighbor) order, the identity on a copy of P, is
+    tried alone before the rest.
     """
-    tol = _real(tol, "tol")
     allow_reflection = _flag(allow_reflection, "allow_reflection")
     if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
         return False
     if (P.radius is None) != (Q.radius is None):
         return False
-    eps = tol * (P.radius if P.radius is not None else 1.0)
+    p_verts, q_verts = P.vertices, Q.vertices
+    scale = P.radius if P.radius is not None else np.linalg.norm(p_verts, axis=1).mean()
+    eps = DEFAULT_TOL * float(scale)
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
 
     from scipy.spatial import cKDTree
 
-    p_verts, q_verts = P.vertices, Q.vertices
     degrees_p, degrees_q = P.degrees(), Q.degrees()
     # vertices of the rarest degree among those on an edge, the lower degree on ties
     values, counts = np.unique(degrees_p[degrees_p > 0], return_counts=True)
@@ -432,19 +429,21 @@ def rigidity_matrix(obj) -> np.ndarray:
 # the roundoff of the factorization (about n * eps: 3e-11 for the 122 880 bars
 # of a 64v sphere) and proves a singular-value ratio of at least 1e-4.
 _GRAM_SHIFT = 1e-8
+# Rank threshold: singular values at most this times the largest count as zero.
+_RANK_EPS = 1e-10
 
 
-def _certified_full_rank(pts: np.ndarray, bars: np.ndarray, rank_eps: float) -> bool:
+def _certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
     """True only if all E singular values of the rigidity matrix M exceed
-    sqrt(2) * rank_eps times the largest.
+    1e-4 times the largest, so far above _RANK_EPS.
 
     The Gram matrix G = M M^T has eigenvalues sigma_i^2, the largest at most
-    |G|_1.  With tau = max(_GRAM_SHIFT, 2 rank_eps^2) * |G|_1, an LU of
-    G - tau I that kept every pivot on the diagonal (perm_r == perm_c) is an
-    L D L^T factorization; positive pivots D then make G - tau I positive
-    definite by Sylvester's law of inertia, so sigma_E^2 > tau >=
-    2 rank_eps^2 sigma_1^2.  A singular or indefinite G yields a nonpositive
-    pivot, a row exchange or a singular factor, and False.
+    |G|_1.  With tau = _GRAM_SHIFT * |G|_1, an LU of G - tau I that kept
+    every pivot on the diagonal (perm_r == perm_c) is an L D L^T
+    factorization; positive pivots D then make G - tau I positive definite
+    by Sylvester's law of inertia, so sigma_E^2 > tau >= 1e-8 sigma_1^2.
+    A singular or indefinite G yields a nonpositive pivot, a row exchange or
+    a singular factor, and False.
     """
     from scipy.sparse import csr_array, eye_array
     from scipy.sparse.linalg import splu
@@ -452,7 +451,7 @@ def _certified_full_rank(pts: np.ndarray, bars: np.ndarray, rank_eps: float) -> 
     rows, cols, vals = _bar_triplets(pts, bars)
     M = csr_array((vals, (rows, cols)), shape=(len(bars), 3 * len(pts)))
     G = M @ M.T
-    tau = max(_GRAM_SHIFT, 2.0 * rank_eps**2) * float(abs(G).sum(axis=0).max())
+    tau = _GRAM_SHIFT * float(abs(G).sum(axis=0).max())
     H = (G - tau * eye_array(len(bars))).tocsc()
     try:
         lu = splu(
@@ -466,34 +465,33 @@ def _certified_full_rank(pts: np.ndarray, bars: np.ndarray, rank_eps: float) -> 
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
 
 
-def is_infinitesimally_rigid(obj, rank_eps: float = 1e-10) -> RigidityReport:
+def is_infinitesimally_rigid(obj) -> RigidityReport:
     """Rank test of the rigidity matrix against 3V - 6.
 
-    The rank is the number of singular values above rank_eps times the
+    The rank is the number of singular values above 1e-10 times the
     largest, which leaves the verdict unchanged under rotation and uniform
     scaling of the framework.
 
     A framework with exactly 3V - 6 bars, such as any closed triangulated
     sphere, first tries a certificate: a sparse factorization of the bars'
     Gram matrix, shifted down by at least 1e-8 of its norm, that proves every
-    singular value lies above max(1e-4, sqrt(2) * rank_eps) times the largest.
+    singular value lies above 1e-4 times the largest.
     A certified framework has rank E, the rank the SVD would report.  Every
     other framework, and one the certificate cannot prove (a flexible one,
     or one too ill-conditioned for the shift), gets the dense SVD.
     """
-    rank_eps = _real(rank_eps, "rank_eps")
     pts, bars = _as_framework(obj)
     if len(pts) < 3:
         raise DegenerateGeometry("a framework needs at least 3 joints for a 3D verdict")
     spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    if spread[1] <= rank_eps * max(spread[0], 1e-300):
+    if spread[1] <= _RANK_EPS * max(spread[0], 1e-300):
         raise DegenerateGeometry("joints are collinear")
     required = 3 * len(pts) - 6
-    if len(bars) == required and _certified_full_rank(pts, bars, rank_eps):
+    if len(bars) == required and _certified_full_rank(pts, bars):
         rank = required
     else:
         sv = np.linalg.svd(_dense_rigidity(pts, bars), compute_uv=False)
-        rank = int(np.sum(sv > rank_eps * sv.max(initial=0.0)))  # no bars: rank 0
+        rank = int(np.sum(sv > _RANK_EPS * sv.max(initial=0.0)))  # no bars: rank 0
     return RigidityReport(
         edge_rows=len(bars),
         dof_cols=3 * len(pts),

@@ -156,7 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = commands.add_parser("export", help="rewrite a mesh as obj, json schedule, or csv")
     _add_input(exp, allow_open=True)
     exp.add_argument("--format", choices=("obj", "json", "csv"), required=True)
-    exp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    exp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="length classification tolerance")
     exp.add_argument("-o", "--output", required=True)
     exp.set_defaults(func=_cmd_export)
 

@@ -46,23 +46,17 @@ def _check_plain(line: str) -> None:
         raise ValueError(f"underscore or non-ASCII character in {line.strip()!r}")
 
 
-def import_obj(
-    path: str | Path,
-    *,
-    allow_open: bool = False,
-    tol: float = DEFAULT_TOL,
-) -> Mesh:
+def import_obj(path: str | Path, *, allow_open: bool = False) -> Mesh:
     """Read the OBJ subset written by export_obj and validate it as a mesh.
 
     The file is UTF-8 text.  Only `v` and `f` lines are interpreted, and
     they must be ASCII without underscores; other lines are ignored.  Face
-    indices are strictly positive 1-based integers.  A detected common
-    distance of all vertices from the origin is recorded as the circumsphere
-    radius.  Validation failures (from build_mesh) propagate; with
-    allow_open=True boundary edges and a non-spherical Euler count are
-    accepted.
+    indices are strictly positive 1-based integers.  A common distance of
+    all vertices from the origin, within DEFAULT_TOL of its size, is
+    recorded as the circumsphere radius.  Validation failures (from
+    build_mesh) propagate; with allow_open=True boundary edges and a
+    non-spherical Euler count are accepted.
     """
-    tol = _real(tol, "tol")
     allow_open = _flag(allow_open, "allow_open")
     verts: list[tuple[float, float, float]] = []
     flat: list[int] = []
@@ -110,9 +104,8 @@ def import_obj(
     return build_mesh(
         arr,
         _Cycles(np.array(flat, dtype=np.intp) - 1, np.array(sizes, dtype=np.intp)),
-        radius=_common_radius(np.linalg.norm(arr, axis=1), tol),
+        radius=_common_radius(np.linalg.norm(arr, axis=1)),
         closed=not allow_open,
-        tol=tol,
     )
 
 

@@ -61,12 +61,14 @@ def _flag(x: object, name: str) -> bool:
 
 
 def _floats(x: object) -> np.ndarray:
-    """x, an array or any iterable, as a new float array; an empty one when
-    it is not numbers at all, such as a string, for the caller to refuse."""
+    """x, an array or any iterable of integers or floats, as a new float array;
+    an empty one for anything else, such as strings (numeric ones too), bools
+    or a ragged list, for the caller to refuse."""
     try:
-        return np.array(x if isinstance(x, np.ndarray) else list(x), dtype=float)
+        arr = np.asarray(x if isinstance(x, np.ndarray) else list(x))
     except (TypeError, ValueError):
         return np.empty(0)
+    return arr.astype(float) if arr.dtype.kind in "iuf" else np.empty(0)
 
 
 def _is_int(k: object) -> bool:
@@ -74,14 +76,14 @@ def _is_int(k: object) -> bool:
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
-# Geometry tolerance, relative to the circumsphere radius.
+# Geometry tolerance, relative to the circumsphere radius; also the default tol.
 DEFAULT_TOL = 1e-9
 
 
-def _common_radius(values: np.ndarray, tol: float) -> float | None:
-    """The mean of values when it is positive and max - min <= tol * mean, else None."""
+def _common_radius(values: np.ndarray) -> float | None:
+    """The mean of values when it is positive and max - min <= DEFAULT_TOL * mean, else None."""
     mean = float(values.mean())
-    if mean > 0.0 and float(values.max() - values.min()) <= tol * mean:
+    if mean > 0.0 and float(values.max() - values.min()) <= DEFAULT_TOL * mean:
         return mean
     return None
 
@@ -258,20 +260,18 @@ def build_mesh(
     *,
     radius: float | None = None,
     closed: bool = True,
-    tol: float = DEFAULT_TOL,
 ) -> Mesh:
     """Validate and freeze a mesh.
 
     Checks, in order: face sanity, the Euler formula (closed meshes), edge
     manifoldness, winding consistency, outward orientation, and, when a
     radius is given, that every vertex lies on the sphere of that radius
-    about the origin within tol * radius.  The radius is stored
+    about the origin within DEFAULT_TOL * radius.  The radius is stored
     as a float.  closed=True requires a closed sphere (see Mesh.closed);
     closed=False also accepts boundary edges and any Euler count.  Face ids
     must be integers: bools, floats and strings are refused, not truncated.
     The faces may also come as _Cycles arrays.
     """
-    tol = _real(tol, "tol")
     verts = _floats(vertices)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:
         raise ValueError("vertices must be a non-empty sequence of 3D points")
@@ -322,7 +322,7 @@ def build_mesh(
     if radius is not None:
         dist = np.linalg.norm(verts, axis=1)
         worst = float(np.abs(dist - radius).max())
-        if worst > tol * radius:
+        if worst > DEFAULT_TOL * radius:
             raise ValueError(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedSeed,
     VertexAtCenter,
 )
-from .mesh import DEFAULT_TOL, Mesh, _Cycles, _is_int, _norms, _real, build_mesh, seed
+from .mesh import DEFAULT_TOL, Mesh, _Cycles, _is_int, _norms, build_mesh, seed
 
 __all__ = [
     "TessellationSpec",
@@ -162,34 +162,32 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     return FlatTessellation(base=P, spec=spec, points=pts, small_faces=small_faces)
 
 
-def project_to_sphere(t: FlatTessellation, tol: float = DEFAULT_TOL) -> Mesh:
+def project_to_sphere(t: FlatTessellation) -> Mesh:
     """Push every tessellation point radially onto the seed circumsphere."""
-    tol = _real(tol, "tol")
     base = t.base
     if base.radius is None:
         raise ValueError("projection requires an inscribed seed (radius present)")
     norms = np.linalg.norm(t.points, axis=1)
-    if float(norms.min()) <= tol * base.radius:
+    if float(norms.min()) <= DEFAULT_TOL * base.radius:
         raise VertexAtCenter("a tessellation point coincides with the projection center")
     # + 0.0: export_obj would write -0.0 as -0
     projected = t.points * (base.radius / norms)[:, None] + 0.0
     faces = _Cycles(t.small_faces.reshape(-1), np.full(len(t.small_faces), 3))
-    return build_mesh(projected, faces, radius=base.radius, tol=tol)
+    return build_mesh(projected, faces, radius=base.radius)
 
 
-def stepping_projection(P: Mesh, levels: int, tol: float = DEFAULT_TOL) -> Mesh:
+def stepping_projection(P: Mesh, levels: int) -> Mesh:
     """Repeat [subdivide (2, 0), project] the given number of times.
 
     After `levels` rounds the sphere has frequency 2**levels.  Re-projecting
     at every step spreads the edge lengths less than a single direct
     subdivision of the same frequency.
     """
-    tol = _real(tol, "tol")
     if not _is_int(levels) or levels < 1:
         raise ValueError("levels must be an integer >= 1")
     current = P
     for _ in range(levels):
-        current = project_to_sphere(subdivide(current, 2, 0), tol)
+        current = project_to_sphere(subdivide(current, 2, 0))
     return current
 
 

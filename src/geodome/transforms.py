@@ -27,14 +27,14 @@ def _face_planes(P: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return normals, _rowdot(he.centroids(P.vertices), normals)
 
 
-def _off_center(offsets: np.ndarray, tol: float, rho: float) -> None:
-    """Reject a face plane passing within tolerance of the origin."""
-    hit = np.flatnonzero(np.abs(offsets) <= tol * rho)
+def _off_center(offsets: np.ndarray, rho: float) -> None:
+    """Reject a face plane passing within DEFAULT_TOL * rho of the origin."""
+    hit = np.flatnonzero(np.abs(offsets) <= DEFAULT_TOL * rho)
     if hit.size:
         raise FaceThroughCenter(f"face {hit[0]} lies in a plane through the center")
 
 
-def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: float) -> float:
+def _polarity_radius(P: Mesh, offsets: np.ndarray) -> float:
     """Radius of the canonical polarity sphere of P, given its face-plane offsets.
 
     The rule is chosen so that taking the dual twice is the identity: a mesh
@@ -43,8 +43,8 @@ def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: float) -> float:
     uses their geometric mean, which maps each such mesh to a dual inscribed
     in the same circumsphere.
     """
-    _off_center(offsets, tol, float(np.linalg.norm(P.vertices, axis=1).mean()))
-    tangent = _common_radius(offsets, tol)
+    _off_center(offsets, float(np.linalg.norm(P.vertices, axis=1).mean()))
+    tangent = _common_radius(offsets)
     if P.radius is not None and tangent is not None:
         return math.sqrt(P.radius * tangent)
     if P.radius is not None:
@@ -57,12 +57,7 @@ def _polarity_radius(P: Mesh, offsets: np.ndarray, tol: float) -> float:
     )
 
 
-def dual(
-    P: Mesh,
-    *,
-    sphere_radius: float | None = None,
-    tol: float = DEFAULT_TOL,
-) -> Mesh:
+def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
     """Polar dual with respect to a sphere about the origin.
 
     Each face plane at foot distance d maps to the pole at distance
@@ -78,19 +73,18 @@ def dual(
     closed and strictly convex: across every edge, the next corner of the
     neighboring face must lie below the face's plane.
     """
-    tol = _real(tol, "tol")
     if not P.closed:
         raise ValueError("the polar dual requires a closed mesh")
     if sphere_radius is not None:
         _real(sphere_radius, "sphere_radius")
     normals, offsets = _face_planes(P)
-    rho = sphere_radius if sphere_radius is not None else _polarity_radius(P, offsets, tol)
-    _off_center(offsets, tol, rho)
+    rho = sphere_radius if sphere_radius is not None else _polarity_radius(P, offsets)
+    _off_center(offsets, rho)
     he = P._half_edges
     # height of the far corner across each edge above the plane of the near face
     far = P.vertices[he.head[he.succ[he.twin]]]
     lift = _rowdot(far, normals[he.face]) - offsets[he.face]
-    bad = np.flatnonzero(lift > -tol * rho)
+    bad = np.flatnonzero(lift > -DEFAULT_TOL * rho)
     if bad.size:
         edge = (int(he.tail[bad[0]]), int(he.head[bad[0]]))
         raise ValueError(f"mesh is not strictly convex at edge {edge}")
@@ -99,11 +93,10 @@ def dual(
 
     faces = _ring_sort(he.tail, he.face, poles[he.face], P.vertices)
 
-    radius = _common_radius(np.linalg.norm(poles, axis=1), tol)
-    return build_mesh(poles, faces, radius=radius, tol=tol)
+    return build_mesh(poles, faces, radius=_common_radius(np.linalg.norm(poles, axis=1)))
 
 
-def gemmate(P: Mesh, tol: float = DEFAULT_TOL) -> Mesh:
+def gemmate(P: Mesh) -> Mesh:
     """Erect a right pyramid on every face, apex on the circumsphere.
 
     Each apex is the central projection of the face's perpendicular foot, so
@@ -111,7 +104,6 @@ def gemmate(P: Mesh, tol: float = DEFAULT_TOL) -> Mesh:
     an isosceles (or better) triangle.  Requires an inscribed mesh whose
     faces are all non-triangular.
     """
-    tol = _real(tol, "tol")
     if P.radius is None:
         raise ValueError("pyramid augmentation requires an inscribed mesh")
     he = P._half_edges
@@ -119,13 +111,13 @@ def gemmate(P: Mesh, tol: float = DEFAULT_TOL) -> Mesh:
     if triangles.size:
         raise TriangularFacePresent(f"face {triangles[0]} is a triangle")
     normals, offsets = _face_planes(P)
-    _off_center(offsets, tol, P.radius)
+    _off_center(offsets, P.radius)
     apexes = normals * P.radius + 0.0  # + 0.0: export_obj would write -0.0 as -0
 
     verts = np.vstack([P.vertices, apexes])
     flat = np.column_stack([he.tail, he.head, len(P.vertices) + he.face]).ravel()
     faces = _Cycles(flat, np.full(len(he.tail), 3))
-    return build_mesh(verts, faces, radius=P.radius, tol=tol)
+    return build_mesh(verts, faces, radius=P.radius)
 
 
 def truncate_dome(
@@ -134,7 +126,6 @@ def truncate_dome(
     *,
     axis: Sequence[float] = (0.0, 0.0, 1.0),
     strict: bool = False,
-    tol: float = DEFAULT_TOL,
 ) -> Mesh:
     """Keep the faces of an inscribed sphere above a horizontal cut.
 
@@ -143,9 +134,8 @@ def truncate_dome(
     sphere.  A face is kept when its centroid is at or above the cut; no
     vertex is moved or clipped, so the result is an open shell whose boundary
     shows up in Mesh.boundary_edges.  With strict=True a kept face dipping
-    below the cut by more than the tolerance is an error.
+    below the cut by more than DEFAULT_TOL * R is an error.
     """
-    tol = _real(tol, "tol")
     if P.radius is None:
         raise ValueError("dome truncation requires an inscribed mesh")
     _real(height_fraction, "height_fraction", hi=1.0)
@@ -164,7 +154,7 @@ def truncate_dome(
 
     if strict:
         low = np.minimum.reduceat(heights[he.tail], he.start)[kept]
-        sag = np.flatnonzero(low < z_cut - tol * P.radius)
+        sag = np.flatnonzero(low < z_cut - DEFAULT_TOL * P.radius)
         if sag.size:
             face = tuple(he.tail[he.face == kept[sag[0]]].tolist())
             raise StrictCutViolation(
@@ -173,4 +163,4 @@ def truncate_dome(
 
     used, local = np.unique(he.tail[keep[he.face]], return_inverse=True)
     faces = _Cycles(local, he.size[kept])
-    return build_mesh(P.vertices[used], faces, radius=P.radius, closed=False, tol=tol)
+    return build_mesh(P.vertices[used], faces, radius=P.radius, closed=False)

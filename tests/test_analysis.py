@@ -27,6 +27,7 @@ from geodome import (
     gemmate,
     is_infinitesimally_rigid,
     mirrored,
+    project_to_sphere,
     rigidity_matrix,
     rotated,
     rotation_to_z,
@@ -36,7 +37,7 @@ from geodome import (
     verify_counts,
     vertex_degree_histogram,
 )
-from geodome.analysis import _certified_full_rank
+from geodome.analysis import _RANK_EPS, _certified_full_rank
 
 
 def test_degree_histograms(sphere_3v, sphere_21):
@@ -182,6 +183,28 @@ def test_congruent_under_rotation(sphere_21):
 
 def test_congruent_rejects_scaled(make_sphere, sphere_2v):
     assert not congruent(sphere_2v, make_sphere(2, 0, radius=1.1))
+    # the tolerance is DEFAULT_TOL times the radius: a vertex moved along the
+    # sphere by half of it stays congruent, by twice it does not
+    for radius in (1.0, 1e6):
+        P = make_sphere(2, 0, radius=radius)
+        v = len(P.vertices) - 1  # neither the anchor nor its neighbor
+        tangent = np.cross(P.vertices[v], (1.0, 2.0, 3.0))
+        tangent /= np.linalg.norm(tangent)
+        for shift, same in ((0.5, True), (2.0, False)):
+            verts = P.vertices.copy()
+            verts[v] += shift * DEFAULT_TOL * radius * tangent
+            moved = build_mesh(verts, P.faces, radius=radius)
+            assert congruent(P, moved) is same, (radius, shift)
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1.0, 1e8])
+def test_congruent_scale_without_a_circumsphere(radius):
+    # with no circumsphere the scale is the mean vertex distance, not 1
+    D = dual(project_to_sphere(subdivide(seed("icosahedron", radius), 2, 1)))
+    assert D.radius is None
+    assert congruent(D, D) and _reference_congruent(D, D)
+    scaled = build_mesh(D.vertices * (1.0 + 1e-4), D.faces)
+    assert not congruent(D, scaled) and not _reference_congruent(D, scaled)
 
 
 def test_congruent_rejects_different_meshes(sphere_2v, sphere_21):
@@ -249,7 +272,7 @@ def _reference_frame(a, b, flip):
     return np.column_stack([e1, e2, -e3 if flip else e3])
 
 
-def _reference_congruent(P, Q, allow_reflection=False, tol=DEFAULT_TOL):
+def _reference_congruent(P, Q, allow_reflection=False):
     """One KD-tree query per (rare vertex, neighbor, flip) alignment of Q."""
     from scipy.spatial import cKDTree
 
@@ -257,10 +280,11 @@ def _reference_congruent(P, Q, allow_reflection=False, tol=DEFAULT_TOL):
         return False
     if (P.radius is None) != (Q.radius is None):
         return False
-    eps = tol * (P.radius if P.radius is not None else 1.0)
+    p_verts, q_verts = P.vertices, Q.vertices
+    scale = P.radius if P.radius is not None else np.linalg.norm(p_verts, axis=1).mean()
+    eps = DEFAULT_TOL * scale
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
-    p_verts, q_verts = P.vertices, Q.vertices
     degrees_p, degrees_q = P.degrees(), Q.degrees()
     anchor = _reference_rare_degree_vertices(P)[0]
     nbr = min(_reference_neighbors(P, anchor))
@@ -456,10 +480,12 @@ def test_rigidity_framework_input_validation():
     # a flat id list is not a list of bars
     with pytest.raises(ValueError, match="^framework edge 0 is not a sequence of ids$"):
         is_infinitesimally_rigid((pts, [0, 1]))
-    # joints are numbers: a string is named, not left to numpy's conversion message
+    # joints are numbers: a string, numeric or not, is named, not converted or left
+    # to numpy's conversion message
     for call in (rigidity_matrix, is_infinitesimally_rigid):
-        with pytest.raises(ValueError, match=r"^framework points must be an \(N, 3\) array$"):
-            call(([("a", 0, 0)] + pts[1:], ids))
+        for joints in ([("a", 0, 0)] + pts[1:], [tuple(map(str, p)) for p in pts]):
+            with pytest.raises(ValueError, match=r"^framework points must be an \(N, 3\) array$"):
+                call((joints, ids))
     # joints are finite: no NaN matrix, no failed SVD
     for bad in (math.nan, math.inf, -math.inf):
         joints = pts[:3] + [(0, 0, bad)]
@@ -468,13 +494,10 @@ def test_rigidity_framework_input_validation():
                 call((joints, ids))
 
 
-DEFAULT_EPS = 1e-10  # the default rank_eps of is_infinitesimally_rigid
-
-
-def _dense_report(P, rank_eps=DEFAULT_EPS):
+def _dense_report(P):
     """The report of the dense SVD alone, which the certificate must reproduce."""
     sv = np.linalg.svd(rigidity_matrix(P), compute_uv=False)
-    rank = int(np.sum(sv > rank_eps * sv[0]))
+    rank = int(np.sum(sv > _RANK_EPS * sv[0]))
     return RigidityReport(len(P.edges), 3 * len(P.vertices), rank, 3 * len(P.vertices) - 6)
 
 
@@ -487,7 +510,7 @@ def _framework(P):
 def test_certified_rigidity_equals_dense_svd(make_sphere, kind, vertex_up):
     for m, n in [(m, s - m) for s in range(1, 5) for m in range(s + 1)]:
         P = seed(kind, vertex_up=vertex_up) if (m, n) == (1, 0) else make_sphere(m, n, kind, vertex_up=vertex_up)
-        assert _certified_full_rank(*_framework(P), DEFAULT_EPS), (m, n)
+        assert _certified_full_rank(*_framework(P)), (m, n)
         report = is_infinitesimally_rigid(P)
         assert report == _dense_report(P) and report.rigid, (m, n)
 
@@ -495,7 +518,7 @@ def test_certified_rigidity_equals_dense_svd(make_sphere, kind, vertex_up):
 def test_certified_rigidity_of_gemmated_solids():
     for kind in ("dodecahedron", "truncated_icosahedron"):
         P = gemmate(seed(kind))
-        assert _certified_full_rank(*_framework(P), DEFAULT_EPS)
+        assert _certified_full_rank(*_framework(P))
         report = is_infinitesimally_rigid(P)
         assert report == _dense_report(P) and report.rigid
 
@@ -503,12 +526,5 @@ def test_certified_rigidity_of_gemmated_solids():
 def test_flat_framework_falls_back_to_dense_rank():
     flat = subdivide(seed("icosahedron"), 3, 0)
     P = build_mesh(flat.points, flat.small_faces)
-    assert not _certified_full_rank(*_framework(P), DEFAULT_EPS)
+    assert not _certified_full_rank(*_framework(P))
     assert is_infinitesimally_rigid(P) == _dense_report(P) == RigidityReport(270, 276, 250, 270)
-
-
-def test_raised_rank_eps_is_never_proven_weaker(sphere_2v):
-    coarse = 0.3
-    assert not _certified_full_rank(*_framework(sphere_2v), coarse)
-    report = is_infinitesimally_rigid(sphere_2v, rank_eps=coarse)
-    assert report == _dense_report(sphere_2v, coarse) and report.rank < 120

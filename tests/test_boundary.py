@@ -125,27 +125,29 @@ def test_every_number_and_flag_is_checked_at_the_boundary(tmp_path):
                 message = str(caught.value)
                 assert re.search(rf"\b{param.name}\b", message), (name, param.name, bad, message)
                 checked += 1
-    # 5 flags, 27 numbers that refuse None and 2 that accept it
-    assert checked == 5 * len(BAD_FLAGS) + 27 * (len(BAD_NUMBERS) + 1) + 2 * len(BAD_NUMBERS)
+    # 5 flags, 18 numbers that refuse None and 2 that accept it
+    assert checked == 5 * len(BAD_FLAGS) + 18 * (len(BAD_NUMBERS) + 1) + 2 * len(BAD_NUMBERS)
+
+
+CLASSIFIERS = {
+    "edge_class_labels", "edge_length_classes", "face_metrics", "strut_schedule",
+    "export_schedule", "analysis_rows", "export_analysis_csv",
+}
 
 
 def test_one_tolerance_type():
-    # every tolerance is a float relative to the radius, with one default; the
-    # rank tolerance of the rigidity test is the only other one
-    tols, rank_eps = [], []
+    # the classification tolerance is the only one a caller sets: a float
+    # relative to the radius with one default; geometry checks and the rank
+    # test use fixed constants
+    tols = set()
     for name in _entry_points():
         for param in inspect.signature(getattr(geodome, name)).parameters.values():
             if param.name == "tol":
-                tols.append(name)
+                tols.add(name)
                 assert (param.annotation, param.default) == ("float", geodome.DEFAULT_TOL), name
-            elif param.name == "rank_eps":
-                rank_eps.append(name)
-                assert (param.annotation, param.default) == ("float", 1e-10), name
             else:
                 assert not re.search("tol|eps", param.name), (name, param.name)
-    assert geodome.DEFAULT_TOL == 1e-9
-    assert len(tols) == 15
-    assert rank_eps == ["is_infinitesimally_rigid"]
+    assert tols == CLASSIFIERS
 
 
 def test_no_assert_statements_in_the_package():

@@ -19,6 +19,7 @@ from geodome import (
     DEFAULT_TOL,
     ParseError,
     analysis_rows,
+    build_mesh,
     dual,
     export_analysis_csv,
     export_obj,
@@ -82,16 +83,31 @@ def test_outputs_carry_no_negative_zero(tmp_path):
         assert "-0" not in (tmp_path / "z.obj").read_text().split(), i
 
 
+def _spread_tetrahedron(radius, spread):
+    """A tetrahedron of the given radius with one vertex pushed out by spread * radius."""
+    t = seed("tetrahedron")
+    verts = t.vertices * radius
+    verts[0] *= 1.0 + spread
+    return build_mesh(verts, t.faces)
+
+
 def test_obj_import_detects_radius(sphere_21, tmp_path):
     path = tmp_path / "s.obj"
     export_obj(sphere_21, path)
     assert import_obj(path).radius == pytest.approx(1.0, abs=1e-12)
+    # vertex distances that spread by less than DEFAULT_TOL of their mean give a radius
+    for radius in (1.0, 1e6):
+        export_obj(_spread_tetrahedron(radius, 0.5 * DEFAULT_TOL), path)
+        assert import_obj(path).radius == pytest.approx(radius, rel=DEFAULT_TOL)
 
 
 def test_obj_import_leaves_radius_unset_for_non_spheres(tmp_path):
     path = tmp_path / "t.obj"
     path.write_text(STRETCHED_TETRA_OBJ)
     assert import_obj(path).radius is None
+    for radius in (1.0, 1e6):
+        export_obj(_spread_tetrahedron(radius, 2.0 * DEFAULT_TOL), path)
+        assert import_obj(path).radius is None
 
 
 def test_obj_import_open_requires_flag(sphere_21, tmp_path):

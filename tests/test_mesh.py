@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
 
 import numpy as np
@@ -18,22 +17,26 @@ from geodome import (
     Mesh,
     NonManifoldEdge,
     UnsupportedSeed,
+    analysis_rows,
     build_mesh,
     congruent,
     dual,
+    edge_class_labels,
+    edge_length_classes,
+    export_analysis_csv,
     export_obj,
+    export_schedule,
+    face_metrics,
     gemmate,
     import_obj,
-    is_infinitesimally_rigid,
     mirrored,
-    project_to_sphere,
     rotated,
     rotation_to_z,
     seed,
-    stepping_projection,
-    subdivide,
+    strut_schedule,
     truncate_dome,
 )
+from geodome.analysis import _RANK_EPS
 
 SEED_COUNTS = {
     "tetrahedron": (4, 6, 4),
@@ -159,6 +162,15 @@ def test_inscribed_radius_enforced():
     verts[0] *= 1.001
     with pytest.raises(ValueError):
         build_mesh(verts, t.faces, radius=1.0)
+    # the check reads DEFAULT_TOL, relative to the radius
+    for radius in (1.0, 1e6):
+        verts = t.vertices * radius
+        verts[0] *= 1.0 + 0.5 * DEFAULT_TOL
+        assert build_mesh(verts, t.faces, radius=radius).radius == radius
+        verts = t.vertices * radius
+        verts[0] *= 1.0 + 2.0 * DEFAULT_TOL
+        with pytest.raises(ValueError, match="stray"):
+            build_mesh(verts, t.faces, radius=radius)
 
 
 def test_build_mesh_rejects_bad_radius():
@@ -201,7 +213,10 @@ def test_build_mesh_refuses_non_integer_face_ids(face, shown):
 
 def test_build_mesh_refuses_non_numeric_vertices():
     t = seed("tetrahedron")
-    for bad in ([["a", 0, 0]] + t.vertices[1:].tolist(), [[0, 0, 1], [0, 1]], [], "abc"):
+    numeric_strings = [[str(c) for c in p] for p in t.vertices.tolist()]
+    flags = [[c > 0 for c in p] for p in t.vertices.tolist()]
+    for bad in ([["a", 0, 0]] + t.vertices[1:].tolist(), [[0, 0, 1], [0, 1]], [], "abc",
+                numeric_strings, np.array(numeric_strings), flags):
         with pytest.raises(ValueError, match="^vertices must be a non-empty sequence of 3D points$"):
             build_mesh(bad, t.faces)
 
@@ -286,28 +301,28 @@ def test_package_exports_every_module_export():
 
 
 @pytest.mark.parametrize(
-    "call,name",
+    "call",
     [
-        (lambda P, tol: build_mesh(P.vertices, P.faces, tol=tol), "tol"),
-        (lambda P, tol: project_to_sphere(subdivide(P, 2, 0), tol), "tol"),
-        (lambda P, tol: stepping_projection(P, 1, tol), "tol"),
-        (lambda P, tol: dual(P, tol=tol), "tol"),
-        (lambda P, tol: gemmate(dual(P), tol), "tol"),
-        (lambda P, tol: truncate_dome(P, 0.5, tol=tol), "tol"),
-        (lambda P, tol: congruent(P, P, tol=tol), "tol"),
-        (lambda P, tol: is_infinitesimally_rigid(P, tol), "rank_eps"),
-        (lambda P, tol: import_obj("never-read.obj", tol=tol), "tol"),
+        lambda P, tol, out: edge_class_labels(P, tol),
+        lambda P, tol, out: edge_length_classes(P, tol),
+        lambda P, tol, out: face_metrics(P, tol),
+        lambda P, tol, out: strut_schedule(P, tol),
+        lambda P, tol, out: export_schedule(P, out, tol),
+        lambda P, tol, out: analysis_rows(P, tol),
+        lambda P, tol, out: export_analysis_csv(P, out, tol),
     ],
     ids=[
-        "build_mesh", "project_to_sphere", "stepping_projection", "dual", "gemmate",
-        "truncate_dome", "congruent", "is_infinitesimally_rigid", "import_obj",
+        "edge_class_labels", "edge_length_classes", "face_metrics", "strut_schedule",
+        "export_schedule", "analysis_rows", "export_analysis_csv",
     ],
 )
-def test_every_tolerance_is_a_checked_float(call, name, icosa):
-    with pytest.raises(TypeError, match=f"^{name} must be a number, got str$"):
-        call(icosa, "1e-9")
-    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got 0.0$"):
-        call(icosa, 0.0)
+def test_every_tolerance_is_a_checked_float(call, icosa, tmp_path):
+    out = tmp_path / "never-written"
+    with pytest.raises(TypeError, match="^tol must be a number, got str$"):
+        call(icosa, "1e-9", out)
+    with pytest.raises(ValueError, match="^tol must be positive and finite, got 0.0$"):
+        call(icosa, 0.0, out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -317,9 +332,9 @@ def test_every_tolerance_is_a_checked_float(call, name, icosa):
         (lambda P: build_mesh(P.vertices, P.faces, radius="1"), "radius"),
         (lambda P: truncate_dome(P, "0.5"), "height_fraction"),
         (lambda P: dual(P, sphere_radius="1"), "sphere_radius"),
-        (lambda P: dual(P, tol="1"), "tol"),
+        (lambda P: edge_length_classes(P, tol="1"), "tol"),
     ],
-    ids=["seed", "build_mesh", "truncate_dome", "dual", "dual-tol"],
+    ids=["seed", "build_mesh", "truncate_dome", "dual", "edge_length_classes-tol"],
 )
 def test_number_parameters_name_a_wrong_type(call, name, icosa):
     with pytest.raises(TypeError, match=f"^{name} must be a number, got str$"):
@@ -328,18 +343,13 @@ def test_number_parameters_name_a_wrong_type(call, name, icosa):
 
 def test_tolerance_validation():
     t = seed("tetrahedron")
-    with pytest.raises(ValueError):
-        build_mesh(t.vertices, t.faces, tol=0.0)
-    with pytest.raises(ValueError):
-        is_infinitesimally_rigid(t, rank_eps=-1e-9)
     # nan compares false everywhere: it would silently fail every tolerance test
-    for bad in (math.nan, math.inf, True, np.True_):
+    for bad in (0.0, -1e-9, math.nan, math.inf, True, np.True_):
         with pytest.raises(ValueError, match="^tol must be positive and finite"):
-            build_mesh(t.vertices, t.faces, tol=bad)
-        with pytest.raises(ValueError, match="^rank_eps must be positive and finite"):
-            is_infinitesimally_rigid(t, rank_eps=bad)
+            edge_class_labels(t, tol=bad)
+    # the fixed tolerances of the geometry checks and of the rank test
     assert DEFAULT_TOL == 1e-9
-    assert inspect.signature(is_infinitesimally_rigid).parameters["rank_eps"].default == 1e-10
+    assert _RANK_EPS == 1e-10
 
 
 def test_mirrored_flips_and_revalidates(icosa):
@@ -369,7 +379,8 @@ def test_rotation_to_z_sends_direction_to_pole():
 
 
 def test_rotation_to_z_rejects_bad_direction():
-    for bad in [(0, 0, 0), (math.nan, 0, 1), (math.inf, 0, 0), (1, 2), [(0, 0, 1)], "abc"]:
+    for bad in [(0, 0, 0), (math.nan, 0, 1), (math.inf, 0, 0), (1, 2), [(0, 0, 1)], "abc",
+                ["0", "0", "1"], (False, False, True)]:
         with pytest.raises(ValueError, match="direction must be a finite non-zero 3-vector"):
             rotation_to_z(bad)
 
@@ -379,7 +390,7 @@ def test_rotated_rejects_non_rotation(icosa):
     tilted = R.copy()
     tilted[0, 0] += 1e-6
     for bad in (2.0 * np.eye(3), np.diag([-1.0, 1.0, 1.0]), np.eye(2), np.full((3, 3), np.nan),
-                np.eye(4), tilted, -R, "abc"):
+                np.eye(4), tilted, -R, "abc", np.eye(3).astype(str), np.eye(3, dtype=bool)):
         with pytest.raises(ValueError, match="finite 3x3 proper rotation"):
             rotated(icosa, bad)
     assert congruent(icosa, rotated(icosa, R.tolist()))
