@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometry, NonTriangularFace, NotClassI
-from .mesh import DEFAULT_TOL, Mesh, _flag, _flatten, _floats, _norms, _real, _rowdot
+from .mesh import DEFAULT_TOL, Mesh, _flag, _flatten, _floats, _norms, _real, _rowdot, _scale
 from .tessellation import TessellationSpec
 
 __all__ = [
@@ -54,9 +54,9 @@ def vertex_degree_histogram(P: Mesh) -> dict[int, int]:
 class EdgeClassTable:
     """Strut length classes as (chord factor, count) rows, shortest first.
 
-    Chord factors are edge lengths divided by the circumsphere radius.
-    Consecutive rows differ by more than the classification tolerance, and
-    the counts sum to the edge total.
+    Chord factors are edge lengths over the circumsphere radius, else the
+    mean vertex distance.  Consecutive rows differ by more than the
+    classification tolerance, and the counts sum to the edge total.
     """
 
     entries: tuple[tuple[float, int], ...]
@@ -72,11 +72,10 @@ def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable
 
     Single-linkage clustering on the sorted lengths: a gap larger than tol
     starts a new class, so members of one class form a chain of sub-tol gaps.
+    Chord factors are as in EdgeClassTable, so a mesh needs no circumsphere.
     """
-    if P.radius is None:
-        raise ValueError("chord factors require an inscribed mesh")
     tol = _real(tol, "tol")
-    factors = P.edge_lengths() / P.radius
+    factors = P.edge_lengths() / _scale(P)
     order = np.argsort(factors, kind="stable")
     ranked = factors[order]
     gaps = np.diff(ranked) > tol
@@ -90,7 +89,7 @@ def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable
 
 
 def edge_length_classes(P: Mesh, tol: float = DEFAULT_TOL) -> EdgeClassTable:
-    """Strut length classes of an inscribed mesh (see edge_class_labels)."""
+    """Strut length classes of a mesh (see edge_class_labels)."""
     table, _ = edge_class_labels(P, tol)
     return table
 
@@ -105,14 +104,13 @@ def _triangles(P: Mesh) -> np.ndarray:
 
 
 def circumcenter_deviation(P: Mesh) -> float:
-    """Largest distance, relative to the radius, between each face's
-    circumcenter and the foot of the perpendicular from the center.
+    """Largest distance between each face's circumcenter and the foot of the
+    perpendicular from the center, relative to the circumsphere radius or,
+    with no circumsphere, to the mean vertex distance.
 
     For a triangle inscribed in the sphere the two coincide; the deviation
     measures construction error.
     """
-    if P.radius is None:
-        raise ValueError("deviation is measured relative to the circumsphere radius")
     A, B, C = np.moveaxis(P.vertices[_triangles(P)], 1, 0)
     u, v = B - A, C - A
     uu, vv, uv = _rowdot(u, u), _rowdot(v, v), _rowdot(u, v)
@@ -123,7 +121,7 @@ def circumcenter_deviation(P: Mesh) -> float:
     n = np.cross(u, v)
     n /= _norms(n)[:, None]
     foot = (_rowdot(A + B + C, n) / 3.0)[:, None] * n
-    return float(_norms(foot - circumcenter).max()) / P.radius
+    return float(_norms(foot - circumcenter).max()) / _scale(P)
 
 
 def angle_dms(radians: float) -> tuple[int, int, float]:
@@ -153,17 +151,14 @@ class FaceMetric:
 
 def _face_shapes(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
     """Per triangular face: how many corners sit between two legs equal
-    within tol (0 scalene, 3 equilateral, else isosceles), and the leg/base
-    ratio, apex cosine and apex vertex read at the first such corner."""
+    within tol x scale (0 scalene, 3 equilateral, else isosceles), and the
+    leg/base ratio, apex cosine and apex vertex read at the first such corner."""
     tol = _real(tol, "tol")
     tri = _triangles(P)
-    scale = P.radius
-    if scale is None:
-        scale = float(P.edge_lengths().mean())
     pts = P.vertices[tri]
     # lens[:, i] is the edge opposite corner i; same[:, i] compares the two edges at corner i
     lens = np.column_stack([_norms(pts[:, (i + 1) % 3] - pts[:, (i + 2) % 3]) for i in range(3)])
-    same = np.abs(lens[:, [1, 2, 0]] - lens[:, [2, 0, 1]]) <= tol * scale
+    same = np.abs(lens[:, [1, 2, 0]] - lens[:, [2, 0, 1]]) <= tol * _scale(P)
     # an isosceles face is read from its apex: the first corner between two equal legs
     apex = np.argmax(same, axis=1)
     rows = np.arange(len(tri))
@@ -239,16 +234,15 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
     """Whether an isometry carries the vertex set of P onto that of Q.
 
     Only rotations about the origin are searched unless allow_reflection is
-    set.  Distances are compared with eps = DEFAULT_TOL times P's radius, or
-    times the mean distance of P's vertices from the origin when P has no
-    circumsphere.  Candidate alignments map a vertex of the rarest degree and
-    its lowest-numbered neighbor onto an edge of Q with the same end degrees,
-    as an isometry between the meshes must.  One KD-tree query moves up to 12
-    of P's rarest-degree vertices under every candidate and drops a candidate
-    that leaves one farther than eps from Q.  Each survivor in turn gets the
-    full test: every vertex within eps of a distinct vertex.  The first
-    candidate in (anchor, neighbor) order, the identity on a copy of P, is
-    tried alone before the rest.
+    set.  Distances are compared with eps = DEFAULT_TOL times P's circumsphere
+    radius, else its mean vertex distance.  Candidate alignments map a vertex
+    of the rarest degree and its lowest-numbered neighbor onto an edge of Q
+    with the same end degrees, as an isometry between the meshes must.  One
+    KD-tree query moves up to 12 of P's rarest-degree vertices under every
+    candidate and drops a candidate that leaves one farther than eps from Q.
+    Each survivor in turn gets the full test: every vertex within eps of a
+    distinct vertex.  The first candidate in (anchor, neighbor) order, the
+    identity on a copy of P, is tried alone before the rest.
     """
     allow_reflection = _flag(allow_reflection, "allow_reflection")
     if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
@@ -256,8 +250,7 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
     if (P.radius is None) != (Q.radius is None):
         return False
     p_verts, q_verts = P.vertices, Q.vertices
-    scale = P.radius if P.radius is not None else np.linalg.norm(p_verts, axis=1).mean()
-    eps = DEFAULT_TOL * float(scale)
+    eps = DEFAULT_TOL * _scale(P)
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
 

@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gem.add_argument("-o", "--output", required=True)
     gem.set_defaults(func=_cmd_gemmate)
 
-    tru = commands.add_parser("truncate", help="cut a dome off an inscribed sphere")
+    tru = commands.add_parser("truncate", help="cut a dome off a sphere")
     _add_input(tru)
     tru.add_argument("--fraction", type=float, required=True, help="kept height fraction in (0, 1]")
     tru.add_argument("--strict", action="store_true", help="error if a kept face dips below the cut")

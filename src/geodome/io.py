@@ -18,7 +18,8 @@ import numpy as np
 from .analysis import _face_shapes, circumcenter_deviation, edge_class_labels
 from .analysis import vertex_degree_histogram
 from .errors import ParseError
-from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, build_mesh
+from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _scale
+from .mesh import build_mesh
 
 __all__ = [
     "StrutSchedule",
@@ -114,8 +115,9 @@ class StrutSchedule:
     """Build sheet for a strut-and-node structure.
 
     Nodes are the mesh vertices; struts are the edges with their chord
-    factor (length over circumsphere radius) and length-class label, and
-    classes summarizes each label as (chord factor, count).
+    factor (length over radius) and length-class label, and classes
+    summarizes each label as (chord factor, count).  radius is the
+    circumsphere radius, else the mean vertex distance from the origin.
     """
 
     radius: float
@@ -125,17 +127,20 @@ class StrutSchedule:
 
 
 def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL) -> StrutSchedule:
-    """Schedule of an inscribed mesh: every edge priced by its length class."""
-    if P.radius is None:
-        raise ValueError("a strut schedule requires an inscribed mesh")
+    """Schedule of a mesh: every edge priced by its length class.
+
+    A dome cut from a mesh with no circumsphere scales by its own vertices,
+    so its chord factors differ from the full mesh's (by 1e-5 to 3e-5 for
+    icosahedral (5, 3) half domes, 4e-3 for octahedral (2, 1)); radius x
+    chord factor is still each strut's length.
+    """
     table, labels = edge_class_labels(P, tol)
     nodes = tuple(zip(range(len(P.vertices)), *P.vertices.T.tolist()))
     a, b = P._half_edges.edges.T
-    chords = _norms(P.vertices[a] - P.vertices[b]) / P.radius
+    scale = _scale(P)
+    chords = _norms(P.vertices[a] - P.vertices[b]) / scale
     struts = tuple(zip(range(len(a)), a.tolist(), b.tolist(), chords.tolist(), labels))
-    return StrutSchedule(
-        radius=P.radius, nodes=nodes, struts=struts, classes=table.entries
-    )
+    return StrutSchedule(radius=scale, nodes=nodes, struts=struts, classes=table.entries)
 
 
 # One row of each schedule list as json.dumps(indent=2) lays it out; %r is
@@ -171,7 +176,8 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None
 
 
 def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]:
-    """Quantity/value pairs summarizing a mesh, in a fixed order."""
+    """Quantity/value pairs summarizing a mesh, in a fixed order; the radius
+    row is the length every chord factor divides by."""
     tol = _real(tol, "tol")
     he = P._half_edges
     v, s, f = P.counts
@@ -182,19 +188,17 @@ def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]
         ("euler_characteristic", v - s + f),
         ("closed", P.closed),
         ("boundary_edges", int(np.count_nonzero(he.uses == 1))),
-        ("radius", P.radius if P.radius is not None else ""),
+        ("radius", _scale(P)),
     ]
     for degree, count in vertex_degree_histogram(P).items():
         rows.append((f"degree_{degree}_vertices", count))
-    if P.radius is not None:
-        table, _ = edge_class_labels(P, tol)
-        rows.append(("edge_classes", table.class_count))
-        for i, (chord, count) in enumerate(table.entries):
-            rows.append((f"class_{i}_chord_factor", chord))
-            rows.append((f"class_{i}_count", count))
+    table, _ = edge_class_labels(P, tol)
+    rows.append(("edge_classes", table.class_count))
+    for i, (chord, count) in enumerate(table.entries):
+        rows.append((f"class_{i}_chord_factor", chord))
+        rows.append((f"class_{i}_count", count))
     if (he.size == 3).all():
-        if P.radius is not None:
-            rows.append(("circumcenter_deviation", circumcenter_deviation(P)))
+        rows.append(("circumcenter_deviation", circumcenter_deviation(P)))
         # faces by how many corners sit between equal legs: 3, 1 or 2, and 0
         n_same = np.bincount(_face_shapes(P, tol)[0], minlength=4).tolist()
         rows.append(("equilateral_faces", n_same[3]))

@@ -1,9 +1,9 @@
 """Indexed polygon meshes, validation, and the five canonical seed polyhedra.
 
 Meshes are immutable: vertices as a read-only float array, faces as index
-cycles wound counter-clockwise viewed from outside.  Everything produced by
-this package is referenced to a circumsphere centered at the origin, and
-tolerances are expressed relative to its radius.
+cycles wound counter-clockwise viewed from outside.  Every mesh has a scale,
+its circumsphere radius or else its mean vertex distance from the origin, and
+chord factors, tolerances and cut heights are relative to it.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _is_int(k: object) -> bool:
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
-# Geometry tolerance, relative to the circumsphere radius; also the default tol.
+# Geometry tolerance, relative to the mesh's scale; also the default tol.
 DEFAULT_TOL = 1e-9
 
 
@@ -252,6 +252,11 @@ class Mesh:
     def edge_lengths(self) -> np.ndarray:
         idx = self._half_edges.edges
         return np.linalg.norm(self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]], axis=1)
+
+
+def _scale(P: Mesh) -> float:
+    """P's circumsphere radius, else the mean distance of its vertices from the origin."""
+    return P.radius if P.radius is not None else float(np.linalg.norm(P.vertices, axis=1).mean())
 
 
 def build_mesh(

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedSeed,
     VertexAtCenter,
 )
-from .mesh import DEFAULT_TOL, Mesh, _Cycles, _is_int, _norms, build_mesh, seed
+from .mesh import DEFAULT_TOL, Mesh, _Cycles, _is_int, _norms, _scale, build_mesh, seed
 
 __all__ = [
     "TessellationSpec",
@@ -163,17 +163,16 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
 
 
 def project_to_sphere(t: FlatTessellation) -> Mesh:
-    """Push every tessellation point radially onto the seed circumsphere."""
-    base = t.base
-    if base.radius is None:
-        raise ValueError("projection requires an inscribed seed (radius present)")
+    """Push every tessellation point radially onto the seed circumsphere, or,
+    for a seed with none, onto the sphere at its mean vertex distance."""
+    radius = _scale(t.base)
     norms = np.linalg.norm(t.points, axis=1)
-    if float(norms.min()) <= DEFAULT_TOL * base.radius:
+    if float(norms.min()) <= DEFAULT_TOL * radius:
         raise VertexAtCenter("a tessellation point coincides with the projection center")
     # + 0.0: export_obj would write -0.0 as -0
-    projected = t.points * (base.radius / norms)[:, None] + 0.0
+    projected = t.points * (radius / norms)[:, None] + 0.0
     faces = _Cycles(t.small_faces.reshape(-1), np.full(len(t.small_faces), 3))
-    return build_mesh(projected, faces, radius=base.radius)
+    return build_mesh(projected, faces, radius=radius)
 
 
 def stepping_projection(P: Mesh, levels: int) -> Mesh:

@@ -14,7 +14,7 @@ from .errors import (
     TriangularFacePresent,
 )
 from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _ring_sort
-from .mesh import _rowdot, _unit, build_mesh
+from .mesh import _rowdot, _scale, _unit, build_mesh
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
 
@@ -43,7 +43,7 @@ def _polarity_radius(P: Mesh, offsets: np.ndarray) -> float:
     uses their geometric mean, which maps each such mesh to a dual inscribed
     in the same circumsphere.
     """
-    _off_center(offsets, float(np.linalg.norm(P.vertices, axis=1).mean()))
+    _off_center(offsets, _scale(P))
     tangent = _common_radius(offsets)
     if P.radius is not None and tangent is not None:
         return math.sqrt(P.radius * tangent)
@@ -97,22 +97,21 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
 
 
 def gemmate(P: Mesh) -> Mesh:
-    """Erect a right pyramid on every face, apex on the circumsphere.
+    """Erect a right pyramid on every face, apex at the mesh's scale from the center.
 
-    Each apex is the central projection of the face's perpendicular foot, so
-    the pyramid is right and its slant edges are equal: every output face is
-    an isosceles (or better) triangle.  Requires an inscribed mesh whose
-    faces are all non-triangular.
+    Each apex is the central projection of the face's perpendicular foot
+    onto the circumsphere, else onto the sphere at the mean vertex distance,
+    so the pyramid is right and its slant edges are equal: every output face
+    is an isosceles (or better) triangle.  Every face must be non-triangular.
     """
-    if P.radius is None:
-        raise ValueError("pyramid augmentation requires an inscribed mesh")
     he = P._half_edges
     triangles = np.flatnonzero(he.size == 3)
     if triangles.size:
         raise TriangularFacePresent(f"face {triangles[0]} is a triangle")
     normals, offsets = _face_planes(P)
-    _off_center(offsets, P.radius)
-    apexes = normals * P.radius + 0.0  # + 0.0: export_obj would write -0.0 as -0
+    scale = _scale(P)
+    _off_center(offsets, scale)
+    apexes = normals * scale + 0.0  # + 0.0: export_obj would write -0.0 as -0
 
     verts = np.vstack([P.vertices, apexes])
     flat = np.column_stack([he.tail, he.head, len(P.vertices) + he.face]).ravel()
@@ -127,21 +126,21 @@ def truncate_dome(
     axis: Sequence[float] = (0.0, 0.0, 1.0),
     strict: bool = False,
 ) -> Mesh:
-    """Keep the faces of an inscribed sphere above a horizontal cut.
+    """Keep the faces of a sphere above a horizontal cut.
 
     The cut height for a fraction h is z = R * (1 - 2h), measured along the
-    axis from the origin: h = 0.5 keeps the upper hemisphere, h = 1 the whole
+    axis from the origin, with R the circumsphere radius or else the mean
+    vertex distance: h = 0.5 keeps the upper hemisphere, h = 1 the whole
     sphere.  A face is kept when its centroid is at or above the cut; no
     vertex is moved or clipped, so the result is an open shell whose boundary
     shows up in Mesh.boundary_edges.  With strict=True a kept face dipping
     below the cut by more than DEFAULT_TOL * R is an error.
     """
-    if P.radius is None:
-        raise ValueError("dome truncation requires an inscribed mesh")
     _real(height_fraction, "height_fraction", hi=1.0)
     a = _unit(axis, "axis")
     strict = _flag(strict, "strict")
-    z_cut = P.radius * (1.0 - 2.0 * height_fraction)
+    R = _scale(P)
+    z_cut = R * (1.0 - 2.0 * height_fraction)
 
     he = P._half_edges
     heights = P.vertices @ a
@@ -154,7 +153,7 @@ def truncate_dome(
 
     if strict:
         low = np.minimum.reduceat(heights[he.tail], he.start)[kept]
-        sag = np.flatnonzero(low < z_cut - DEFAULT_TOL * P.radius)
+        sag = np.flatnonzero(low < z_cut - DEFAULT_TOL * R)
         if sag.size:
             face = tuple(he.tail[he.face == kept[sag[0]]].tolist())
             raise StrictCutViolation(

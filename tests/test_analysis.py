@@ -14,6 +14,7 @@ from geodome import (
     NotClassI,
     RigidityReport,
     TessellationSpec,
+    analysis_rows,
     angle_dms,
     build_mesh,
     circumcenter_deviation,
@@ -32,6 +33,7 @@ from geodome import (
     rotated,
     rotation_to_z,
     seed,
+    strut_schedule,
     subdivide,
     truncate_dome,
     verify_counts,
@@ -113,7 +115,7 @@ def test_face_metrics_equilateral_values(icosa):
 def test_face_metrics_rejects_bad_tolerance(sphere_2v):
     t = seed("tetrahedron")
     verts = t.vertices.copy()
-    verts[0] *= 2.0  # not inscribed: the scale is the mean edge length
+    verts[0] *= 2.0  # not inscribed: the scale is the mean vertex distance
     for P in (sphere_2v, build_mesh(verts, t.faces)):
         for bad in (math.nan, 0.0, -1e-9, math.inf, True, np.True_):
             with pytest.raises(ValueError, match="tol must be positive"):
@@ -200,11 +202,32 @@ def test_congruent_rejects_scaled(make_sphere, sphere_2v):
 @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e8])
 def test_congruent_scale_without_a_circumsphere(radius):
     # with no circumsphere the scale is the mean vertex distance, not 1
-    D = dual(project_to_sphere(subdivide(seed("icosahedron", radius), 2, 1)))
+    def goldberg(r):
+        return dual(project_to_sphere(subdivide(seed("icosahedron", r), 2, 1)))
+
+    D, unit = goldberg(radius), goldberg(1.0)
     assert D.radius is None
     assert congruent(D, D) and _reference_congruent(D, D)
     scaled = build_mesh(D.vertices * (1.0 + 1e-4), D.faces)
     assert not congruent(D, scaled) and not _reference_congruent(D, scaled)
+    # every scale-relative result reads the same at every radius
+    table, unit_table = edge_length_classes(D), edge_length_classes(unit)
+    assert [c for _, c in table.entries] == [c for _, c in unit_table.entries]
+    for (chord, _), (unit_chord, _) in zip(table.entries, unit_table.entries):
+        assert chord == pytest.approx(unit_chord, rel=1e-12, abs=0.0)
+    rows, unit_rows = analysis_rows(D), analysis_rows(unit)
+    assert [name for name, _ in rows] == [name for name, _ in unit_rows]
+    integers = [(n, v) for n, v in rows if isinstance(v, int)]
+    assert integers == [(n, v) for n, v in unit_rows if isinstance(v, int)]
+    assert len(integers) > 10
+    # not 0.5: there face centroids lie on the cut plane and rounding, which
+    # differs with the radius, keeps or drops them (inscribed spheres too)
+    assert truncate_dome(D, 0.4).counts[2] == truncate_dome(unit, 0.4).counts[2] == 28
+    chords = [s[3] for s in strut_schedule(D).struts]
+    np.testing.assert_allclose(chords, [s[3] for s in strut_schedule(unit).struts], rtol=1e-12)
+    scale = np.linalg.norm(D.vertices, axis=1).mean()
+    apexes = np.linalg.norm(gemmate(D).vertices[len(D.vertices):], axis=1) / scale
+    np.testing.assert_allclose(apexes, 1.0, rtol=1e-12)
 
 
 def test_congruent_rejects_different_meshes(sphere_2v, sphere_21):

@@ -33,10 +33,15 @@ BAD_NUMBERS = ("1", math.nan, math.inf, True, np.True_)
 BAD_FLAGS = ("no", 1, None)
 
 
-def _valid_calls(tmp: Path) -> dict[str, tuple[tuple, dict]]:
-    """One call per public callable, (args, kwargs), that must succeed."""
-    P = geodome.seed("icosahedron")
-    obj = tmp / "icosahedron.obj"
+def _valid_calls(
+    tmp: Path, P: geodome.Mesh | None = None, polyhedron: geodome.Mesh | None = None
+) -> dict[str, tuple[tuple, dict]]:
+    """One call per public callable, (args, kwargs), that must succeed: on P,
+    a triangular mesh (the icosahedron by default), and for gemmate on
+    polyhedron, one without triangles (the dodecahedron by default)."""
+    P = geodome.seed("icosahedron") if P is None else P
+    polyhedron = geodome.seed("dodecahedron") if polyhedron is None else polyhedron
+    obj = tmp / "mesh.obj"
     geodome.export_obj(P, obj)
     return {
         "verify_counts": ((P, geodome.TessellationSpec(1, 0)), {}),
@@ -70,7 +75,7 @@ def _valid_calls(tmp: Path) -> dict[str, tuple[tuple, dict]]:
         "great_circles": ((P,), {}),
         "schwarz_tiling": (("icosahedron",), {}),
         "dual": ((P,), {}),
-        "gemmate": ((geodome.seed("dodecahedron"),), {}),
+        "gemmate": ((polyhedron,), {}),
         "truncate_dome": ((P, 0.5), {}),
     }
 
@@ -127,6 +132,24 @@ def test_every_number_and_flag_is_checked_at_the_boundary(tmp_path):
                 checked += 1
     # 5 flags, 18 numbers that refuse None and 2 that accept it
     assert checked == 5 * len(BAD_FLAGS) + 18 * (len(BAD_NUMBERS) + 1) + 2 * len(BAD_NUMBERS)
+
+
+# They read counts and degrees, not lengths, and want a tessellated sphere.
+COUNT_ONLY = {"verify_counts", "detect_frequency"}
+
+
+def test_every_call_accepts_a_mesh_without_a_circumsphere(tmp_path):
+    # the mean vertex distance stands in for a missing circumsphere radius,
+    # so no call refuses such a mesh: the pentakis dodecahedron everywhere,
+    # and for gemmate a Goldberg dual (the dual of a T = 7 sphere)
+    pentakis = geodome.dual(geodome.seed("truncated_icosahedron"))
+    sphere = geodome.project_to_sphere(geodome.subdivide(geodome.seed("icosahedron"), 2, 1))
+    goldberg = geodome.dual(sphere)
+    assert pentakis.radius is None and goldberg.radius is None
+    calls = _valid_calls(tmp_path, pentakis, goldberg)
+    for name in sorted(set(calls) - COUNT_ONLY):
+        args, kwargs = calls[name]
+        getattr(geodome, name)(*args, **kwargs)
 
 
 CLASSIFIERS = {

@@ -178,11 +178,16 @@ def test_schedule_counts_and_labels(sphere_21):
     assert by_class == [count for _, count in sched.classes]
 
 
-def test_schedule_requires_radius(tmp_path):
+def test_schedule_without_a_circumsphere_scales_by_mean_vertex_distance(tmp_path):
     path = tmp_path / "t.obj"
     path.write_text(STRETCHED_TETRA_OBJ)
-    with pytest.raises(ValueError):
-        strut_schedule(import_obj(path))
+    P = import_obj(path)
+    assert P.radius is None
+    sched = strut_schedule(P)
+    assert sched.radius == float(np.linalg.norm(P.vertices, axis=1).mean())
+    for _, a, b, chord, _ in sched.struts:
+        length = np.linalg.norm(P.vertices[a] - P.vertices[b])
+        assert chord * sched.radius == pytest.approx(length, rel=1e-12, abs=0.0)
 
 
 def test_schedule_json_stable_and_shaped(sphere_21, tmp_path):
@@ -282,6 +287,19 @@ def test_cli_pipeline_dual_truncate_rigidity(tmp_path, capsys):
     assert main(["dual", "-i", str(sphere), "-o", str(dual_obj)]) == 0
     assert main(["rigidity", "-i", str(sphere)]) == 0
     assert "rigid          True" in capsys.readouterr().out
+    # the dual has no circumsphere; every command scales it by its mean vertex distance
+    assert import_obj(dual_obj).radius is None
+    gemmated, dual_dome = tmp_path / "gg.obj", tmp_path / "gd.obj"
+    assert main(["gemmate", "-i", str(dual_obj), "-o", str(gemmated)]) == 0
+    assert main(["truncate", "-i", str(dual_obj), "--fraction", "0.5",
+                 "-o", str(dual_dome)]) == 0
+    assert main(["analyze", "-i", str(dual_dome), "--open"]) == 0
+    assert main(["export", "-i", str(dual_obj), "--format", "json",
+                 "-o", str(tmp_path / "g.json")]) == 0
+    capsys.readouterr()
+    # dual keeps its polarity rule: the gemmated dual has no canonical sphere
+    assert main(["dual", "-i", str(gemmated), "-o", str(tmp_path / "x.obj")]) == 2
+    assert "no canonical polarity sphere" in capsys.readouterr().err
 
 
 def test_cli_stepping_and_gemmate(tmp_path):

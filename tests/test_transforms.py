@@ -104,9 +104,14 @@ def test_gemmate_rejects_triangles(icosa):
         gemmate(icosa)
 
 
-def test_gemmate_requires_circumsphere(sphere_21):
-    with pytest.raises(ValueError):
-        gemmate(dual(sphere_21))
+def test_gemmate_without_a_circumsphere_puts_apexes_at_mean_vertex_distance(sphere_21):
+    D = dual(sphere_21)
+    assert D.radius is None
+    G = gemmate(D)
+    v, e, f = D.counts
+    assert G.counts == (v + f, 3 * e, 2 * e)
+    apexes = np.linalg.norm(G.vertices[v:], axis=1)
+    np.testing.assert_allclose(apexes, np.linalg.norm(D.vertices, axis=1).mean(), rtol=1e-12)
 
 
 def test_truncate_full_fraction_returns_same(sphere_2v):
