@@ -46,8 +46,9 @@ def verify_counts(P: Mesh, spec: TessellationSpec) -> bool:
 
 def vertex_degree_histogram(P: Mesh) -> dict[int, int]:
     """How many vertices have each edge degree."""
-    degrees, counts = np.unique(P.degrees(), return_counts=True)
-    return dict(zip(degrees.tolist(), counts.tolist()))
+    counts = np.bincount(P.degrees())
+    degrees = np.flatnonzero(counts)
+    return dict(zip(degrees.tolist(), counts[degrees].tolist()))
 
 
 @dataclass(frozen=True)

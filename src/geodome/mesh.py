@@ -153,6 +153,8 @@ class _HalfEdges:
     lexicographic order, and uses[e] counts the half-edges along edge e.
     repeated holds, ascending, one entry per repeat of a directed-edge key
     tail * n_vertices + head (empty when no directed edge is traversed twice).
+    build_mesh adds face_normals (Newell, unnormalized) and face_centroids,
+    the read-only (F, 3) face planes of the validated vertices.
     """
 
     def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int) -> None:
@@ -179,7 +181,18 @@ class _HalfEdges:
         return _Cycles(self.tail[np.where(flip[self.face], back, slot)], self.size)
 
     def face_sum(self, values: np.ndarray) -> np.ndarray:
-        """Per-face sums of per-half-edge values, added corner by corner in cycle order."""
+        """Per-face sums of per-half-edge values, added corner by corner in cycle order.
+
+        When every face has k corners the sum runs over an (F, k, ...) view;
+        it adds the same terms in the same order, so the bits are the same.
+        """
+        k = int(self.size[0])
+        if (self.size == k).all():
+            corners = values.reshape(len(self.size), k, *values.shape[1:])
+            out = corners[:, 0].copy()
+            for j in range(1, k):
+                out += corners[:, j]
+            return out
         out = values[self.start].copy()
         for k in range(1, int(self.size.max())):
             rows = np.flatnonzero(self.size > k)
@@ -205,6 +218,9 @@ class Mesh:
     viewed from outside), edges (sorted index pairs in lexicographic order)
     and boundary_edges (the edges used by exactly one face) are tuple views
     of the table, built on first read; closed is derived from it as well.
+    The table also caches the face planes that validation computed: the
+    read-only arrays _half_edges.face_normals (Newell, unnormalized) and
+    _half_edges.face_centroids, which face_centroids() returns.
     Use :func:`build_mesh` to construct one; the constructor itself performs
     no validation.
     """
@@ -247,7 +263,7 @@ class Mesh:
         return np.bincount(ends, minlength=len(self.vertices))
 
     def face_centroids(self) -> np.ndarray:
-        return self._half_edges.centroids(self.vertices)
+        return self._half_edges.face_centroids
 
     def edge_lengths(self) -> np.ndarray:
         idx = self._half_edges.edges
@@ -320,7 +336,8 @@ def build_mesh(
         key = int(he.repeated[0])
         raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
-    inward = np.flatnonzero(_rowdot(he.normals(verts), he.centroids(verts)) <= 0.0)
+    he.face_normals, he.face_centroids = he.normals(verts), he.centroids(verts)
+    inward = np.flatnonzero(_rowdot(he.face_normals, he.face_centroids) <= 0.0)
     if inward.size:
         raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
 
@@ -332,7 +349,8 @@ def build_mesh(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )
 
-    verts.setflags(write=False)
+    for arr in (verts, he.face_normals, he.face_centroids):
+        arr.setflags(write=False)
     return Mesh(vertices=verts, radius=radius, _half_edges=he)
 
 
@@ -387,8 +405,7 @@ def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
     # one pentagon wraps each icosahedron vertex.
     ico_verts, ico_faces = _unit_icosahedron()
     he = build_mesh(ico_verts, ico_faces)._half_edges
-    centroids = he.centroids(ico_verts)
-    verts = centroids / np.linalg.norm(centroids, axis=1)[:, None]
+    verts = he.face_centroids / np.linalg.norm(he.face_centroids, axis=1)[:, None]
     return verts, _outward(_ring_sort(he.tail, he.face, verts[he.face], ico_verts), verts)
 
 

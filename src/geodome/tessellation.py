@@ -146,7 +146,12 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     frame, nums = frame.reshape(-1, 3), W[ko].reshape(-1, 3)
     # nonzero (vertex, weight) pairs coded vertex*(T+1) + weight, absent ones -1
     signature = np.sort(np.where(nums != 0, frame * (T + 1) + nums, -1), axis=1)
-    _, first, inverse = np.unique(signature, axis=0, return_index=True, return_inverse=True)
+    # group equal rows: a stable lexsort keeps each group's first occurrence first
+    rank = np.lexsort(signature.T[::-1])
+    ranked = signature[rank]
+    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    first, inverse = rank[new], np.empty_like(rank)
+    inverse[rank] = np.cumsum(new) - 1
     order = np.argsort(first)  # points numbered by first occurrence
     label = np.empty_like(order)
     label[order] = np.arange(len(order))

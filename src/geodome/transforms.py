@@ -22,9 +22,8 @@ __all__ = ["dual", "gemmate", "truncate_dome"]
 def _face_planes(P: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normal and offset from the origin of every face plane."""
     he = P._half_edges
-    normals = he.normals(P.vertices)
-    normals /= _norms(normals)[:, None]
-    return normals, _rowdot(he.centroids(P.vertices), normals)
+    normals = he.face_normals / _norms(he.face_normals)[:, None]
+    return normals, _rowdot(he.face_centroids, normals)
 
 
 def _off_center(offsets: np.ndarray, rho: float) -> None:
@@ -160,6 +159,9 @@ def truncate_dome(
                 f"kept face {face} has a vertex {z_cut - low[sag[0]]:.3e} below the cut"
             )
 
-    used, local = np.unique(he.tail[keep[he.face]], return_inverse=True)
-    faces = _Cycles(local, he.size[kept])
+    ids = he.tail[keep[he.face]]
+    hit = np.zeros(len(P.vertices), dtype=bool)
+    hit[ids] = True
+    faces = _Cycles((np.cumsum(hit) - 1)[ids], he.size[kept])
+    used = np.flatnonzero(hit)
     return build_mesh(P.vertices[used], faces, radius=P.radius, closed=False)

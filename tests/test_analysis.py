@@ -47,6 +47,24 @@ def test_degree_histograms(sphere_3v, sphere_21):
     assert vertex_degree_histogram(sphere_21) == {5: 12, 6: 60}
 
 
+def test_degree_histogram_matches_unique_reference(make_sphere, icosa):
+    spheres = (make_sphere(2, 0, vertex_up=True), make_sphere(3, 1), make_sphere(7, 0),
+               make_sphere(3, 0, "tetrahedron"))
+    meshes = [truncate_dome(P, h) for P in spheres for h in (0.3, 0.5, 0.8)]
+    # an unused vertex has degree 0
+    meshes.append(build_mesh(np.vstack([icosa.vertices, [(0.0, 0.0, 2.0)]]), icosa.faces,
+                             closed=False))
+    seen = set()
+    for P in meshes:
+        degrees, counts = np.unique(P.degrees(), return_counts=True)
+        hist = vertex_degree_histogram(P)
+        assert hist == dict(zip(degrees.tolist(), counts.tolist()))
+        assert list(hist) == sorted(hist) and all(type(d) is int for d in hist)
+        assert all(type(c) is int and c > 0 for c in hist.values())
+        seen |= set(hist)
+    assert {0, 2, 3, 4} <= seen
+
+
 def test_verify_counts(sphere_21, icosa):
     assert verify_counts(sphere_21, TessellationSpec(2, 1))
     assert not verify_counts(icosa, TessellationSpec(2, 1))

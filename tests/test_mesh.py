@@ -116,6 +116,44 @@ def test_mesh_arrays_read_only(icosa):
         icosa.vertices[0, 0] = 9.9
 
 
+def _face_sum_loop(he, values):
+    """The corner-by-corner loop over faces of every size, kept as the reference."""
+    out = values[he.start].copy()
+    for k in range(1, int(he.size.max())):
+        rows = np.flatnonzero(he.size > k)
+        out[rows] += values[he.start[rows] + k]
+    return out
+
+
+def test_face_sum_matches_the_loop_bit_for_bit(make_sphere):
+    sphere = make_sphere(3, 1)
+    meshes = (sphere, dual(seed("octahedron")), seed("dodecahedron"),
+              gemmate(seed("dodecahedron")), dual(sphere))
+    assert [sorted(set(P._half_edges.size.tolist())) for P in meshes] == [
+        [3], [4], [5], [3], [5, 6]  # the last, mixed, takes the loop
+    ]
+    for P in meshes:
+        he, pts = P._half_edges, P.vertices
+        corners = pts[he.tail]
+        cross = np.cross(corners, pts[he.head])
+        for values in (corners, corners[:, 2], cross, -0.0 * np.abs(cross)):
+            # tobytes: a -0.0 sum must keep its sign
+            assert he.face_sum(values).tobytes() == _face_sum_loop(he, values).tobytes()
+
+
+def test_cached_face_planes_are_read_only_and_fresh(sphere_21):
+    R = rotation_to_z((1.0, 2.0, 3.0))
+    for P in (rotated(sphere_21, R), mirrored(sphere_21), dual(sphere_21),
+              gemmate(dual(sphere_21)), truncate_dome(sphere_21, 0.5)):
+        he = P._half_edges
+        for cached, fresh in ((he.face_normals, he.normals(P.vertices)),
+                              (he.face_centroids, he.centroids(P.vertices))):
+            assert cached.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                cached[0, 0] = 9.9
+        assert P.face_centroids() is he.face_centroids
+
+
 def test_edges_sorted_and_unique(icosa):
     assert list(icosa.edges) == sorted(set(icosa.edges))
     assert all(a < b for a, b in icosa.edges)

@@ -23,6 +23,7 @@ from geodome import (
     truncate_dome,
     vertex_degree_histogram,
 )
+from geodome.mesh import _scale
 
 
 def test_dual_of_icosahedron_is_dodecahedral(icosa):
@@ -112,6 +113,20 @@ def test_gemmate_without_a_circumsphere_puts_apexes_at_mean_vertex_distance(sphe
     assert G.counts == (v + f, 3 * e, 2 * e)
     apexes = np.linalg.norm(G.vertices[v:], axis=1)
     np.testing.assert_allclose(apexes, np.linalg.norm(D.vertices, axis=1).mean(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.5, 0.8])
+def test_dome_relabel_matches_unique_reference(make_sphere, fraction):
+    spheres = [make_sphere(3, 1), make_sphere(5, 3), make_sphere(7, 0)]
+    for P in spheres + [dual(spheres[0])]:
+        he = P._half_edges
+        z_cut = _scale(P) * (1.0 - 2.0 * fraction)
+        keep = he.face_sum(P.vertices[he.tail, 2]) / he.size >= z_cut
+        used, local = np.unique(he.tail[keep[he.face]], return_inverse=True)
+        dome = truncate_dome(P, fraction)
+        assert dome.vertices.tobytes() == P.vertices[used].tobytes()
+        assert np.array_equal(dome._half_edges.tail, local)
+        assert np.array_equal(dome._half_edges.size, he.size[keep])
 
 
 def test_truncate_full_fraction_returns_same(sphere_2v):
