@@ -82,8 +82,9 @@ def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable
     gaps = np.diff(ranked) > tol
     labels = np.empty(len(factors), dtype=np.intp)
     labels[order] = np.concatenate([[0], np.cumsum(gaps)])
-    groups = np.split(ranked, np.flatnonzero(gaps) + 1)
-    entries = tuple((float(np.mean(g)), len(g)) for g in groups)
+    # float(sum) / count is np.mean's pairwise sum and division, bit for bit
+    cuts = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(ranked)]
+    entries = tuple((float(ranked[a:b].sum()) / (b - a), b - a) for a, b in zip(cuts, cuts[1:]))
     if sum(c for _, c in entries) != len(factors):
         raise AssertionError("edge classes do not account for every edge")
     return EdgeClassTable(entries=entries, tol=tol), labels.tolist()
@@ -427,6 +428,31 @@ _GRAM_SHIFT = 1e-8
 _RANK_EPS = 1e-10
 
 
+def _shifted_gram(pts: np.ndarray, bars: np.ndarray):
+    """G - tau I of _certified_full_rank as a CSC matrix, built apart so that its
+    temporaries are freed before the factorization.  G[i, j] sums (s_i d_i) . (s_j d_j)
+    over the joints bars i and j share, d the bar vector, s 1 (-1) at its first (second) end."""
+    from scipy.sparse import csc_array
+
+    n, d = len(bars), pts[bars[:, 0]] - pts[bars[:, 1]]
+    order = np.argsort(bars.ravel(), kind="stable")  # the ends by joint; end 2i + k is bar i's
+    joint, bar = bars.ravel()[order], order // 2
+    arm = np.concatenate([d, -d], axis=1).reshape(-1, 3)[order].T  # s d of every end
+    degree = np.bincount(joint, minlength=len(pts))
+    reach = degree[joint]  # each end pairs with the reach[e] ends from its joint's first on
+    skip = np.cumsum(degree)[joint] - degree[joint] - np.cumsum(reach) + reach
+    right = np.arange(reach.sum()) + np.repeat(skip, reach)
+    dots = sum(np.repeat(arm[k], reach) * arm[k][right] for k in range(3))
+    key = bar[right] * n + np.repeat(bar, reach)  # column-major (row, column) of G
+    ranked = np.argsort(key)
+    key, dots = key[ranked], dots[ranked]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    data, col, row = np.add.reduceat(dots, first), *np.divmod(key[first], n)
+    data[row == col] -= _GRAM_SHIFT * float(np.bincount(col, np.abs(data), minlength=n).max())
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+    return csc_array((data, row, indptr), shape=(n, n))
+
+
 def _certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
     """True only if all E singular values of the rigidity matrix M exceed
     1e-4 times the largest, so far above _RANK_EPS.
@@ -439,17 +465,11 @@ def _certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
     A singular or indefinite G yields a nonpositive pivot, a row exchange or
     a singular factor, and False.
     """
-    from scipy.sparse import csr_array, eye_array
     from scipy.sparse.linalg import splu
 
-    rows, cols, vals = _bar_triplets(pts, bars)
-    M = csr_array((vals, (rows, cols)), shape=(len(bars), 3 * len(pts)))
-    G = M @ M.T
-    tau = _GRAM_SHIFT * float(abs(G).sum(axis=0).max())
-    H = (G - tau * eye_array(len(bars))).tocsc()
     try:
         lu = splu(
-            H,
+            _shifted_gram(pts, bars),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},

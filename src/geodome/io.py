@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _face_shapes, circumcenter_deviation, edge_class_labels
+from .analysis import EdgeClassTable, _face_shapes, circumcenter_deviation, edge_class_labels
 from .analysis import vertex_degree_histogram
 from .errors import ParseError
 from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _scale
@@ -126,6 +126,14 @@ class StrutSchedule:
     classes: tuple[tuple[float, int], ...]
 
 
+def _struts(P: Mesh, tol: float) -> tuple[float, np.ndarray, np.ndarray, list[int], EdgeClassTable]:
+    """Scale, chord factors, edge ends, class labels and class table of a mesh's struts."""
+    table, labels = edge_class_labels(P, tol)
+    ends, scale = P._half_edges.edges, _scale(P)
+    chords = _norms(P.vertices[ends[:, 0]] - P.vertices[ends[:, 1]]) / scale
+    return scale, chords, ends, labels, table
+
+
 def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL) -> StrutSchedule:
     """Schedule of a mesh: every edge priced by its length class.
 
@@ -134,21 +142,19 @@ def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL) -> StrutSchedule:
     icosahedral (5, 3) half domes, 4e-3 for octahedral (2, 1)); radius x
     chord factor is still each strut's length.
     """
-    table, labels = edge_class_labels(P, tol)
+    scale, chords, ends, labels, table = _struts(P, tol)
     nodes = tuple(zip(range(len(P.vertices)), *P.vertices.T.tolist()))
-    a, b = P._half_edges.edges.T
-    scale = _scale(P)
-    chords = _norms(P.vertices[a] - P.vertices[b]) / scale
-    struts = tuple(zip(range(len(a)), a.tolist(), b.tolist(), chords.tolist(), labels))
+    struts = tuple(zip(range(len(ends)), *ends.T.tolist(), chords.tolist(), labels))
     return StrutSchedule(radius=scale, nodes=nodes, struts=struts, classes=table.entries)
 
 
 # One row of each schedule list as json.dumps(indent=2) lays it out; %r is
-# float.__repr__, the shortest round-trip digits json writes for a float.
+# float.__repr__, the shortest round-trip digits json writes for a float, and
+# the chord factor comes in already written that way.
 _NODE_ROW = '    {\n      "id": %d,\n      "x": %r,\n      "y": %r,\n      "z": %r\n    }'
 _STRUT_ROW = (
     '    {\n      "id": %d,\n      "a": %d,\n      "b": %d,\n'
-    '      "chord_factor": %r,\n      "class_label": %d\n    }'
+    '      "chord_factor": %s,\n      "class_label": %d\n    }'
 )
 _CLASS_ROW = '    {\n      "chord_factor": %r,\n      "count": %d\n    }'
 _SCHEDULE = (
@@ -157,9 +163,9 @@ _SCHEDULE = (
 )
 
 
-def _json_rows(row: str, values: tuple[tuple, ...]) -> str:
-    """The inside of a JSON list: one filled-in row per tuple of values."""
-    return ",\n".join([row] * len(values)) % tuple(chain.from_iterable(values))
+def _json_rows(row: str, columns: list) -> str:
+    """The inside of a JSON list: one filled-in row per entry of the columns."""
+    return ",\n".join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
 def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None:
@@ -170,9 +176,14 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None
     pins the bytes).  Fixed row templates fill it in several times faster
     than the pure-Python encoder that indent selects.
     """
-    s = strut_schedule(P, tol)
-    rows = ((_NODE_ROW, s.nodes), (_STRUT_ROW, s.struts), (_CLASS_ROW, s.classes))
-    Path(path).write_text(_SCHEDULE % (float(s.radius), *(_json_rows(*r) for r in rows)))
+    scale, chords, ends, labels, table = _struts(P, tol)
+    # each distinct chord factor is written once; none is -0.0, which unique merges with 0.0
+    distinct, which = np.unique(chords, return_inverse=True)
+    chord_text = np.array(list(map(repr, distinct.tolist())), dtype=object)[which].tolist()
+    nodes = _json_rows(_NODE_ROW, [range(len(P.vertices)), *P.vertices.T.tolist()])
+    struts = _json_rows(_STRUT_ROW, [range(len(ends)), *ends.T.tolist(), chord_text, labels])
+    classes = _json_rows(_CLASS_ROW, list(zip(*table.entries)))
+    Path(path).write_text(_SCHEDULE % (float(scale), nodes, struts, classes))
 
 
 def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]:

@@ -123,24 +123,12 @@ def _flatten(faces: Sequence[Sequence[int]], name: str = "face") -> _Cycles:
     return _Cycles(np.array(ids, dtype=np.intp), size)
 
 
-def _ring_sort(
-    ring_of: np.ndarray, ids: np.ndarray, points: np.ndarray, axes: np.ndarray
-) -> _Cycles:
-    """Order the ids of every ring by polar angle around the ring's axis (ties by id).
-
-    Entry k places ids[k], at points[k] relative to the ring's center, in
-    ring ring_of[k]; axes[r] points outward through ring r.  Angles run
-    counter-clockwise seen from outside, starting near -pi.  Returns one
-    cycle of ids per axis.
-    """
-    axes = axes / _norms(axes)[:, None]
-    helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-    t1 = np.cross(helper, axes)
-    t1 /= _norms(t1)[:, None]
-    t2 = np.cross(axes, t1)  # (t1, t2, axis) is right-handed
-    angle = np.arctan2(_rowdot(points, t2[ring_of]), _rowdot(points, t1[ring_of]))
-    order = np.lexsort((ids, angle, ring_of))
-    return _Cycles(ids[order], np.bincount(ring_of, minlength=len(axes)))
+def _corner_sum(corners: np.ndarray) -> np.ndarray:
+    """corners[:, 0] + corners[:, 1] + ..., added left to right."""
+    out = corners[:, 0].copy()
+    for j in range(1, corners.shape[1]):
+        out += corners[:, j]
+    return out
 
 
 class _HalfEdges:
@@ -164,14 +152,23 @@ class _HalfEdges:
         self.succ = np.arange(1, len(flat) + 1)
         self.succ[self.start + size - 1] = self.start
         self.head = flat[self.succ]
-        keys, wanted = flat * n_vertices + self.head, self.head * n_vertices + flat
-        order = np.argsort(keys)
-        ordered = keys[order]
-        self.repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-        found = order[np.minimum(np.searchsorted(ordered, wanted), len(flat) - 1)]
-        self.twin = np.where(keys[found] == wanted, found, -1)
-        pairs, self.uses = np.unique(np.minimum(keys, wanted), return_counts=True)
-        self.edges = np.column_stack((pairs // n_vertices, pairs % n_vertices))
+        # one code per half-edge: its undirected edge low * V + high, doubled,
+        # plus 1 when it runs high -> low; a single sort groups every edge
+        code = np.minimum(flat, self.head) * n_vertices + np.maximum(flat, self.head)
+        code = 2 * code + (flat > self.head)
+        order = np.argsort(code)
+        ranked = code[order]
+        pair = np.flatnonzero((ranked[1:] ^ 1) == ranked[:-1])  # codes c and c + 1, c even
+        self.twin = np.full(len(flat), -1)
+        self.twin[order[pair]], self.twin[order[pair + 1]] = order[pair + 1], order[pair]
+        edge = ranked >> 1
+        first = np.flatnonzero(np.concatenate(([True], edge[1:] != edge[:-1])))
+        self.uses = np.diff(first, append=len(flat))
+        self.edges = np.column_stack(np.divmod(edge[first], n_vertices))
+        same = ranked[1:][ranked[1:] == ranked[:-1]]
+        low, high = np.divmod(same >> 1, n_vertices)
+        tails, heads = np.where(same & 1, (high, low), (low, high))
+        self.repeated = np.sort(tails * n_vertices + heads)
         self.edges.setflags(write=False)
 
     def reversed(self, flip: np.ndarray) -> _Cycles:
@@ -183,30 +180,59 @@ class _HalfEdges:
     def face_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-face sums of per-half-edge values, added corner by corner in cycle order.
 
-        When every face has k corners the sum runs over an (F, k, ...) view;
-        it adds the same terms in the same order, so the bits are the same.
+        The faces with k corners are summed through an (F_k, k, ...) block of
+        corners, a view when every face has k corners; the terms and their
+        order are those of a loop over the corners, so the bits are the same.
         """
-        k = int(self.size[0])
-        if (self.size == k).all():
-            corners = values.reshape(len(self.size), k, *values.shape[1:])
-            out = corners[:, 0].copy()
-            for j in range(1, k):
-                out += corners[:, j]
-            return out
-        out = values[self.start].copy()
-        for k in range(1, int(self.size.max())):
-            rows = np.flatnonzero(self.size > k)
-            out[rows] += values[self.start[rows] + k]
+        sizes = np.flatnonzero(np.bincount(self.size))
+        if len(sizes) == 1:
+            return _corner_sum(values.reshape(len(self.size), sizes[0], *values.shape[1:]))
+        out = np.empty((len(self.size), *values.shape[1:]), dtype=values.dtype)
+        for k in sizes.tolist():
+            rows = np.flatnonzero(self.size == k)
+            out[rows] = _corner_sum(np.take(values, self.start[rows, None] + np.arange(k), axis=0))
         return out
 
-    def centroids(self, points: np.ndarray) -> np.ndarray:
-        """Mean corner of every face."""
-        return self.face_sum(points[self.tail]) / self.size[:, None]
-
-    def normals(self, points: np.ndarray) -> np.ndarray:
-        """Newell normal (unnormalized) of every face."""
+    def planes(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Newell normal (unnormalized) and mean corner of every face, from one corner gather."""
+        p = np.take(points, self.tail, axis=0)
+        q = np.take(p, self.succ, axis=0)
+        cross = np.empty_like(p)  # np.cross(p, q), component by component: the same bits
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(p[:, j], q[:, k], out=cross[:, i])
+            cross[:, i] -= p[:, k] * q[:, j]
         # + 0.0 turns a -0.0 component into 0.0, as summing from zero would
-        return self.face_sum(np.cross(points[self.tail], points[self.head])) + 0.0
+        return self.face_sum(cross) + 0.0, self.face_sum(p) / self.size[:, None]
+
+    def rings(self, ids: np.ndarray, points: np.ndarray, axes: np.ndarray) -> _Cycles:
+        """One cycle per vertex of a closed mesh: ids[h] of the half-edges h leaving
+        it, counter-clockwise seen from outside, as the rotation h -> twin[prev[h]]
+        turns.  A cycle starts at the entry whose points[h] has the least polar
+        angle (counter-clockwise from outside, from near -pi) around axes[v],
+        ties by id; a vertex on no face gets an empty cycle.
+        """
+        slots, degree = np.arange(len(self.tail)), np.bincount(self.tail, minlength=len(axes))
+        prev = slots - 1
+        prev[self.start] = self.start + self.size - 1
+        turn = self.twin[prev]
+        walk = np.zeros((int(degree.max()), len(axes)), dtype=np.intp)
+        walk[0, self.tail] = slots  # some half-edge leaving each vertex
+        for k in range(1, len(walk)):
+            walk[k] = turn[walk[k - 1]]
+        axes = axes / _norms(axes)[:, None]
+        helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+        t1 = np.cross(helper, axes)
+        t1 /= _norms(t1)[:, None]
+        t2 = np.cross(axes, t1)  # (t1, t2, axis) is right-handed
+        t1, t2 = np.take(t1, self.tail, axis=0), np.take(t2, self.tail, axis=0)
+        angle = np.arctan2(_rowdot(points, t2), _rowdot(points, t1))
+        inside = np.arange(len(walk))[:, None] < degree
+        angle = np.where(inside, angle[walk], np.inf)
+        least = angle == angle.min(axis=0)
+        start = np.argmin(np.where(least, ids[walk], np.iinfo(np.intp).max), axis=0)
+        turns = (start + np.arange(len(walk))[:, None]) % np.maximum(degree, 1)
+        walk = np.take_along_axis(walk, turns, axis=0)
+        return _Cycles(ids[walk.T[inside.T]], degree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,7 +362,7 @@ def build_mesh(
         key = int(he.repeated[0])
         raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
-    he.face_normals, he.face_centroids = he.normals(verts), he.centroids(verts)
+    he.face_normals, he.face_centroids = he.planes(verts)
     inward = np.flatnonzero(_rowdot(he.face_normals, he.face_centroids) <= 0.0)
     if inward.size:
         raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
@@ -397,7 +423,7 @@ def _triangle_faces(verts: np.ndarray) -> _Cycles:
 def _outward(cycles: _Cycles, verts: np.ndarray) -> _Cycles:
     """The cycles, each reversed where needed to run counter-clockwise from outside."""
     he = _HalfEdges(*cycles, len(verts))
-    return he.reversed(_rowdot(he.normals(verts), he.centroids(verts)) < 0.0)
+    return he.reversed(_rowdot(*he.planes(verts)) < 0.0)
 
 
 def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
@@ -406,7 +432,7 @@ def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
     ico_verts, ico_faces = _unit_icosahedron()
     he = build_mesh(ico_verts, ico_faces)._half_edges
     verts = he.face_centroids / np.linalg.norm(he.face_centroids, axis=1)[:, None]
-    return verts, _outward(_ring_sort(he.tail, he.face, verts[he.face], ico_verts), verts)
+    return verts, he.rings(he.face, verts[he.face], ico_verts)
 
 
 def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
@@ -424,7 +450,7 @@ def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
     lo, hi = np.minimum(he.tail, he.head), np.maximum(he.tail, he.head)
     edge = np.searchsorted(he.edges[:, 0] * n + he.edges[:, 1], lo * n + hi)
     cut = 2 * edge + (he.tail > he.head)
-    pentagons = _outward(_ring_sort(he.tail, cut, verts[cut], ico_verts), verts)
+    pentagons = he.rings(cut, verts[cut], ico_verts)
     hexagons = np.column_stack([cut, cut[he.twin]]).ravel()
     flat = np.concatenate([pentagons.flat, hexagons])
     return verts, _Cycles(flat, np.concatenate([pentagons.size, np.full(len(he.size), 6)]))

@@ -13,7 +13,7 @@ from .errors import (
     StrictCutViolation,
     TriangularFacePresent,
 )
-from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _ring_sort
+from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real
 from .mesh import _rowdot, _scale, _unit, build_mesh
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
@@ -61,8 +61,10 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
 
     Each face plane at foot distance d maps to the pole at distance
     rho^2 / d along the plane's perpendicular foot direction; each vertex
-    maps to the face cycling through the poles of its incident faces,
-    ordered by polar angle around the vertex direction (ties by face index).
+    maps to the face cycling through the poles of its incident faces in the
+    order P's faces turn around the vertex, counter-clockwise seen from
+    outside; the cycle starts at the pole of least polar angle around the
+    vertex direction (ties by face index).
     The sphere defaults to the circumsphere of P; a mesh that is not
     inscribed but has all face planes tangent to one sphere (as the dual of
     an inscribed mesh does) uses that tangent sphere, and a mesh with both
@@ -90,8 +92,7 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
     # + 0.0: export_obj would write -0.0 as -0
     poles = normals * (rho * rho / offsets)[:, None] + 0.0
 
-    faces = _ring_sort(he.tail, he.face, poles[he.face], P.vertices)
-
+    faces = he.rings(he.face, poles[he.face], P.vertices)
     return build_mesh(poles, faces, radius=_common_radius(np.linalg.norm(poles, axis=1)))
 
 

@@ -39,7 +39,8 @@ from geodome import (
     verify_counts,
     vertex_degree_histogram,
 )
-from geodome.analysis import _RANK_EPS, _certified_full_rank
+from geodome.analysis import _GRAM_SHIFT, _RANK_EPS, _bar_triplets, _certified_full_rank
+from geodome.mesh import _scale
 
 
 def test_degree_histograms(sphere_3v, sphere_21):
@@ -113,6 +114,19 @@ def test_edge_classes_reject_bad_tolerance(sphere_2v):
             edge_length_classes(sphere_2v, bad)
         with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
             edge_class_labels(sphere_2v, bad)
+
+
+def test_edge_class_means_match_np_mean(make_sphere):
+    design = [make_sphere(m, n, vertex_up=True) for m, n in ((14, 0), (10, 6))]
+    census = [make_sphere(m, n, kind) for kind in ("tetrahedron", "octahedron", "icosahedron")
+              for m, n in ((1, 0), (2, 1), (3, 3), (6, 0))]
+    census += [gemmate(seed(kind)) for kind in ("dodecahedron", "truncated_icosahedron")]
+    for P in design + census + [truncate_dome(design[0], 0.5)]:
+        factors = P.edge_lengths() / _scale(P)
+        ranked = np.sort(factors, kind="stable")
+        groups = np.split(ranked, np.flatnonzero(np.diff(ranked) > DEFAULT_TOL) + 1)
+        want = tuple((float(np.mean(g)), len(g)) for g in groups)
+        assert edge_class_labels(P)[0].entries == want
 
 
 def test_face_metrics_kinds(sphere_2v, sphere_21):
@@ -562,6 +576,46 @@ def test_certified_rigidity_of_gemmated_solids():
         assert _certified_full_rank(*_framework(P))
         report = is_infinitesimally_rigid(P)
         assert report == _dense_report(P) and report.rigid
+
+
+def _scipy_gram_full_rank(pts, bars):
+    """The certificate with G = M M^T built by scipy.sparse, the reference."""
+    from scipy.sparse import csr_array, eye_array
+    from scipy.sparse.linalg import splu
+
+    rows, cols, vals = _bar_triplets(pts, bars)
+    M = csr_array((vals, (rows, cols)), shape=(len(bars), 3 * len(pts)))
+    G = M @ M.T
+    tau = _GRAM_SHIFT * float(abs(G).sum(axis=0).max())
+    H = (G - tau * eye_array(len(bars))).tocsc()
+    try:
+        lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
+
+
+def test_gram_certificate_matches_the_scipy_construction(make_sphere):
+    rigid = [make_sphere(m, n, kind) for kind in ("tetrahedron", "octahedron", "icosahedron")
+             for m, n in ((1, 0), (2, 1), (3, 0), (4, 2))]
+    rigid += [gemmate(seed(kind)) for kind in ("dodecahedron", "truncated_icosahedron")]
+    frameworks = [_framework(P) for P in rigid]
+    # flexible: one bar of a sphere moved onto another bar, so a bar is doubled
+    for pts, bars in frameworks[:6]:
+        frameworks.append((pts, np.vstack([bars[1:2], bars[1:]])))
+    flat = subdivide(seed("icosahedron"), 3, 0)
+    frameworks.append(_framework(build_mesh(flat.points, flat.small_faces)))
+    pair = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+    frameworks += [(pair, np.array([[0, 1]])), (pair, np.array([[0, 1], [1, 0]]))]
+    verdicts = [_certified_full_rank(*fw) for fw in frameworks]
+    assert verdicts == [True] * len(rigid) + [False] * 7 + [True, False]
+    assert verdicts == [_scipy_gram_full_rank(*fw) for fw in frameworks]
+    # one bar moved to join two far joints: equal verdicts, whichever they are
+    for pts, bars in frameworks[3:12]:
+        moved = bars.copy()
+        moved[0, 1] = np.argmin(pts @ pts[bars[0, 0]])
+        assert _certified_full_rank(pts, moved) == _scipy_gram_full_rank(pts, moved)
 
 
 def test_flat_framework_falls_back_to_dense_rank():

@@ -373,6 +373,28 @@ def test_cli_rigidity_of_a_dome_leaves_scipy_unloaded(tmp_path):
     assert out.stdout.splitlines()[-1] == "0 []"
 
 
+def test_pipeline_leaves_numpy_ma_and_scipy_unloaded(tmp_path):
+    # numpy.ma costs every process 12-25 ms to import; a plain np.unique(x) loads it
+    env = dict(os.environ, PYTHONPATH=str(Path(geodome.__file__).parents[1]))
+    code = f"""
+import sys
+from pathlib import Path
+import geodome as g
+out = Path({str(tmp_path)!r})
+P = g.project_to_sphere(g.subdivide(g.seed("icosahedron", vertex_up=True), 3, 1))
+D, dome = g.dual(P), g.truncate_dome(P, 0.5)
+for M in (P, D, dome, g.truncate_dome(D, 0.5)):
+    g.analysis_rows(M)
+g.export_obj(D, out / "d.obj")
+g.export_schedule(P, out / "s.json")
+g.export_analysis_csv(dome, out / "a.csv")
+g.import_obj(out / "d.obj")
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_under_python_O_writes_the_library_bytes(sphere_21, tmp_path):
     # -O strips assert statements: every check the commands rely on must raise on its own
     obj = tmp_path / "s.obj"

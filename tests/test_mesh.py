@@ -37,6 +37,7 @@ from geodome import (
     truncate_dome,
 )
 from geodome.analysis import _RANK_EPS
+from geodome.mesh import _HalfEdges, _norms, _rowdot
 
 SEED_COUNTS = {
     "tetrahedron": (4, 6, 4),
@@ -141,13 +142,137 @@ def test_face_sum_matches_the_loop_bit_for_bit(make_sphere):
             assert he.face_sum(values).tobytes() == _face_sum_loop(he, values).tobytes()
 
 
+def test_grouped_face_sum_matches_the_loop_on_the_truncated_icosahedron():
+    P = seed("truncated_icosahedron")
+    he, pts = P._half_edges, P.vertices
+    assert sorted(set(he.size.tolist())) == [5, 6]
+    for values in (pts[he.tail], np.cross(pts[he.tail], pts[he.head]), he.face[:, None] * 1.5):
+        assert he.face_sum(values).tobytes() == _face_sum_loop(he, values).tobytes()
+
+
+def _two_sort_fields(flat, size, n_vertices):
+    """twin, edges, uses and repeated as an argsort plus np.unique found them, the reference."""
+    head = flat[_HalfEdges(flat, size, n_vertices).succ]
+    keys, wanted = flat * n_vertices + head, head * n_vertices + flat
+    order = np.argsort(keys)
+    ordered = keys[order]
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    found = order[np.minimum(np.searchsorted(ordered, wanted), len(flat) - 1)]
+    twin = np.where(keys[found] == wanted, found, -1)
+    pairs, uses = np.unique(np.minimum(keys, wanted), return_counts=True)
+    return twin, np.column_stack((pairs // n_vertices, pairs % n_vertices)), uses, repeated
+
+
+def test_one_sort_half_edge_table_matches_the_two_sort_reference(make_sphere):
+    sphere = make_sphere(3, 1)
+    meshes = [sphere, make_sphere(2, 1, "octahedron"), truncate_dome(sphere, 0.5),
+              truncate_dome(make_sphere(5, 3), 0.3), dual(sphere), dual(make_sphere(4, 0)),
+              seed("truncated_icosahedron"), gemmate(seed("dodecahedron"))]
+    assert {P.closed for P in meshes} == {True, False}
+    assert any(len(set(P._half_edges.size.tolist())) == 2 for P in meshes)
+    for P in meshes:
+        he = P._half_edges
+        for got, want in zip((he.twin, he.edges, he.uses, he.repeated),
+                             _two_sort_fields(he.tail, he.size, len(P.vertices))):
+            assert got.tolist() == want.tolist()
+    # faces traversing one directed edge twice: every repeat, ascending
+    t = seed("tetrahedron")
+    flat = np.concatenate([t._half_edges.tail, [2, 1, 0]])
+    size = np.array([3] * 5)
+    assert _HalfEdges(flat, size, 4).repeated.tolist() == _two_sort_fields(flat, size, 4)[3].tolist()
+    assert len(_HalfEdges(flat, size, 4).repeated) == 3
+
+
+@pytest.mark.parametrize(
+    "case,error,message",
+    [
+        ("open", EulerViolation, "V - S + F = 3 - 3 + 1 = 1, expected 2"),
+        ("two spheres", EulerViolation, "V - S + F = 144 - 420 + 280 = 4, expected 2"),
+        ("three faces", NonManifoldEdge, "edge (0, 1) belongs to 3 faces"),
+        ("hole", NonManifoldEdge, "edge (0, 1) belongs to 1 faces"),
+        ("flipped", InvalidOrientation, "directed edge (0, 2) traversed twice"),
+        ("same way", InvalidOrientation, "directed edge (0, 1) traversed twice"),
+        ("flipped in a sphere", InvalidOrientation, "directed edge (2, 4) traversed twice"),
+        ("negative id", DegenerateFace, "face (0, -1, 2) references a vertex out of range"),
+    ],
+)
+def test_validation_messages_name_the_same_element(case, error, message, sphere_21):
+    t, s, n = seed("tetrahedron"), sphere_21, len(sphere_21.vertices)
+    flipped = [f[::-1] if i == 0 else f for i, f in enumerate(t.faces)]
+    verts, faces, closed = {
+        "open": ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [(0, 1, 2)], True),
+        "two spheres": (np.vstack([s.vertices, 0.5 * s.vertices]),
+                        list(s.faces) + [tuple(i + n for i in f) for f in s.faces], True),
+        "three faces": ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+                        [(0, 1, 2), (0, 3, 1), (0, 1, 4)], False),
+        "hole": (np.vstack([s.vertices, [[0.0, 0.0, 0.1]]]), s.faces[1:], True),
+        "flipped": (t.vertices, flipped, True),
+        "same way": ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (0, -1, 1)], [(0, 1, 2), (0, 1, 3)], False),
+        "flipped in a sphere": (s.vertices, [f[::-1] if i in (3, 50) else f
+                                             for i, f in enumerate(s.faces)], True),
+        "negative id": (t.vertices, [(0, -1, 2), *t.faces[1:]], True),
+    }[case]
+    with pytest.raises(error) as caught:
+        build_mesh(verts, faces, closed=closed)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def _ring_sort(ring_of, ids, points, axes):
+    """Rings ordered by polar angle around each axis (ties by id), the reference for rings()."""
+    axes = axes / np.linalg.norm(axes, axis=1)[:, None]
+    helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
+    t1 = np.cross(helper, axes)
+    t1 /= _norms(t1)[:, None]
+    t2 = np.cross(axes, t1)
+    angle = np.arctan2(_rowdot(points, t2[ring_of]), _rowdot(points, t1[ring_of]))
+    order = np.lexsort((ids, angle, ring_of))
+    return ids[order], np.bincount(ring_of, minlength=len(axes))
+
+
+def test_rings_walk_equals_the_polar_angle_sort(make_sphere):
+    spheres = [make_sphere(m, n, kind, vertex_up=up) for kind in ("octahedron", "icosahedron")
+               for m, n in ((3, 1), (4, 0), (2, 3)) for up in (False, True)]
+    meshes = spheres + [dual(P) for P in spheres] + [dual(dual(P)) for P in spheres]
+    for P in meshes:
+        he = P._half_edges
+        poles = dual(P).vertices
+        got = he.rings(he.face, poles[he.face], P.vertices)
+        want = _ring_sort(he.tail, he.face, poles[he.face], P.vertices)
+        assert got.flat.tobytes() == want[0].tobytes() and got.size.tolist() == want[1].tolist()
+    # the two seeds built from rings around the icosahedron's vertices, with their points:
+    # the dodecahedron's at face centroids, the truncated icosahedron's a third along each edge
+    ico = seed("icosahedron")
+    he, near = ico._half_edges, ico.vertices
+    centers = ico.face_centroids() / np.linalg.norm(ico.face_centroids(), axis=1)[:, None]
+    cuts = (2.0 * near[he.edges.ravel()] + near[he.edges[:, ::-1].ravel()]) / 3.0
+    cuts /= np.linalg.norm(cuts, axis=1)[:, None]
+    lo, hi = np.minimum(he.tail, he.head), np.maximum(he.tail, he.head)
+    cut = 2 * np.searchsorted(he.edges[:, 0] * 12 + he.edges[:, 1], lo * 12 + hi) + (he.tail > he.head)
+    for ids, points in ((he.face, centers[he.face]), (cut, cuts[cut])):
+        got = he.rings(ids, points, ico.vertices)
+        want = _ring_sort(he.tail, ids, points, ico.vertices)
+        assert got.flat.tobytes() == want[0].tobytes() and got.size.tolist() == want[1].tolist()
+
+
+def test_rings_of_a_vertex_on_no_face_are_empty():
+    t = seed("tetrahedron")
+    verts = np.vstack([t.vertices, [[0.0, 0.0, 2.0]]])  # vertex 4 is on no face
+    he = _HalfEdges(t._half_edges.tail, t._half_edges.size, 5)
+    points = t.face_centroids()[he.face]
+    got = he.rings(he.face, points, verts)
+    assert got.size.tolist() == [3, 3, 3, 3, 0]
+    assert got.flat.tolist() == _ring_sort(he.tail, he.face, points, verts)[0].tolist()
+
+
 def test_cached_face_planes_are_read_only_and_fresh(sphere_21):
     R = rotation_to_z((1.0, 2.0, 3.0))
     for P in (rotated(sphere_21, R), mirrored(sphere_21), dual(sphere_21),
               gemmate(dual(sphere_21)), truncate_dome(sphere_21, 0.5)):
-        he = P._half_edges
-        for cached, fresh in ((he.face_normals, he.normals(P.vertices)),
-                              (he.face_centroids, he.centroids(P.vertices))):
+        he, pts = P._half_edges, P.vertices
+        # fresh planes from the np.cross formula and a second gather, the reference
+        normals = _face_sum_loop(he, np.cross(pts[he.tail], pts[he.head])) + 0.0
+        centroids = _face_sum_loop(he, pts[he.tail]) / he.size[:, None]
+        for cached, fresh in ((he.face_normals, normals), (he.face_centroids, centroids)):
             assert cached.tobytes() == fresh.tobytes()
             with pytest.raises(ValueError):
                 cached[0, 0] = 9.9

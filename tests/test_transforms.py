@@ -49,6 +49,19 @@ def test_dual_of_dual_returns_original(icosa, sphere_21):
         assert congruent(P, back)
 
 
+def test_dual_of_a_sphere_off_center_follows_the_face_rotation(sphere_21):
+    # around an axis that misses the dual face, polar angle is not ring order;
+    # the faces' rotation about each vertex is
+    Q = build_mesh(sphere_21.vertices + (0.0, 0.0, 0.5), sphere_21.faces)
+    D = dual(Q, sphere_radius=1.0)
+    assert D.counts == (140, 210, 72)
+    back = dual(D, sphere_radius=1.0)
+    assert np.abs(back.vertices - Q.vertices).max() <= 1e-15
+    for got, want in zip(back.faces, Q.faces):  # the same cycles, from another start
+        k = got.index(want[0])
+        assert got[k:] + got[:k] == want
+
+
 def test_dual_with_explicit_sphere_scales():
     D1 = dual(seed("icosahedron"), sphere_radius=1.0)
     D2 = dual(seed("icosahedron"), sphere_radius=2.0)
