@@ -276,7 +276,7 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
         near, _ = tree.query(_turn(p_verts[rare[:12]], group))  # 12: all of them, on a sphere
         for R in group[(near <= eps).all(axis=1)]:
             dist, idx = tree.query(_turn(p_verts, R))
-            if dist.max() <= eps and np.unique(idx).size == idx.size:
+            if dist.max() <= eps and np.diff(np.sort(idx)).all():  # distinct images
                 return True
     return False
 
@@ -316,9 +316,10 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     breadth-first tree of P's darts over next and twin extends all candidates
     to dart maps, an array pass per level.  A map that commutes with next and
     twin (boundary to boundary) and induces a consistent, injective vertex map
-    is an isomorphism.  Q is tried as given, then with its faces reversed, so
-    mirror images match; in each orientation the first candidate is tried
-    alone before the rest, so a copy of P costs one.
+    is an isomorphism.  Q is tried as given and with its faces reversed, so
+    mirror images match: the first candidate of each orientation alone, then
+    the rest of each, so a copy or a mirror image of P costs at most two
+    candidates.
     """
     if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
         return False
@@ -336,21 +337,26 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     twin_q = np.append(np.where(he_q.twin < 0, n, he_q.twin), n)  # dart n is "no dart"
     rows = max(1, _TABLE_ENTRIES // (n + 1))
     # Q's (tail, next), then with faces reversed: h leaves its head, followed by its predecessor
+    sides = []
     for tail, succ in ((he_q.tail, he_q.succ), (he_q.head, np.argsort(he_q.succ))):
-        steps = np.stack([twin_q, np.append(succ, n)])
         starts = np.flatnonzero(_dart_kinds(Q, tail, succ) == kinds[rarest])
-        for group in [starts[:1]] + [starts[i : i + rows] for i in range(1, len(starts), rows)]:
-            M = np.full((len(group), n + 1), n)
-            M[:, first[rarest]] = group
-            for kids, parents, step in levels:
-                M[:, kids] = steps[step, M[:, parents]]
-            image = M[:, :n]
-            mapped = (image < n) & (steps[1, image] == M[:, he_p.succ])
-            corners = tail[image[(mapped & (steps[0, image] == M[:, twin_p])).all(axis=1)]]
-            vmap = corners[:, rep]
-            vmap = np.sort(vmap[(corners == vmap[:, tail_of]).all(axis=1)], axis=1)
-            if (vmap[:, 1:] != vmap[:, :-1]).all(axis=1).any():
-                return True
+        sides.append((tail, np.stack([twin_q, np.append(succ, n)]), starts))
+    # the first candidate of each orientation alone, then the rest in batches
+    tries = [(tail, steps, starts[:1]) for tail, steps, starts in sides]
+    tries += [(tail, steps, starts[i : i + rows])
+              for tail, steps, starts in sides for i in range(1, len(starts), rows)]
+    for tail, steps, group in tries:
+        M = np.full((len(group), n + 1), n)
+        M[:, first[rarest]] = group
+        for kids, parents, step in levels:
+            M[:, kids] = steps[step, M[:, parents]]
+        image = M[:, :n]
+        mapped = (image < n) & (steps[1, image] == M[:, he_p.succ])
+        corners = tail[image[(mapped & (steps[0, image] == M[:, twin_p])).all(axis=1)]]
+        vmap = corners[:, rep]
+        vmap = np.sort(vmap[(corners == vmap[:, tail_of]).all(axis=1)], axis=1)
+        if (vmap[:, 1:] != vmap[:, :-1]).all(axis=1).any():
+            return True
     return False
 
 
@@ -426,14 +432,26 @@ def rigidity_matrix(obj) -> np.ndarray:
 _GRAM_SHIFT = 1e-8
 # Rank threshold: singular values at most this times the largest count as zero.
 _RANK_EPS = 1e-10
+# Under-braced frameworks with at most this many bars get the dense
+# certificate, the rest the sparse one.  In a fresh process the sparse one
+# pays 0.35-0.50 s and about 25 MB of peak RSS to import scipy.sparse.linalg,
+# while the dense one holds 8 E^2 bytes: on 0.5 domes the peaks cross between
+# 1870 and 2190 bars, the wall times between 2190 and 2600.
+_DENSE_BARS = 2000
+# Block size of the in-place dense Cholesky: the fastest of 64 to 256 on
+# 770- and 1870-bar domes.
+_BLOCK = 128
 
 
-def _shifted_gram(pts: np.ndarray, bars: np.ndarray):
-    """G - tau I of _certified_full_rank as a CSC matrix, built apart so that its
-    temporaries are freed before the factorization.  G[i, j] sums (s_i d_i) . (s_j d_j)
-    over the joints bars i and j share, d the bar vector, s 1 (-1) at its first (second) end."""
-    from scipy.sparse import csc_array
+def _shifted_gram(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(value, row, column) of every nonzero of G - tau I, column by column.
 
+    G = M M^T: G[i, j] sums (s_i d_i) . (s_j d_j) over the joints bars i and j
+    share, d the bar vector, s 1 (-1) at its first (second) end.  tau is
+    _GRAM_SHIFT times |G|_1, the largest column sum of |G| read from the same
+    sums, so no dense copy of G is needed for it.  Both certificates build
+    these apart, so that the temporaries are freed before they factor.
+    """
     n, d = len(bars), pts[bars[:, 0]] - pts[bars[:, 1]]
     order = np.argsort(bars.ravel(), kind="stable")  # the ends by joint; end 2i + k is bar i's
     joint, bar = bars.ravel()[order], order // 2
@@ -449,27 +467,31 @@ def _shifted_gram(pts: np.ndarray, bars: np.ndarray):
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     data, col, row = np.add.reduceat(dots, first), *np.divmod(key[first], n)
     data[row == col] -= _GRAM_SHIFT * float(np.bincount(col, np.abs(data), minlength=n).max())
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
-    return csc_array((data, row, indptr), shape=(n, n))
+    return data, row, col
 
 
 def _certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
     """True only if all E singular values of the rigidity matrix M exceed
     1e-4 times the largest, so far above _RANK_EPS.
 
-    The Gram matrix G = M M^T has eigenvalues sigma_i^2, the largest at most
-    |G|_1.  With tau = _GRAM_SHIFT * |G|_1, an LU of G - tau I that kept
-    every pivot on the diagonal (perm_r == perm_c) is an L D L^T
-    factorization; positive pivots D then make G - tau I positive definite
-    by Sylvester's law of inertia, so sigma_E^2 > tau >= 1e-8 sigma_1^2.
+    The E x E Gram matrix G = M M^T of E <= 3V bars, closed or open, has
+    the eigenvalues sigma_i^2, the largest at most |G|_1.  With
+    tau = _GRAM_SHIFT * |G|_1, an LU of G - tau I that kept every pivot on
+    the diagonal (perm_r == perm_c) is an L D L^T factorization; positive
+    pivots D then make G - tau I positive definite by Sylvester's law of
+    inertia, so sigma_E^2 > tau >= 1e-8 sigma_1^2.
     A singular or indefinite G yields a nonpositive pivot, a row exchange or
     a singular factor, and False.
     """
+    from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
+    n = len(bars)
+    data, row, col = _shifted_gram(pts, bars)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
     try:
         lu = splu(
-            _shifted_gram(pts, bars),
+            csc_array((data, row, indptr), shape=(n, n)),
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -479,6 +501,44 @@ def _certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
 
 
+def _dense_certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
+    """_certified_full_rank by a dense Cholesky of G - tau I, factored in place.
+
+    The factor overwrites one E x E array, one _BLOCK-square block at a time,
+    block column by block column and down each column: a block is first
+    reduced by the blocks to its left, then the diagonal one is factored by
+    np.linalg.cholesky and each one below it solved against that factor.  So
+    the process holds the array plus a few blocks, and never imports scipy.
+
+    Success leaves G - tau I = L L^T with L lower triangular and every
+    diagonal entry positive, since np.linalg.cholesky raises LinAlgError on a
+    nonpositive (or NaN) pivot instead.  Such an L is nonsingular, so
+    x^T (G - tau I) x = |L^T x|^2 > 0 for every x != 0: G - tau I is positive
+    definite and sigma_E^2 > tau >= 1e-8 sigma_1^2.  Cholesky and the
+    pivoted solves are backward stable, so rounding makes L the exact factor
+    of a matrix within about E * eps * |G| of G - tau I, far below tau.
+    """
+    n = len(bars)
+    data, row, col = _shifted_gram(pts, bars)
+    H = np.zeros((n, n))
+    H[row, col] = data
+    del data, row, col
+    for j0 in range(0, n, _BLOCK):
+        j1 = min(j0 + _BLOCK, n)
+        for i0 in range(j0, n, _BLOCK):
+            block = H[i0 : i0 + _BLOCK, j0:j1]
+            block -= H[i0 : i0 + _BLOCK, :j0] @ H[j0:j1, :j0].T
+            if i0 == j0:
+                try:
+                    L = np.linalg.cholesky(block)
+                except np.linalg.LinAlgError:
+                    return False
+                block[...] = L
+            else:
+                block[...] = np.linalg.solve(L, block.T).T
+    return True
+
+
 def is_infinitesimally_rigid(obj) -> RigidityReport:
     """Rank test of the rigidity matrix against 3V - 6.
 
@@ -486,13 +546,16 @@ def is_infinitesimally_rigid(obj) -> RigidityReport:
     largest, which leaves the verdict unchanged under rotation and uniform
     scaling of the framework.
 
-    A framework with exactly 3V - 6 bars, such as any closed triangulated
-    sphere, first tries a certificate: a sparse factorization of the bars'
-    Gram matrix, shifted down by at least 1e-8 of its norm, that proves every
-    singular value lies above 1e-4 times the largest.
-    A certified framework has rank E, the rank the SVD would report.  Every
-    other framework, and one the certificate cannot prove (a flexible one,
-    or one too ill-conditioned for the shift), gets the dense SVD.
+    A framework with 1 <= E <= 3V - 6 bars first tries a certificate: a
+    factorization of the bars' Gram matrix, shifted down by 1e-8 of its norm,
+    that proves every singular value lies above 1e-4 times the largest.  A
+    closed triangulated sphere (E = 3V - 6), or an under-braced framework of
+    more than _DENSE_BARS bars, factors it sparsely; a smaller under-braced
+    one, such as an open dome, factors it densely in place without scipy.
+    A certified framework has rank E, the rank the SVD would report, so it is
+    rigid only when E = 3V - 6.  Every other framework, and one the
+    certificate cannot prove (a flexible one, or one too ill-conditioned for
+    the shift), gets the dense SVD.
     """
     pts, bars = _as_framework(obj)
     if len(pts) < 3:
@@ -501,8 +564,14 @@ def is_infinitesimally_rigid(obj) -> RigidityReport:
     if spread[1] <= _RANK_EPS * max(spread[0], 1e-300):
         raise DegenerateGeometry("joints are collinear")
     required = 3 * len(pts) - 6
-    if len(bars) == required and _certified_full_rank(pts, bars):
-        rank = required
+    if not 0 < len(bars) <= required:
+        certified = False
+    elif len(bars) < required and len(bars) <= _DENSE_BARS:
+        certified = _dense_certified_full_rank(pts, bars)
+    else:
+        certified = _certified_full_rank(pts, bars)
+    if certified:
+        rank = len(bars)
     else:
         sv = np.linalg.svd(_dense_rigidity(pts, bars), compute_uv=False)
         rank = int(np.sum(sv > _RANK_EPS * sv.max(initial=0.0)))  # no bars: rank 0

@@ -39,7 +39,15 @@ from geodome import (
     verify_counts,
     vertex_degree_histogram,
 )
-from geodome.analysis import _GRAM_SHIFT, _RANK_EPS, _bar_triplets, _certified_full_rank
+from geodome import analysis
+from geodome.analysis import (
+    _GRAM_SHIFT,
+    _RANK_EPS,
+    _bar_triplets,
+    _certified_full_rank,
+    _dense_certified_full_rank,
+    _dense_rigidity,
+)
 from geodome.mesh import _scale
 
 
@@ -623,3 +631,95 @@ def test_flat_framework_falls_back_to_dense_rank():
     P = build_mesh(flat.points, flat.small_faces)
     assert not _certified_full_rank(*_framework(P))
     assert is_infinitesimally_rigid(P) == _dense_report(P) == RigidityReport(270, 276, 250, 270)
+
+
+def _svd_rank(pts, bars):
+    """The rank _dense_report counts, of a framework that need not be a mesh."""
+    sv = np.linalg.svd(rigidity_matrix((pts, bars)), compute_uv=False)
+    return int(np.sum(sv > _RANK_EPS * sv.max(initial=0.0)))
+
+
+@pytest.fixture(scope="module")
+def under_braced(make_sphere):
+    """(points, bars, dense SVD rank) of frameworks with at most 3V - 6 bars, by name."""
+    meshes = {}
+    for m, n in ((2, 0), (8, 0), (2, 1), (5, 3)):  # class I and class III, 2v to 8v
+        for up in (False, True):
+            P = make_sphere(m, n, vertex_up=up)
+            for h in (0.375, 0.5, 0.625):
+                meshes[m, n, up, h] = truncate_dome(P, h)
+    D = dual(make_sphere(3, 0))
+    meshes["dual"], meshes["gemmation"] = truncate_dome(D, 0.5), truncate_dome(gemmate(D), 0.5)
+    flat = subdivide(seed("icosahedron"), 3, 0)
+    meshes["flat"] = build_mesh(flat.points, flat.small_faces)
+    cases = {name: (*_framework(P), _dense_report(P).rank) for name, P in meshes.items()}
+    pts, bars, _ = cases[5, 3, True, 0.5]
+    doubled = np.vstack([bars[1:2], bars[1:]])  # one bar moved onto another: flexible
+    cases["doubled"] = (pts, doubled, _svd_rank(pts, doubled))
+    cases["one bar"] = (np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [2.0, -1.0, 0.5]]),
+                        np.array([[0, 1]]), 1)
+    return cases
+
+
+def test_both_certificates_hold_exactly_when_the_dense_svd_finds_full_rank(under_braced):
+    full = {name: rank == len(bars) for name, (_, bars, rank) in under_braced.items()}
+    assert [name for name, ok in full.items() if not ok] == ["flat", "doubled"]
+    for name, (pts, bars, _) in under_braced.items():
+        assert _dense_certified_full_rank(pts, bars) is full[name], name
+        assert _certified_full_rank(pts, bars) is full[name], name
+
+
+@pytest.mark.parametrize("limit", [0, 10**6])
+def test_rigidity_reports_equal_the_dense_svd_on_each_side_of_the_bar_limit(
+    under_braced, monkeypatch, limit
+):
+    monkeypatch.setattr(analysis, "_DENSE_BARS", limit)
+    for name, (pts, bars, rank) in under_braced.items():
+        report = is_infinitesimally_rigid((pts, bars))
+        assert report == RigidityReport(len(bars), 3 * len(pts), rank, 3 * len(pts) - 6), name
+
+
+def test_rigidity_sends_each_framework_to_one_certificate(make_sphere, monkeypatch):
+    calls = []
+    for name in ("_dense_certified_full_rank", "_certified_full_rank"):
+        monkeypatch.setattr(analysis, name,
+                            lambda pts, bars, name=name: calls.append((name, len(bars))) or True)
+    pts, bars = _framework(truncate_dome(make_sphere(12, 0, vertex_up=True), 0.5))
+    limit = analysis._DENSE_BARS
+    frameworks = [
+        _framework(make_sphere(2, 0)),  # closed: E = 3V - 6
+        _framework(truncate_dome(make_sphere(7, 0, vertex_up=True), 0.5)),
+        (pts, bars[:limit]),
+        (pts, bars[: limit + 1]),
+        (pts, bars),
+        (pts, bars[:0]),  # no bars
+        (np.vstack([np.zeros(3), np.eye(3)]),  # a tetrahedron with a bar doubled: E > 3V - 6
+         np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])),
+    ]
+    ranks = [is_infinitesimally_rigid(fw).rank for fw in frameworks]
+    assert ranks == [120, 770, limit, limit + 1, 2190, 0, 6]
+    assert calls == [
+        ("_certified_full_rank", 120),
+        ("_dense_certified_full_rank", 770),
+        ("_dense_certified_full_rank", limit),
+        ("_certified_full_rank", limit + 1),
+        ("_certified_full_rank", 2190),
+    ]
+
+
+def test_dense_certificate_peaks_below_the_dense_svd(make_sphere):
+    # tracemalloc sees numpy's arrays, not LAPACK's work buffers, so the SVD's copy
+    # of M and its workspace are not even counted against it
+    import tracemalloc
+
+    pts, bars = _framework(truncate_dome(make_sphere(7, 0, vertex_up=True), 0.5))
+    peaks = []
+    for run in (lambda: np.linalg.svd(_dense_rigidity(pts, bars), compute_uv=False),
+                lambda: _dense_certified_full_rank(pts, bars)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(bars) == 770 and peaks[1] < peaks[0]

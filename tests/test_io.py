@@ -358,7 +358,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_rigidity_of_a_dome_leaves_scipy_unloaded(tmp_path):
-    # a dome has fewer than 3V - 6 bars, so it takes the dense SVD, which needs no scipy
+    # a dome has fewer than 3V - 6 bars, so it takes the dense certificate, which needs no scipy
     sphere, dome = tmp_path / "sphere.obj", tmp_path / "dome.obj"
     assert main(["generate", "--vertex-up", "--m", "2", "-o", str(sphere)]) == 0
     assert main(["truncate", "-i", str(sphere), "--fraction", "0.5", "-o", str(dome)]) == 0
@@ -389,6 +389,7 @@ g.export_obj(D, out / "d.obj")
 g.export_schedule(P, out / "s.json")
 g.export_analysis_csv(dome, out / "a.csv")
 g.import_obj(out / "d.obj")
+assert g.combinatorially_isomorphic(P, g.mirrored(P)) and g.combinatorially_isomorphic(dome, dome)
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
