@@ -187,35 +187,28 @@ def face_metrics(P: Mesh, tol: float = DEFAULT_TOL) -> list[FaceMetric]:
 
 
 def detect_frequency(P: Mesh) -> int:
-    """Frequency m of a class I sphere: the edge-graph distance between
-    nearest degree-5 vertices.
+    """Frequency m of a class I icosahedral sphere: the number of struts along
+    a lattice line between neighboring degree-5 vertices (Caspar & Klug 1962).
 
-    Every degree-5 vertex must see its nearest degree-5 neighbor at the same
-    distance, and the vertex total must match a class I sphere of that
-    frequency; anything else is rejected.
+    The vertex total fixes m, as V = 10 m^2 + 2, and P must be closed with
+    exactly the counts of that sphere.  Every lattice line leaving a degree-5
+    vertex, walked straight on through m - 1 vertices of degree 6, must then
+    meet a degree-5 vertex; anything else is rejected.
     """
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import shortest_path
-
-    fives = np.flatnonzero(P.degrees() == 5)
-    if not fives.size:
+    m = math.isqrt((len(P.vertices) - 2) // 10)
+    if not (P.closed and P.counts == _sphere_counts(20, m * m)):
+        raise NotClassI(f"counts do not match a closed class I sphere of frequency {m}")
+    he, degree = P._half_edges, P.degrees()
+    h = np.flatnonzero(degree[he.tail] == 5)  # the first strut of every line from a degree-5 vertex
+    if not h.size:
         raise NotClassI("no degree-5 vertices")
-    he = P._half_edges
-    graph = coo_array((np.ones(len(he.tail)), (he.tail, he.head)), shape=(len(P.vertices),) * 2)
-    dist = shortest_path(graph, directed=False, unweighted=True, indices=fives)[:, fives]
-    np.fill_diagonal(dist, np.inf)
-    nearest = dist.min(axis=1)
-    # name the first degree-5 vertex, in index order, that breaks the pattern
-    far = np.isinf(nearest)
-    bad = np.flatnonzero(far | (nearest != nearest[0]))
-    if bad.size:
-        if far[bad[0]]:
-            raise NotClassI("degree-5 vertices are not connected")
-        pair = sorted({int(nearest[0]), int(nearest[bad[0]])})
-        raise NotClassI(f"nearest degree-5 distances differ: {pair}")
-    m = int(nearest[0])
-    if P.counts != _sphere_counts(20, m * m):
-        raise NotClassI(f"counts do not match a class I sphere of frequency {m}")
+    for step in range(1, m + 1):
+        bad = np.flatnonzero(degree[he.head[h]] != (5 if step == m else 6))
+        if bad.size:
+            v = he.head[h[bad[0]]]
+            raise NotClassI(f"a lattice line from a degree-5 vertex meets vertex {v} of degree "
+                            f"{degree[v]} after {step} of {m} struts")
+        h = he.turn[he.turn[he.turn[he.twin[h]]]]  # straight on: the third turn from the way back
     return m
 
 
@@ -338,7 +331,7 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     rows = max(1, _TABLE_ENTRIES // (n + 1))
     # Q's (tail, next), then with faces reversed: h leaves its head, followed by its predecessor
     sides = []
-    for tail, succ in ((he_q.tail, he_q.succ), (he_q.head, np.argsort(he_q.succ))):
+    for tail, succ in ((he_q.tail, he_q.succ), (he_q.head, he_q.prev)):
         starts = np.flatnonzero(_dart_kinds(Q, tail, succ) == kinds[rarest])
         sides.append((tail, np.stack([twin_q, np.append(succ, n)]), starts))
     # the first candidate of each orientation alone, then the rest in batches

@@ -55,24 +55,25 @@ def _cmd_truncate(args: argparse.Namespace) -> None:
     export_obj(mesh, args.output)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> None:
-    mesh = import_obj(args.input, allow_open=args.allow_open)
-    rows = analysis_rows(mesh, args.tol)
+def _print_report(rows: list[tuple[str, object]]) -> None:
     width = max(len(quantity) for quantity, _ in rows)
     for quantity, value in rows:
         print(f"{quantity:<{width}}  {value}")
+
+
+def _cmd_analyze(args: argparse.Namespace) -> None:
+    mesh = import_obj(args.input, allow_open=args.allow_open)
+    rows = analysis_rows(mesh, args.tol)
+    _print_report(rows)
     if args.csv:
         _write_analysis_csv(rows, args.csv)
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> None:
-    mesh = import_obj(args.input, allow_open=args.allow_open)
-    report = is_infinitesimally_rigid(mesh)
-    print(f"edge rows      {report.edge_rows}")
-    print(f"dof columns    {report.dof_cols}")
-    print(f"rank           {report.rank}")
-    print(f"required rank  {report.required_rank}")
-    print(f"rigid          {report.rigid}")
+    report = is_infinitesimally_rigid(import_obj(args.input, allow_open=args.allow_open))
+    _print_report([("edge rows", report.edge_rows), ("dof columns", report.dof_cols),
+                   ("rank", report.rank), ("required rank", report.required_rank),
+                   ("rigid", report.rigid)])
 
 
 def _cmd_export(args: argparse.Namespace) -> None:

@@ -134,9 +134,11 @@ def _corner_sum(corners: np.ndarray) -> np.ndarray:
 class _HalfEdges:
     """Directed edges of a face list: faces in order, corners in cycle order.
 
-    Half-edge h runs tail[h] -> head[h] in face[h]; succ[h] is the next
-    half-edge around that face and twin[h] the opposite half-edge (-1 on a
-    boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1.
+    Half-edge h runs tail[h] -> head[h] in face[h]; succ[h] (prev[h]) is the
+    next (previous) half-edge around that face and twin[h] the opposite one
+    (-1 on a boundary).  The vertex rotation turn[h] = twin[prev[h]] is the
+    next half-edge leaving tail[h], counter-clockwise seen from outside (-1
+    on a boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1.
     edges holds the undirected edges as an (E, 2) id array, low id first, in
     lexicographic order, and uses[e] counts the half-edges along edge e.
     repeated holds, ascending, one entry per repeat of a directed-edge key
@@ -151,6 +153,8 @@ class _HalfEdges:
         self.face = np.repeat(np.arange(len(size)), size)
         self.succ = np.arange(1, len(flat) + 1)
         self.succ[self.start + size - 1] = self.start
+        self.prev = np.arange(-1, len(flat) - 1)
+        self.prev[self.start] = self.start + size - 1
         self.head = flat[self.succ]
         # one code per half-edge: its undirected edge low * V + high, doubled,
         # plus 1 when it runs high -> low; a single sort groups every edge
@@ -161,6 +165,7 @@ class _HalfEdges:
         pair = np.flatnonzero((ranked[1:] ^ 1) == ranked[:-1])  # codes c and c + 1, c even
         self.twin = np.full(len(flat), -1)
         self.twin[order[pair]], self.twin[order[pair + 1]] = order[pair + 1], order[pair]
+        self.turn = self.twin[self.prev]
         edge = ranked >> 1
         first = np.flatnonzero(np.concatenate(([True], edge[1:] != edge[:-1])))
         self.uses = np.diff(first, append=len(flat))
@@ -206,19 +211,16 @@ class _HalfEdges:
 
     def rings(self, ids: np.ndarray, points: np.ndarray, axes: np.ndarray) -> _Cycles:
         """One cycle per vertex of a closed mesh: ids[h] of the half-edges h leaving
-        it, counter-clockwise seen from outside, as the rotation h -> twin[prev[h]]
-        turns.  A cycle starts at the entry whose points[h] has the least polar
-        angle (counter-clockwise from outside, from near -pi) around axes[v],
-        ties by id; a vertex on no face gets an empty cycle.
+        it, in the order of the vertex rotation turn.  The polar angle only picks
+        the start: the entry whose points[h] has the least angle (counter-clockwise
+        from outside, from near -pi) around axes[v], ties by id.  A vertex on no
+        face gets an empty cycle.
         """
-        slots, degree = np.arange(len(self.tail)), np.bincount(self.tail, minlength=len(axes))
-        prev = slots - 1
-        prev[self.start] = self.start + self.size - 1
-        turn = self.twin[prev]
+        degree = np.bincount(self.tail, minlength=len(axes))
         walk = np.zeros((int(degree.max()), len(axes)), dtype=np.intp)
-        walk[0, self.tail] = slots  # some half-edge leaving each vertex
+        walk[0, self.tail] = np.arange(len(self.tail))  # some half-edge leaving each vertex
         for k in range(1, len(walk)):
-            walk[k] = turn[walk[k - 1]]
+            walk[k] = self.turn[walk[k - 1]]
         axes = axes / _norms(axes)[:, None]
         helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         t1 = np.cross(helper, axes)

@@ -33,6 +33,7 @@ from geodome import (
     rotated,
     rotation_to_z,
     seed,
+    stepping_projection,
     strut_schedule,
     subdivide,
     truncate_dome,
@@ -216,6 +217,64 @@ def test_detect_frequency(make_sphere, sphere_3v, sphere_21, icosa):
     for bad in (sphere_21, seed("dodecahedron"), seed("octahedron")):
         with pytest.raises(NotClassI):
             detect_frequency(bad)
+
+
+def _reference_frequency(P):
+    """The edge-graph distance between nearest degree-5 vertices, from scipy's shortest_path."""
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import shortest_path
+
+    fives = np.flatnonzero(P.degrees() == 5)
+    if not fives.size:
+        raise NotClassI("no degree-5 vertices")
+    he = P._half_edges
+    graph = coo_array((np.ones(len(he.tail)), (he.tail, he.head)), shape=(len(P.vertices),) * 2)
+    dist = shortest_path(graph, directed=False, unweighted=True, indices=fives)[:, fives]
+    np.fill_diagonal(dist, np.inf)
+    nearest = dist.min(axis=1)
+    if np.isinf(nearest).any() or (nearest != nearest[0]).any():
+        raise NotClassI("nearest degree-5 distances differ")
+    m = int(nearest[0])
+    if P.counts != analysis._sphere_counts(20, m * m):
+        raise NotClassI(f"counts do not match a class I sphere of frequency {m}")
+    return m
+
+
+def _flipped(P, a, b):
+    """P with edge (a, b) flipped: its two triangles re-split along the other diagonal."""
+    faces = [list(f) for f in P.faces]
+    (i, f), (j, g) = [(k, f) for k, f in enumerate(faces) if a in f and b in f]
+    c, d = (next(v for v in face if v not in (a, b)) for face in (f, g))
+    if f[(f.index(a) + 1) % 3] != b:  # name the ends so that f runs a -> b
+        a, b = b, a
+    faces[i], faces[j] = [a, d, c], [d, b, c]
+    return build_mesh(P.vertices, faces, radius=P.radius)
+
+
+def test_detect_frequency_matches_the_shortest_path_reference(make_sphere):
+    def frequency(detect, P):
+        try:
+            return detect(P)
+        except NotClassI:
+            return None
+
+    R = rotation_to_z((1.0, -2.0, 0.5))
+    walks = [(m, 0) for m in range(1, 9)] + [(0, 4), (2, 1), (3, 3), (5, 3), (3, 5)]
+    kinds = ("tetrahedron", "octahedron", "icosahedron")
+    meshes = [make_sphere(m, n, kind) for kind in kinds for m, n in walks]
+    meshes += [stepping_projection(seed(kind), k) for kind in kinds for k in (1, 2, 3)]
+    P = make_sphere(4, 0)
+    degree = P.degrees()
+    inner = next(e for e in P.edges if (degree[list(e)] == 6).all())
+    near = next(e for e in P.edges if degree[e[0]] == 5)  # the first strut of a lattice line
+    flips = [_flipped(P, *inner), _flipped(P, *near)]
+    meshes += [dual(P), truncate_dome(P, 0.5), _relabeled(P), rotated(P, R),
+               rotated(_relabeled(make_sphere(5, 3)), R), *flips]
+    got = [frequency(detect_frequency, P) for P in meshes]
+    assert got == [frequency(_reference_frequency, P) for P in meshes]
+    # icosahedral (m, 0) and (0, 4), stepping to 2, 4 and 8, the relabeled and rotated (4, 0)
+    assert sorted(filter(None, got)) == [1, 2, 2, 3, 4, 4, 4, 4, 4, 5, 6, 7, 8, 8]
+    assert got[-2:] == [None, None]
 
 
 def test_congruent_under_rotation(sphere_21):

@@ -390,6 +390,7 @@ g.export_schedule(P, out / "s.json")
 g.export_analysis_csv(dome, out / "a.csv")
 g.import_obj(out / "d.obj")
 assert g.combinatorially_isomorphic(P, g.mirrored(P)) and g.combinatorially_isomorphic(dome, dome)
+assert g.detect_frequency(g.project_to_sphere(g.subdivide(g.seed("icosahedron"), 4, 0))) == 4
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -264,6 +264,24 @@ def test_rings_of_a_vertex_on_no_face_are_empty():
     assert got.flat.tolist() == _ring_sort(he.tail, he.face, points, verts)[0].tolist()
 
 
+def test_prev_and_turn_are_the_face_and_vertex_rotations(sphere_21):
+    D, dome = dual(sphere_21), truncate_dome(sphere_21, 0.5)
+    assert sorted(set(D._half_edges.size.tolist())) == [5, 6] and not dome.closed
+    for P in (sphere_21, D, dome):
+        he = P._half_edges
+        slots = np.arange(len(he.tail))
+        assert (he.succ[he.prev] == slots).all()
+        leaves = he.turn >= 0
+        assert (he.tail[he.turn[leaves]] == he.tail[leaves]).all()
+        assert (~leaves == (he.twin[he.prev] < 0)).all()
+        assert leaves.all() == P.closed
+        if P.closed:  # around every vertex: back to the start after exactly degree turns
+            degree, h = P.degrees()[he.tail], slots
+            for k in range(1, int(degree.max()) + 1):
+                h = he.turn[h]
+                assert ((h == slots) == (k % degree == 0)).all()
+
+
 def test_cached_face_planes_are_read_only_and_fresh(sphere_21):
     R = rotation_to_z((1.0, 2.0, 3.0))
     for P in (rotated(sphere_21, R), mirrored(sphere_21), dual(sphere_21),

@@ -12,7 +12,8 @@ directory with relative file names, so messages that quote a path match.
 The corpus: for every walk in WALKS, seed in SEEDS and vertex-up on and off,
 generate a sphere; take its dual; cut its 0.5 dome; analyze the sphere
 (with ``--csv``) and the dome (``--open``); export the sphere as json and
-obj; test the dome's rigidity (``--open``); and gemmate, analyze, export as
+obj; test the rigidity of the sphere (the sparse certificate) and of the
+dome (``--open``, the dense one); and gemmate, analyze, export as
 json and cut the 0.5 dome of the dual.  A step that fails is recorded like
 any other; later steps that read its missing output fail too, the same way
 in both trees.
@@ -48,6 +49,7 @@ def corpus() -> list[list[str]]:
                     ["analyze", "-i", f"{s}-dome.obj", "--open"],
                     ["export", "-i", f"{s}.obj", "--format", "json", "-o", f"{s}.json"],
                     ["export", "-i", f"{s}.obj", "--format", "obj", "-o", f"{s}-copy.obj"],
+                    ["rigidity", "-i", f"{s}.obj"],
                     ["rigidity", "-i", f"{s}-dome.obj", "--open"],
                     ["gemmate", "-i", f"{s}-dual.obj", "-o", f"{s}-dual-gem.obj"],
                     ["analyze", "-i", f"{s}-dual.obj"],
