@@ -225,6 +225,21 @@ def _turn(points: np.ndarray, R: np.ndarray) -> np.ndarray:
     return sum(points[:, k, None] * R[..., None, :, k] for k in range(3))
 
 
+_PROBE = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)  # generic unit direction
+
+
+def _nearest(points: np.ndarray, verts: np.ndarray, keys: np.ndarray, eps: float) -> np.ndarray:
+    """Row of verts (sorted by keys = verts @ _PROBE) nearest each of points (..., 3) within
+    eps, else -1: a vertex within eps of p has a key within eps of p's, up to rounding, so
+    exact distances over keys within 2 eps decide.  O(V^2) if verts lie in a plane across _PROBE."""
+    at = points @ _PROBE
+    lo, hi = np.searchsorted(keys, np.stack([at - 2.0 * eps, at + 2.0 * eps]))
+    slot = np.minimum(lo[..., None] + np.arange(max(1, (hi - lo).max(initial=0))), len(keys) - 1)
+    dist = np.linalg.norm(verts[slot] - points[..., None, :], axis=-1)
+    best = np.take_along_axis(slot, dist.argmin(axis=-1)[..., None], -1)[..., 0]
+    return np.where(dist.min(axis=-1) <= eps, best, -1)
+
+
 def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
     """Whether an isometry carries the vertex set of P onto that of Q.
 
@@ -233,25 +248,22 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
     radius, else its mean vertex distance.  Candidate alignments map a vertex
     of the rarest degree and its lowest-numbered neighbor onto an edge of Q
     with the same end degrees, as an isometry between the meshes must.  One
-    KD-tree query moves up to 12 of P's rarest-degree vertices under every
-    candidate and drops a candidate that leaves one farther than eps from Q.
-    Each survivor in turn gets the full test: every vertex within eps of a
-    distinct vertex.  The first candidate in (anchor, neighbor) order, the
-    identity on a copy of P, is tried alone before the rest.
+    `_nearest` sweep over Q's vertices, sorted once, moves up to 12 of P's
+    rarest-degree vertices under every candidate and drops a candidate that
+    leaves one farther than eps from Q.  Each survivor in turn gets the full
+    test: every vertex within eps of a distinct vertex.  The first candidate in
+    (anchor, neighbor) order, the identity on a copy of P, is tried alone first.
     """
     allow_reflection = _flag(allow_reflection, "allow_reflection")
-    if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
-        return False
-    if (P.radius is None) != (Q.radius is None):
+    degrees_p, degrees_q = P.degrees(), Q.degrees()
+    same = P.counts == Q.counts and np.array_equal(np.bincount(degrees_p), np.bincount(degrees_q))
+    if not same or (P.radius is None) != (Q.radius is None):
         return False
     p_verts, q_verts = P.vertices, Q.vertices
     eps = DEFAULT_TOL * _scale(P)
     if P.radius is not None and abs(P.radius - Q.radius) > eps:
         return False
 
-    from scipy.spatial import cKDTree
-
-    degrees_p, degrees_q = P.degrees(), Q.degrees()
     # vertices of the rarest degree among those on an edge, the lower degree on ties
     values, counts = np.unique(degrees_p[degrees_p > 0], return_counts=True)
     rare = np.flatnonzero(degrees_p == values[np.lexsort((values, counts))[0]])
@@ -264,12 +276,14 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
     if allow_reflection:  # each frame, then its mirror image
         frames = np.stack([frames, frames * (1.0, 1.0, -1.0)], axis=1).reshape(-1, 3, 3)
     turns = frames @ _frames(p_verts[rare[:1]], p_verts[[nbr]])[0].T
-    tree = cKDTree(q_verts)
-    for group in (turns[:1], turns[1:]):
-        near, _ = tree.query(_turn(p_verts[rare[:12]], group))  # 12: all of them, on a sphere
-        for R in group[(near <= eps).all(axis=1)]:
-            dist, idx = tree.query(_turn(p_verts, R))
-            if dist.max() <= eps and np.diff(np.sort(idx)).all():  # distinct images
+    keys = q_verts @ _PROBE
+    order = np.argsort(keys)
+    q_sorted, keys = q_verts[order], keys[order]
+    for group in (turns[:1], turns[1:]):  # 12 rare vertices: all of them, on a sphere
+        near = _nearest(_turn(p_verts[rare[:12]], group), q_sorted, keys, eps)
+        for R in group[(near >= 0).all(axis=1)]:
+            idx = _nearest(_turn(p_verts, R), q_sorted, keys, eps)
+            if (idx >= 0).all() and np.diff(np.sort(idx)).all():  # distinct images
                 return True
     return False
 
@@ -277,9 +291,9 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
 _TABLE_ENTRIES = 1 << 22  # bounds the memory of one table of candidate dart maps
 
 
-def _dart_kinds(P: Mesh, tail: np.ndarray, succ: np.ndarray) -> np.ndarray:
-    """(tail degree, head degree, face size) of every dart, coded as one integer."""
-    degrees, top, he = P.degrees(), len(P.vertices) + 1, P._half_edges
+def _dart_kinds(P: Mesh, degrees: np.ndarray, tail: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """(tail degree, head degree, face size) of every dart of P, coded as one integer."""
+    top, he = len(degrees) + 1, P._half_edges
     return (degrees[tail] * top + degrees[tail[succ]]) * top + he.size[he.face]
 
 
@@ -314,11 +328,12 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     the rest of each, so a copy or a mirror image of P costs at most two
     candidates.
     """
-    if P.counts != Q.counts or vertex_degree_histogram(P) != vertex_degree_histogram(Q):
+    degrees_p, degrees_q = P.degrees(), Q.degrees()
+    if P.counts != Q.counts or not np.array_equal(np.bincount(degrees_p), np.bincount(degrees_q)):
         return False
     he_p, he_q, n = P._half_edges, Q._half_edges, len(P._half_edges.tail)
     kinds, first, counts = np.unique(
-        _dart_kinds(P, he_p.tail, he_p.succ), return_index=True, return_counts=True
+        _dart_kinds(P, degrees_p, he_p.tail, he_p.succ), return_index=True, return_counts=True
     )
     rarest = np.lexsort((kinds, counts))[0]
     twin_p = np.where(he_p.twin < 0, n, he_p.twin)
@@ -332,7 +347,7 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     # Q's (tail, next), then with faces reversed: h leaves its head, followed by its predecessor
     sides = []
     for tail, succ in ((he_q.tail, he_q.succ), (he_q.head, he_q.prev)):
-        starts = np.flatnonzero(_dart_kinds(Q, tail, succ) == kinds[rarest])
+        starts = np.flatnonzero(_dart_kinds(Q, degrees_q, tail, succ) == kinds[rarest])
         sides.append((tail, np.stack([twin_q, np.append(succ, n)]), starts))
     # the first candidate of each orientation alone, then the rest in batches
     tries = [(tail, steps, starts[:1]) for tail, steps, starts in sides]

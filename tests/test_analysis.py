@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodome import (
     DEFAULT_TOL,
@@ -542,6 +544,67 @@ def test_congruence_and_isomorphism_match_loop_references(make_sphere):
     assert verdicts["(2,1)", "(2,1) mirrored"][2:] == [False, False, True, True]
     # the first candidate dart fails here, a later one succeeds
     assert verdicts["octahedral (2,1) dome", "octahedral (1,2) dome"][:2] == [True, True]
+
+
+def test_congruent_when_probe_keys_tie(make_sphere):
+    # turn the sphere so that two far-apart vertices share their key along the probe
+    probe, P = analysis._PROBE, make_sphere(3, 1)
+    across = np.cross(probe, (0.0, 0.0, 1.0))
+    R = rotation_to_z(across).T @ rotation_to_z(P.vertices[0] - P.vertices[-1])
+    Q = rotated(P, R)
+    keys = Q.vertices @ probe
+    assert np.count_nonzero(np.abs(keys - keys[0]) <= 2.0 * DEFAULT_TOL) == 2  # its window
+    for X in (P, mirrored(P), Q):
+        for reflect in (False, True):
+            expected = _reference_congruent(X, Q, allow_reflection=reflect)
+            assert congruent(X, Q, allow_reflection=reflect) is expected, reflect
+    assert congruent(P, Q) and not congruent(mirrored(P), Q)
+
+
+def test_congruent_at_the_edge_of_eps_along_the_probe(make_sphere):
+    # a vertex moved along the probe moves its key by the full shift: by half of
+    # eps either way it stays congruent, by twice eps it does not
+    probe = analysis._PROBE
+    for radius in (1.0, 1e6):
+        P, eps = make_sphere(2, 0, radius=radius), DEFAULT_TOL * radius
+        he = P._half_edges
+        anchor = np.flatnonzero(P.degrees() == 5)[0]
+        tilt = np.abs(P.vertices @ probe)  # small: the probe is nearly tangent there
+        tilt[[anchor, *he.head[he.tail == anchor]]] = np.inf
+        v = tilt.argmin()
+        for shift, same in ((0.5, True), (-0.5, True), (2.0, False), (-2.0, False)):
+            verts = P.vertices.copy()
+            verts[v] += shift * eps * probe
+            moved = build_mesh(verts, P.faces, radius=radius)
+            assert (moved.vertices[v] - P.vertices[v]) @ probe == pytest.approx(shift * eps)
+            assert congruent(P, moved) is congruent(moved, P) is same, (radius, shift)
+            assert _reference_congruent(P, moved) is same
+
+
+def _about(axis, angle):
+    """Rotation by angle about a coordinate axis."""
+    i, j = (k for k in range(3) if k != axis)
+    R = np.eye(3)
+    R[i, i] = R[j, j] = math.cos(angle)
+    R[i, j], R[j, i] = -math.sin(angle), math.sin(angle)
+    return R
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    kind=st.sampled_from(["tetrahedron", "octahedron", "icosahedron"]),
+    walk=st.sampled_from([(m, t - m) for t in range(1, 6) for m in range(t + 1)]),
+    angles=st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3),
+    mirror=st.booleans(),
+    exponent=st.floats(-6.0, 8.0),
+)
+def test_congruent_matches_the_kd_tree_reference(kind, walk, angles, mirror, exponent):
+    P = project_to_sphere(subdivide(seed(kind, 10.0**exponent), *walk))
+    R = _about(2, angles[0]) @ _about(1, angles[1]) @ _about(2, angles[2])
+    Q = rotated(mirrored(P) if mirror else P, R)
+    for reflect in (False, True):
+        assert congruent(P, Q, allow_reflection=reflect) is _reference_congruent(P, Q, reflect)
+    assert congruent(P, Q, allow_reflection=True)
 
 
 def test_rigidity_matrix_shape(icosa):

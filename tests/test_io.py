@@ -391,6 +391,8 @@ g.export_analysis_csv(dome, out / "a.csv")
 g.import_obj(out / "d.obj")
 assert g.combinatorially_isomorphic(P, g.mirrored(P)) and g.combinatorially_isomorphic(dome, dome)
 assert g.detect_frequency(g.project_to_sphere(g.subdivide(g.seed("icosahedron"), 4, 0))) == 4
+C = g.project_to_sphere(g.subdivide(g.seed("icosahedron", vertex_up=True), 1, 3))  # P's mirror image
+assert g.congruent(g.mirrored(P), C) and g.congruent(P, C, allow_reflection=True)
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
