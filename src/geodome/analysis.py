@@ -440,25 +440,29 @@ def rigidity_matrix(obj) -> np.ndarray:
 _GRAM_SHIFT = 1e-8
 # Rank threshold: singular values at most this times the largest count as zero.
 _RANK_EPS = 1e-10
-# Under-braced frameworks with at most this many bars get the dense
-# certificate, the rest the sparse one.  In a fresh process the sparse one
-# pays 0.35-0.50 s and about 25 MB of peak RSS to import scipy.sparse.linalg,
-# while the dense one holds 8 E^2 bytes: on 0.5 domes the peaks cross between
-# 1870 and 2190 bars, the wall times between 2190 and 2600.
-_DENSE_BARS = 2000
-# Block size of the in-place dense Cholesky: the fastest of 64 to 256 on
-# 770- and 1870-bar domes.
-_BLOCK = 128
+# Frameworks with at most this many bars get the banded certificate, the rest
+# the sparse one.  The band holds at most 8 E (w + b) bytes for bandwidth w
+# and panel width b: 2.1 MB (w = 143) for the 1920 bars of the icosahedral
+# (8, 0) sphere, where a dense E x E array takes 29.5 MB.  Warm, the sparse
+# LU gains on it as E grows (12.9 against 13.9 ms at 1920 bars, 77 against
+# 140 ms at 12 000), but a fresh process first pays 0.35-0.50 s and about
+# 25 MB of peak RSS to import scipy.sparse.linalg.
+_BANDED_BARS = 2000
+# Panel width of the banded Cholesky.  From 24 to 48 it made no difference on
+# the census spheres; at 80 and up OpenBLAS factors a block on two threads,
+# and on a busy machine one such call stalled for up to 120 ms.
+_BLOCK = 32
 
 
-def _shifted_gram(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(value, row, column) of every nonzero of G - tau I, column by column.
+def _gram_terms(pts: np.ndarray, bars: np.ndarray) -> tuple:
+    """Every term of G = M M^T as (value, row, column), and the shift tau.
 
-    G = M M^T: G[i, j] sums (s_i d_i) . (s_j d_j) over the joints bars i and j
-    share, d the bar vector, s 1 (-1) at its first (second) end.  tau is
-    _GRAM_SHIFT times |G|_1, the largest column sum of |G| read from the same
-    sums, so no dense copy of G is needed for it.  Both certificates build
-    these apart, so that the temporaries are freed before they factor.
+    G[i, j] sums (s_i d_i) . (s_j d_j) over the joints bars i and j share, d
+    the bar vector, s 1 (-1) at its first (second) end: one term per pair of
+    ends at a joint, in both orders, so an entry has one term, or two equal
+    ones (the diagonal, and two bars on the same two joints).  tau is
+    _GRAM_SHIFT times the largest column sum of the terms' absolute values,
+    so |G|_1 up to rounding, and no dense copy of G is needed for it.
     """
     n, d = len(bars), pts[bars[:, 0]] - pts[bars[:, 1]]
     order = np.argsort(bars.ravel(), kind="stable")  # the ends by joint; end 2i + k is bar i's
@@ -469,12 +473,22 @@ def _shifted_gram(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
     skip = np.cumsum(degree)[joint] - degree[joint] - np.cumsum(reach) + reach
     right = np.arange(reach.sum()) + np.repeat(skip, reach)
     dots = sum(np.repeat(arm[k], reach) * arm[k][right] for k in range(3))
-    key = bar[right] * n + np.repeat(bar, reach)  # column-major (row, column) of G
+    col = np.repeat(bar, reach)
+    tau = _GRAM_SHIFT * float(np.bincount(col, np.abs(dots), minlength=n).max())
+    return dots, bar[right], col, tau
+
+
+def _shifted_gram(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(value, row, column) of every nonzero of G - tau I, column by column,
+    built apart so that the terms are freed before the sparse LU."""
+    n = len(bars)
+    dots, row, col, tau = _gram_terms(pts, bars)
+    key = col * n + row
     ranked = np.argsort(key)
     key, dots = key[ranked], dots[ranked]
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    data, col, row = np.add.reduceat(dots, first), *np.divmod(key[first], n)
-    data[row == col] -= _GRAM_SHIFT * float(np.bincount(col, np.abs(data), minlength=n).max())
+    data, (col, row) = np.add.reduceat(dots, first), np.divmod(key[first], n)
+    data[row == col] -= tau
     return data, row, col
 
 
@@ -509,41 +523,65 @@ def _certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
 
 
-def _dense_certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
-    """_certified_full_rank by a dense Cholesky of G - tau I, factored in place.
+def _banded_certified_full_rank(pts: np.ndarray, bars: np.ndarray, axis: np.ndarray) -> bool:
+    """_certified_full_rank by a banded Cholesky of G - tau I, without scipy.
 
-    The factor overwrites one E x E array, one _BLOCK-square block at a time,
-    block column by block column and down each column: a block is first
-    reduced by the blocks to its left, then the diagonal one is factored by
-    np.linalg.cholesky and each one below it solved against that factor.  So
-    the process holds the array plus a few blocks, and never imports scipy.
+    Only bars that share a joint have a nonzero Gram entry, so with the bars
+    ordered by their midpoints along axis, G - tau I is banded (Cuthill &
+    McKee 1969 order by graph levels; a sweep along the joints' principal
+    axis does as well on spheres and domes, with one sort).  Its lower
+    triangle is stored as column panels _BLOCK wide, each from the diagonal
+    down to the last row that any column up to its last one reaches.  No
+    fill passes that envelope, since a Cholesky factor has no nonzero left
+    of the first one of its row in the matrix (George & Liu 1981), so the
+    band takes O(E w) memory and O(E w^2) time for bandwidth w.  Panels are
+    factored left to right: each is reduced by the earlier ones that reach
+    its rows, its diagonal block goes through np.linalg.cholesky, and the
+    rows below through one np.linalg.solve against that factor (no explicit
+    inverse, whose error would grow with the condition of the factor).
 
-    Success leaves G - tau I = L L^T with L lower triangular and every
-    diagonal entry positive, since np.linalg.cholesky raises LinAlgError on a
-    nonpositive (or NaN) pivot instead.  Such an L is nonsingular, so
-    x^T (G - tau I) x = |L^T x|^2 > 0 for every x != 0: G - tau I is positive
-    definite and sigma_E^2 > tau >= 1e-8 sigma_1^2.  Cholesky and the
-    pivoted solves are backward stable, so rounding makes L the exact factor
-    of a matrix within about E * eps * |G| of G - tau I, far below tau.
+    Success leaves Pi (G - tau I) Pi^T = L L^T, Pi the bar permutation and
+    L lower triangular with every diagonal entry positive, since
+    np.linalg.cholesky raises LinAlgError on a nonpositive (or NaN) pivot
+    instead; the entries of L outside the band are exact zeros.  Such an L is
+    nonsingular, so x^T (G - tau I) x = |L^T Pi x|^2 > 0 for every x != 0:
+    G - tau I is positive definite and sigma_E^2 > tau >= 1e-8 sigma_1^2.
+    Cholesky and the pivoted solves are backward stable, so rounding makes L
+    the exact factor of a matrix within about E * eps * |G| of
+    Pi (G - tau I) Pi^T, far below tau.
     """
     n = len(bars)
-    data, row, col = _shifted_gram(pts, bars)
-    H = np.zeros((n, n))
-    H[row, col] = data
-    del data, row, col
-    for j0 in range(0, n, _BLOCK):
-        j1 = min(j0 + _BLOCK, n)
-        for i0 in range(j0, n, _BLOCK):
-            block = H[i0 : i0 + _BLOCK, j0:j1]
-            block -= H[i0 : i0 + _BLOCK, :j0] @ H[j0:j1, :j0].T
-            if i0 == j0:
-                try:
-                    L = np.linalg.cholesky(block)
-                except np.linalg.LinAlgError:
-                    return False
-                block[...] = L
-            else:
-                block[...] = np.linalg.solve(L, block.T).T
+    bars = bars[np.argsort((pts[bars[:, 0]] + pts[bars[:, 1]]) @ axis, kind="stable")]
+    dots, row, col, tau = _gram_terms(pts, bars)
+    low = row >= col
+    dots, row, col = dots[low], row[low], col[low]
+    b = _BLOCK
+    start = np.arange(0, n, b)
+    width = np.minimum(b, n - start)
+    end = start + width  # one past each panel's last row
+    np.maximum.at(end, col // b, row + 1)
+    end = np.maximum.accumulate(end)
+    size = (end - start) * width
+    offset = np.cumsum(size) - size
+    diag = np.arange(n)
+    row, col = np.concatenate([row, diag]), np.concatenate([col, diag])
+    panel = col // b
+    band = np.bincount(offset[panel] + (row - start[panel]) * width[panel] + col - start[panel],
+                       np.concatenate([dots, np.full(n, -tau)]), minlength=size.sum())
+    del dots, row, col, panel, low
+    panels = [band[a : a + s].reshape(-1, w) for a, s, w in zip(offset, size, width)]
+    reach = np.searchsorted(end, start, side="right")  # the first panel reaching each one's rows
+    for k, (P, j, w) in enumerate(zip(panels, start, width)):
+        for Q, i in zip(panels[reach[k] : k], start[reach[k] : k]):
+            Q = Q[j - i :]  # its rows from j on
+            c = min(len(Q), w)
+            P[: len(Q), :c] -= Q @ Q[:c].T
+        try:
+            L = np.linalg.cholesky(P[:w])
+            P[w:] = np.linalg.solve(L, P[w:].T).T
+        except np.linalg.LinAlgError:
+            return False
+        P[:w] = L
     return True
 
 
@@ -557,25 +595,24 @@ def is_infinitesimally_rigid(obj) -> RigidityReport:
     A framework with 1 <= E <= 3V - 6 bars first tries a certificate: a
     factorization of the bars' Gram matrix, shifted down by 1e-8 of its norm,
     that proves every singular value lies above 1e-4 times the largest.  A
-    closed triangulated sphere (E = 3V - 6), or an under-braced framework of
-    more than _DENSE_BARS bars, factors it sparsely; a smaller under-braced
-    one, such as an open dome, factors it densely in place without scipy.
-    A certified framework has rank E, the rank the SVD would report, so it is
-    rigid only when E = 3V - 6.  Every other framework, and one the
-    certificate cannot prove (a flexible one, or one too ill-conditioned for
-    the shift), gets the dense SVD.
+    framework of at most _BANDED_BARS bars, closed or open, orders its bars
+    along the joints' principal axis and factors the band without scipy; a
+    larger one factors it sparsely.  A certified framework has rank E, the
+    rank the SVD would report, so it is rigid only when E = 3V - 6.  Every
+    other framework, and one the certificate cannot prove (a flexible one,
+    or one too ill-conditioned for the shift), gets the dense SVD.
     """
     pts, bars = _as_framework(obj)
     if len(pts) < 3:
         raise DegenerateGeometry("a framework needs at least 3 joints for a 3D verdict")
-    spread = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    _, spread, axes = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
     if spread[1] <= _RANK_EPS * max(spread[0], 1e-300):
         raise DegenerateGeometry("joints are collinear")
     required = 3 * len(pts) - 6
     if not 0 < len(bars) <= required:
         certified = False
-    elif len(bars) < required and len(bars) <= _DENSE_BARS:
-        certified = _dense_certified_full_rank(pts, bars)
+    elif len(bars) <= _BANDED_BARS:
+        certified = _banded_certified_full_rank(pts, bars, axes[0])
     else:
         certified = _certified_full_rank(pts, bars)
     if certified:

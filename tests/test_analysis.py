@@ -47,8 +47,8 @@ from geodome.analysis import (
     _GRAM_SHIFT,
     _RANK_EPS,
     _bar_triplets,
+    _banded_certified_full_rank,
     _certified_full_rank,
-    _dense_certified_full_rank,
     _dense_rigidity,
 )
 from geodome.mesh import _scale
@@ -690,6 +690,12 @@ def _framework(P):
     return np.asarray(P.vertices), np.asarray(P.edges)
 
 
+def _banded(pts, bars):
+    """The banded certificate with the bar order is_infinitesimally_rigid gives it."""
+    axis = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)[2][0]
+    return _banded_certified_full_rank(pts, bars, axis)
+
+
 @pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
 @pytest.mark.parametrize("vertex_up", [False, True])
 def test_certified_rigidity_equals_dense_svd(make_sphere, kind, vertex_up):
@@ -738,14 +744,21 @@ def test_gram_certificate_matches_the_scipy_construction(make_sphere):
     frameworks.append(_framework(build_mesh(flat.points, flat.small_faces)))
     pair = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
     frameworks += [(pair, np.array([[0, 1]])), (pair, np.array([[0, 1], [1, 0]]))]
+    # over-braced: a closed sphere and one bar across it, whose stress spans every bar order
+    for pts, bars in frameworks[8:12]:
+        frameworks.append((pts, np.vstack([bars, [(bars[0, 0], np.argmin(pts @ pts[bars[0, 0]]))]])))
     verdicts = [_certified_full_rank(*fw) for fw in frameworks]
-    assert verdicts == [True] * len(rigid) + [False] * 7 + [True, False]
+    assert verdicts == [True] * len(rigid) + [False] * 7 + [True, False] + [False] * 4
     assert verdicts == [_scipy_gram_full_rank(*fw) for fw in frameworks]
+    assert verdicts == [_banded(*fw) for fw in frameworks]
+    # the verdict does not depend on the order the bars come in
+    rng = np.random.default_rng(7)
+    assert verdicts == [_banded(pts, bars[rng.permutation(len(bars))]) for pts, bars in frameworks]
     # one bar moved to join two far joints: equal verdicts, whichever they are
     for pts, bars in frameworks[3:12]:
         moved = bars.copy()
         moved[0, 1] = np.argmin(pts @ pts[bars[0, 0]])
-        assert _certified_full_rank(pts, moved) == _scipy_gram_full_rank(pts, moved)
+        assert _certified_full_rank(pts, moved) == _scipy_gram_full_rank(pts, moved) == _banded(pts, moved)
 
 
 def test_flat_framework_falls_back_to_dense_rank():
@@ -780,6 +793,10 @@ def under_braced(make_sphere):
     cases["doubled"] = (pts, doubled, _svd_rank(pts, doubled))
     cases["one bar"] = (np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [2.0, -1.0, 0.5]]),
                         np.array([[0, 1]]), 1)
+    pts, bars, rank = cases[2, 1, False, 0.5]
+    cases["two domes apart"] = (np.vstack([pts, pts + (5.0, -3.0, 1.0)]),
+                                np.vstack([bars, bars + len(pts)]), 2 * rank)
+    cases["isolated joint"] = (np.vstack([pts, [(0.2, 0.1, 3.0)]]), bars, rank)
     return cases
 
 
@@ -787,7 +804,7 @@ def test_both_certificates_hold_exactly_when_the_dense_svd_finds_full_rank(under
     full = {name: rank == len(bars) for name, (_, bars, rank) in under_braced.items()}
     assert [name for name, ok in full.items() if not ok] == ["flat", "doubled"]
     for name, (pts, bars, _) in under_braced.items():
-        assert _dense_certified_full_rank(pts, bars) is full[name], name
+        assert _banded(pts, bars) is full[name], name
         assert _certified_full_rank(pts, bars) is full[name], name
 
 
@@ -795,7 +812,7 @@ def test_both_certificates_hold_exactly_when_the_dense_svd_finds_full_rank(under
 def test_rigidity_reports_equal_the_dense_svd_on_each_side_of_the_bar_limit(
     under_braced, monkeypatch, limit
 ):
-    monkeypatch.setattr(analysis, "_DENSE_BARS", limit)
+    monkeypatch.setattr(analysis, "_BANDED_BARS", limit)
     for name, (pts, bars, rank) in under_braced.items():
         report = is_infinitesimally_rigid((pts, bars))
         assert report == RigidityReport(len(bars), 3 * len(pts), rank, 3 * len(pts) - 6), name
@@ -803,13 +820,14 @@ def test_rigidity_reports_equal_the_dense_svd_on_each_side_of_the_bar_limit(
 
 def test_rigidity_sends_each_framework_to_one_certificate(make_sphere, monkeypatch):
     calls = []
-    for name in ("_dense_certified_full_rank", "_certified_full_rank"):
+    for name in ("_banded_certified_full_rank", "_certified_full_rank"):
         monkeypatch.setattr(analysis, name,
-                            lambda pts, bars, name=name: calls.append((name, len(bars))) or True)
+                            lambda pts, bars, *axis, name=name: calls.append((name, len(bars))) or True)
     pts, bars = _framework(truncate_dome(make_sphere(12, 0, vertex_up=True), 0.5))
-    limit = analysis._DENSE_BARS
+    limit = analysis._BANDED_BARS
     frameworks = [
         _framework(make_sphere(2, 0)),  # closed: E = 3V - 6
+        _framework(make_sphere(9, 0)),  # closed, above the limit
         _framework(truncate_dome(make_sphere(7, 0, vertex_up=True), 0.5)),
         (pts, bars[:limit]),
         (pts, bars[: limit + 1]),
@@ -819,11 +837,12 @@ def test_rigidity_sends_each_framework_to_one_certificate(make_sphere, monkeypat
          np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1)])),
     ]
     ranks = [is_infinitesimally_rigid(fw).rank for fw in frameworks]
-    assert ranks == [120, 770, limit, limit + 1, 2190, 0, 6]
+    assert ranks == [120, 2430, 770, limit, limit + 1, 2190, 0, 6]
     assert calls == [
-        ("_certified_full_rank", 120),
-        ("_dense_certified_full_rank", 770),
-        ("_dense_certified_full_rank", limit),
+        ("_banded_certified_full_rank", 120),
+        ("_certified_full_rank", 2430),
+        ("_banded_certified_full_rank", 770),
+        ("_banded_certified_full_rank", limit),
         ("_certified_full_rank", limit + 1),
         ("_certified_full_rank", 2190),
     ]
@@ -837,7 +856,7 @@ def test_dense_certificate_peaks_below_the_dense_svd(make_sphere):
     pts, bars = _framework(truncate_dome(make_sphere(7, 0, vertex_up=True), 0.5))
     peaks = []
     for run in (lambda: np.linalg.svd(_dense_rigidity(pts, bars), compute_uv=False),
-                lambda: _dense_certified_full_rank(pts, bars)):
+                lambda: _banded(pts, bars)):
         tracemalloc.start()
         try:
             run()
@@ -845,3 +864,17 @@ def test_dense_certificate_peaks_below_the_dense_svd(make_sphere):
         finally:
             tracemalloc.stop()
     assert len(bars) == 770 and peaks[1] < peaks[0]
+
+
+def test_banded_certificate_peaks_below_a_quarter_of_the_dense_array(make_sphere):
+    # the dense E x E array of G alone takes 8 E^2 bytes: 18.6 MB here
+    import tracemalloc
+
+    pts, bars = _framework(truncate_dome(make_sphere(10, 0, vertex_up=True), 0.5))
+    tracemalloc.start()
+    try:
+        assert _banded(pts, bars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bars) == 1525 and peak < 8 * len(bars) ** 2 / 4

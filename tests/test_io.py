@@ -358,7 +358,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_rigidity_of_a_dome_leaves_scipy_unloaded(tmp_path):
-    # a dome has fewer than 3V - 6 bars, so it takes the dense certificate, which needs no scipy
+    # a dome of at most 2000 bars takes the banded certificate, which needs no scipy
     sphere, dome = tmp_path / "sphere.obj", tmp_path / "dome.obj"
     assert main(["generate", "--vertex-up", "--m", "2", "-o", str(sphere)]) == 0
     assert main(["truncate", "-i", str(sphere), "--fraction", "0.5", "-o", str(dome)]) == 0
@@ -393,6 +393,7 @@ assert g.combinatorially_isomorphic(P, g.mirrored(P)) and g.combinatorially_isom
 assert g.detect_frequency(g.project_to_sphere(g.subdivide(g.seed("icosahedron"), 4, 0))) == 4
 C = g.project_to_sphere(g.subdivide(g.seed("icosahedron", vertex_up=True), 1, 3))  # P's mirror image
 assert g.congruent(g.mirrored(P), C) and g.congruent(P, C, allow_reflection=True)
+assert g.is_infinitesimally_rigid(P).rigid and g.is_infinitesimally_rigid(dome).rank == len(dome.edges)
 print(sorted(m for m in sys.modules if m == "numpy.ma" or m.split(".")[0] == "scipy"))
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
