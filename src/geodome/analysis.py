@@ -454,15 +454,22 @@ _BANDED_BARS = 2000
 _BLOCK = 32
 
 
-def _gram_terms(pts: np.ndarray, bars: np.ndarray) -> tuple:
-    """Every term of G = M M^T as (value, row, column), and the shift tau.
+def _shifted_gram(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every term of G - tau I as (value, row, column), none summed: those of
+    G, then the E diagonal terms -tau.
 
-    G[i, j] sums (s_i d_i) . (s_j d_j) over the joints bars i and j share, d
-    the bar vector, s 1 (-1) at its first (second) end: one term per pair of
-    ends at a joint, in both orders, so an entry has one term, or two equal
-    ones (the diagonal, and two bars on the same two joints).  tau is
-    _GRAM_SHIFT times the largest column sum of the terms' absolute values,
-    so |G|_1 up to rounding, and no dense copy of G is needed for it.
+    G = M M^T is the E x E Gram matrix of the rigidity matrix M.  G[i, j]
+    sums (s_i d_i) . (s_j d_j) over the joints bars i and j share, d the bar
+    vector, s 1 (-1) at its first (second) end: one term per pair of ends at
+    a joint, in both orders, so an entry has one term, or two equal ones (the
+    diagonal, and two bars on the same two joints).  tau is _GRAM_SHIFT times
+    the largest column sum of the terms' absolute values, never below |G|_1
+    and equal to it up to rounding, so no dense copy of G is needed for it.
+
+    Both certificates prove G - tau I positive definite, and that proves
+    rank E: G has the eigenvalues sigma_i^2 of M's E singular values, the
+    largest at most |G|_1, so sigma_E^2 > tau >= 1e-8 sigma_1^2 and every
+    singular value exceeds 1e-4 times the largest, far above _RANK_EPS.
     """
     n, d = len(bars), pts[bars[:, 0]] - pts[bars[:, 1]]
     order = np.argsort(bars.ravel(), kind="stable")  # the ends by joint; end 2i + k is bar i's
@@ -473,51 +480,33 @@ def _gram_terms(pts: np.ndarray, bars: np.ndarray) -> tuple:
     skip = np.cumsum(degree)[joint] - degree[joint] - np.cumsum(reach) + reach
     right = np.arange(reach.sum()) + np.repeat(skip, reach)
     dots = sum(np.repeat(arm[k], reach) * arm[k][right] for k in range(3))
-    col = np.repeat(bar, reach)
+    col, diag = np.repeat(bar, reach), np.arange(n)
     tau = _GRAM_SHIFT * float(np.bincount(col, np.abs(dots), minlength=n).max())
-    return dots, bar[right], col, tau
-
-
-def _shifted_gram(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(value, row, column) of every nonzero of G - tau I, column by column,
-    built apart so that the terms are freed before the sparse LU."""
-    n = len(bars)
-    dots, row, col, tau = _gram_terms(pts, bars)
-    key = col * n + row
-    ranked = np.argsort(key)
-    key, dots = key[ranked], dots[ranked]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    data, (col, row) = np.add.reduceat(dots, first), np.divmod(key[first], n)
-    data[row == col] -= tau
-    return data, row, col
+    return (np.concatenate([dots, np.full(n, -tau)]), np.concatenate([bar[right], diag]),
+            np.concatenate([col, diag]))
 
 
 def _certified_full_rank(pts: np.ndarray, bars: np.ndarray) -> bool:
-    """True only if all E singular values of the rigidity matrix M exceed
-    1e-4 times the largest, so far above _RANK_EPS.
+    """True only if a sparse LU proves G - tau I positive definite, and so
+    the rigidity matrix of rank E (see _shifted_gram).
 
-    The E x E Gram matrix G = M M^T of E <= 3V bars, closed or open, has
-    the eigenvalues sigma_i^2, the largest at most |G|_1.  With
-    tau = _GRAM_SHIFT * |G|_1, an LU of G - tau I that kept every pivot on
-    the diagonal (perm_r == perm_c) is an L D L^T factorization; positive
-    pivots D then make G - tau I positive definite by Sylvester's law of
-    inertia, so sigma_E^2 > tau >= 1e-8 sigma_1^2.
-    A singular or indefinite G yields a nonpositive pivot, a row exchange or
+    scipy sums the terms of each entry as it builds the CSC matrix.  An LU
+    of the symmetric G - tau I that kept every pivot on the diagonal
+    (perm_r == perm_c) is an L D L^T factorization; positive pivots D then
+    make G - tau I positive definite by Sylvester's law of inertia.  A
+    singular or indefinite G yields a nonpositive pivot, a row exchange or
     a singular factor, and False.
     """
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
     n = len(bars)
-    data, row, col = _shifted_gram(pts, bars)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+    value, row, col = _shifted_gram(pts, bars)
+    shifted = csc_array((value, (row, col)), shape=(n, n))
+    del value, row, col  # freed before the LU, the process's peak
     try:
-        lu = splu(
-            csc_array((data, row, indptr), shape=(n, n)),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     except RuntimeError:  # an exactly zero pivot
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
@@ -545,29 +534,27 @@ def _banded_certified_full_rank(pts: np.ndarray, bars: np.ndarray, axis: np.ndar
     np.linalg.cholesky raises LinAlgError on a nonpositive (or NaN) pivot
     instead; the entries of L outside the band are exact zeros.  Such an L is
     nonsingular, so x^T (G - tau I) x = |L^T Pi x|^2 > 0 for every x != 0:
-    G - tau I is positive definite and sigma_E^2 > tau >= 1e-8 sigma_1^2.
+    G - tau I is positive definite.
     Cholesky and the pivoted solves are backward stable, so rounding makes L
     the exact factor of a matrix within about E * eps * |G| of
     Pi (G - tau I) Pi^T, far below tau.
     """
     n = len(bars)
     bars = bars[np.argsort((pts[bars[:, 0]] + pts[bars[:, 1]]) @ axis, kind="stable")]
-    dots, row, col, tau = _gram_terms(pts, bars)
+    dots, row, col = _shifted_gram(pts, bars)
     low = row >= col
     dots, row, col = dots[low], row[low], col[low]
     b = _BLOCK
     start = np.arange(0, n, b)
     width = np.minimum(b, n - start)
     end = start + width  # one past each panel's last row
-    np.maximum.at(end, col // b, row + 1)
+    panel = col // b
+    np.maximum.at(end, panel, row + 1)
     end = np.maximum.accumulate(end)
     size = (end - start) * width
     offset = np.cumsum(size) - size
-    diag = np.arange(n)
-    row, col = np.concatenate([row, diag]), np.concatenate([col, diag])
-    panel = col // b
     band = np.bincount(offset[panel] + (row - start[panel]) * width[panel] + col - start[panel],
-                       np.concatenate([dots, np.full(n, -tau)]), minlength=size.sum())
+                       dots, minlength=size.sum())
     del dots, row, col, panel, low
     panels = [band[a : a + s].reshape(-1, w) for a, s, w in zip(offset, size, width)]
     reach = np.searchsorted(end, start, side="right")  # the first panel reaching each one's rows

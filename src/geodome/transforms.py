@@ -101,8 +101,11 @@ def gemmate(P: Mesh) -> Mesh:
 
     Each apex is the central projection of the face's perpendicular foot
     onto the circumsphere, else onto the sphere at the mean vertex distance,
-    so the pyramid is right and its slant edges are equal: every output face
-    is an isosceles (or better) triangle.  Every face must be non-triangular.
+    so the pyramid is right.  Its slant edges are equal only where the face's
+    corners are equidistant from the foot, as on a regular face: an output
+    face is isosceles then, and may be scalene on the irregular faces of a
+    Goldberg dual.  Every face must be non-triangular; an open mesh gives an
+    open one with the same boundary.
     """
     he = P._half_edges
     triangles = np.flatnonzero(he.size == 3)
@@ -116,7 +119,7 @@ def gemmate(P: Mesh) -> Mesh:
     verts = np.vstack([P.vertices, apexes])
     flat = np.column_stack([he.tail, he.head, len(P.vertices) + he.face]).ravel()
     faces = _Cycles(flat, np.full(len(he.tail), 3))
-    return build_mesh(verts, faces, radius=P.radius)
+    return build_mesh(verts, faces, radius=P.radius, closed=P.closed)
 
 
 def truncate_dome(

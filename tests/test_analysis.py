@@ -50,6 +50,7 @@ from geodome.analysis import (
     _banded_certified_full_rank,
     _certified_full_rank,
     _dense_rigidity,
+    _shifted_gram,
 )
 from geodome.mesh import _scale
 
@@ -714,19 +715,24 @@ def test_certified_rigidity_of_gemmated_solids():
         assert report == _dense_report(P) and report.rigid
 
 
-def _scipy_gram_full_rank(pts, bars):
-    """The certificate with G = M M^T built by scipy.sparse, the reference."""
+def _scipy_shifted_gram(pts, bars):
+    """G - tau I with G = M M^T built by scipy.sparse, the reference, and |G|_1."""
     from scipy.sparse import csr_array, eye_array
-    from scipy.sparse.linalg import splu
 
     rows, cols, vals = _bar_triplets(pts, bars)
     M = csr_array((vals, (rows, cols)), shape=(len(bars), 3 * len(pts)))
     G = M @ M.T
-    tau = _GRAM_SHIFT * float(abs(G).sum(axis=0).max())
-    H = (G - tau * eye_array(len(bars))).tocsc()
+    norm = float(abs(G).sum(axis=0).max())
+    return (G - _GRAM_SHIFT * norm * eye_array(len(bars))).tocsc(), norm
+
+
+def _scipy_gram_full_rank(pts, bars):
+    """The certificate on the reference G - tau I."""
+    from scipy.sparse.linalg import splu
+
     try:
-        lu = splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = splu(_scipy_shifted_gram(pts, bars)[0], permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:
         return False
     return bool(np.array_equal(lu.perm_r, lu.perm_c) and (lu.U.diagonal() > 0.0).all())
@@ -753,12 +759,37 @@ def test_gram_certificate_matches_the_scipy_construction(make_sphere):
     assert verdicts == [_banded(*fw) for fw in frameworks]
     # the verdict does not depend on the order the bars come in
     rng = np.random.default_rng(7)
-    assert verdicts == [_banded(pts, bars[rng.permutation(len(bars))]) for pts, bars in frameworks]
+    shuffled = [(pts, bars[rng.permutation(len(bars))]) for pts, bars in frameworks]
+    assert verdicts == [_banded(*fw) for fw in shuffled]
+    assert verdicts == [_certified_full_rank(*fw) for fw in shuffled]
     # one bar moved to join two far joints: equal verdicts, whichever they are
     for pts, bars in frameworks[3:12]:
         moved = bars.copy()
         moved[0, 1] = np.argmin(pts @ pts[bars[0, 0]])
         assert _certified_full_rank(pts, moved) == _scipy_gram_full_rank(pts, moved) == _banded(pts, moved)
+
+
+def test_shifted_gram_terms_sum_to_the_scipy_gram(make_sphere):
+    pts, bars = _framework(make_sphere(2, 1))
+    dome_pts, dome_bars = _framework(truncate_dome(make_sphere(3, 0, vertex_up=True), 0.5))
+    frameworks = {
+        "sphere": (pts, bars),
+        "dome": (dome_pts, dome_bars),
+        "doubled bar": (pts, np.vstack([bars[1:2], bars[1:]])),
+        "two domes apart": (np.vstack([dome_pts, dome_pts + (5.0, -3.0, 1.0)]),
+                            np.vstack([dome_bars, dome_bars + len(dome_pts)])),
+    }
+    for name, (pts, bars) in frameworks.items():
+        n = len(bars)
+        value, row, col = _shifted_gram(pts, bars)
+        # none summed: k^2 terms at a joint of k bar ends, then the n diagonal shifts
+        assert len(value) == (np.bincount(bars.ravel()) ** 2).sum() + n, name
+        assert (row[-n:] == np.arange(n)).all() and (col[-n:] == np.arange(n)).all(), name
+        assert (value[-n:] == value[-1]).all() and value[-1] < 0.0, name
+        summed = np.zeros((n, n))
+        np.add.at(summed, (row, col), value)
+        reference, norm = _scipy_shifted_gram(pts, bars)
+        assert np.abs(summed - reference.toarray()).max() <= 8 * np.spacing(norm), name
 
 
 def test_flat_framework_falls_back_to_dense_rank():

@@ -16,6 +16,7 @@ from geodome import (
     combinatorially_isomorphic,
     congruent,
     dual,
+    face_metrics,
     gemmate,
     project_to_sphere,
     seed,
@@ -111,6 +112,25 @@ def test_gemmate_dodecahedron_is_pentakis():
     assert G.radius == 1.0
     dist = np.linalg.norm(G.vertices, axis=1)
     np.testing.assert_allclose(dist, 1.0, atol=1e-12)
+
+
+def test_gemmate_is_isosceles_only_on_regular_faces(make_sphere):
+    # the pentakis dodecahedron is all isosceles; the irregular faces of a Goldberg
+    # dual are not equidistant from their perpendicular foot, so some slants differ
+    for P, scalene, faces in ((seed("dodecahedron"), 0, 60),
+                              (dual(make_sphere(2, 1, vertex_up=True)), 240, 420),
+                              (dual(make_sphere(3, 0, vertex_up=True)), 120, 540)):
+        kinds = [f.kind for f in face_metrics(gemmate(P))]
+        assert (kinds.count("scalene"), len(kinds)) == (scalene, faces)
+        assert kinds.count("isosceles") == faces - scalene
+
+
+def test_gemmate_of_an_open_mesh_is_open(make_sphere):
+    D = truncate_dome(dual(make_sphere(3, 0, vertex_up=True)), 0.5)
+    assert D.counts == (105, 150, 46) and not D.closed
+    G = gemmate(D)
+    assert G.counts == (151, 420, 270) and not G.closed
+    assert G.boundary_edges == D.boundary_edges
 
 
 def test_gemmate_rejects_triangles(icosa):

@@ -18,6 +18,7 @@ icosahedral (8, 0) sphere, 1920 bars, is the corpus's largest closed sphere
 below that limit); and gemmate, analyze, export as json and cut the 0.5
 dome of the dual.  A step that fails is recorded like any other; later
 steps that read its missing output fail too, the same way in both trees.
+The report ends with the line count of each tree's ``src/geodome``.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ def run_tree(root: Path, workdir: Path, steps: list[list[str]]) -> list[tuple]:
     return results
 
 
+def source_lines(root: Path) -> int:
+    """Lines in the modules of root's src/geodome, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "geodome").rglob("*.py"))
+
+
 def compare(steps: list[list[str]], old: list[tuple], new: list[tuple],
             old_dir: Path, new_dir: Path) -> list[str]:
     """One line per differing step output and per differing or one-sided file."""
@@ -112,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     failed = sum(code != 0 for code, _, _ in new)
     print(f"{len(steps)} steps ({failed} exit non-zero), {files} files: "
           f"{len(diffs)} difference(s)")
+    print(f"src/geodome: {source_lines(args.old)} -> {source_lines(args.new)} lines")
     return 1 if diffs else 0
 
 
