@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, NonTriangularFace, NotClassI
+from .errors import DegenerateGeometry, InvariantViolation, NonTriangularFace, NotClassI
 from .mesh import DEFAULT_TOL, Mesh, _flag, _flatten, _floats, _norms, _real, _rowdot, _scale
 from .tessellation import TessellationSpec
 
@@ -86,7 +86,7 @@ def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable
     cuts = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(ranked)]
     entries = tuple((float(ranked[a:b].sum()) / (b - a), b - a) for a, b in zip(cuts, cuts[1:]))
     if sum(c for _, c in entries) != len(factors):
-        raise AssertionError("edge classes do not account for every edge")
+        raise InvariantViolation("edge classes do not account for every edge")
     return EdgeClassTable(entries=entries, tol=tol), labels.tolist()
 
 
@@ -151,16 +151,20 @@ class FaceMetric:
     apex_vertex: int | None
 
 
-def _face_shapes(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
-    """Per triangular face: how many corners sit between two legs equal
-    within tol x scale (0 scalene, 3 equilateral, else isosceles), and the
-    leg/base ratio, apex cosine and apex vertex read at the first such corner."""
+def _equal_legs(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
+    """Per triangular face: corner ids, points, edge lengths (lens[:, i] opposite
+    corner i), and which corners sit between two legs equal within tol x scale."""
     tol = _real(tol, "tol")
     tri = _triangles(P)
     pts = P.vertices[tri]
-    # lens[:, i] is the edge opposite corner i; same[:, i] compares the two edges at corner i
     lens = np.column_stack([_norms(pts[:, (i + 1) % 3] - pts[:, (i + 2) % 3]) for i in range(3)])
     same = np.abs(lens[:, [1, 2, 0]] - lens[:, [2, 0, 1]]) <= tol * _scale(P)
+    return tri, pts, lens, same
+
+
+def face_metrics(P: Mesh, tol: float = DEFAULT_TOL) -> list[FaceMetric]:
+    """Leg/base ratio and apex angle of every triangular face."""
+    tri, pts, lens, same = _equal_legs(P, tol)
     # an isosceles face is read from its apex: the first corner between two equal legs
     apex = np.argmax(same, axis=1)
     rows = np.arange(len(tri))
@@ -169,12 +173,7 @@ def _face_shapes(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
     ratio = 0.5 * (lens[:, 1] + lens[:, 2]) / lens[:, 0]
     u, v = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
     cosine = _rowdot(u, v) / (_norms(u) * _norms(v))
-    return same.sum(axis=1), ratio, cosine, tri[rows, apex]
-
-
-def face_metrics(P: Mesh, tol: float = DEFAULT_TOL) -> list[FaceMetric]:
-    """Leg/base ratio and apex angle of every triangular face."""
-    columns = (col.tolist() for col in _face_shapes(P, tol))
+    columns = (col.tolist() for col in (same.sum(axis=1), ratio, cosine, tri[rows, apex]))
     out = []
     for fi, (n_same, r, c, top) in enumerate(zip(*columns)):
         if n_same == 3:

@@ -4,7 +4,7 @@ Subcommands compose through OBJ files: `generate` writes a sphere, the
 transform commands read one OBJ and write another, and `analyze`,
 `rigidity`, and `export` report on an existing file.  Exit codes: 0 on
 success, 2 when a geometry or validation rule is violated, 3 on parse or
-I/O failures.
+I/O failures, 4 when an internal invariant fails (a bug in geodome).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .analysis import is_infinitesimally_rigid
-from .errors import GeodomeError, InvalidSpec, ParseError
+from .errors import GeodomeError, InvalidSpec, InvariantViolation, ParseError
 from .io import (
     _write_analysis_csv,
     analysis_rows,
@@ -169,12 +169,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ParseError, OSError) as exc:
+    except (GeodomeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (GeodomeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (ParseError, OSError)):
+            return 3
+        return 4 if isinstance(exc, InvariantViolation) else 2
     return 0
 
 

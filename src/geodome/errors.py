@@ -20,6 +20,7 @@ __all__ = [
     "NotClassI",
     "DegenerateGeometry",
     "ParseError",
+    "InvariantViolation",
 ]
 
 
@@ -89,3 +90,7 @@ class DegenerateGeometry(GeodomeError):
 
 class ParseError(GeodomeError):
     """A mesh file is malformed."""
+
+
+class InvariantViolation(GeodomeError, AssertionError):
+    """An internal consistency check failed: a bug in geodome, not bad input."""

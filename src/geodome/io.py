@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .analysis import EdgeClassTable, _face_shapes, circumcenter_deviation, edge_class_labels
+from .analysis import EdgeClassTable, _equal_legs, circumcenter_deviation, edge_class_labels
 from .analysis import vertex_degree_histogram
 from .errors import ParseError
 from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _scale
@@ -32,13 +33,23 @@ __all__ = [
 ]
 
 
+# Rows formatted per write: each slice of a column becomes a Python list on
+# its own, so a writer's transient memory is one slice, not one file.
+_ROWS = 2048
+
+
 def export_obj(P: Mesh, path: str | Path) -> None:
-    """Write vertices and faces as OBJ `v` and `f` lines (indices 1-based)."""
+    """Write vertices and faces as OBJ `v` and `f` lines (indices 1-based), _ROWS to a write."""
     he = P._half_edges
-    f_line = ["f" + " %d" * k for k in range(int(he.size.max()) + 1)]  # by face size
-    lines = ["v %.17g %.17g %.17g"] * len(P.vertices) + [f_line[k] for k in he.size.tolist()]
-    values = P.vertices.ravel().tolist() + (he.tail + 1).tolist()
-    Path(path).write_text("\n".join(lines) % tuple(values) + "\n")
+    f_line = ["f" + " %d" * k + "\n" for k in range(int(he.size.max()) + 1)]  # by face size
+    with open(path, "w") as out:
+        for a in range(0, len(P.vertices), _ROWS):
+            xyz = P.vertices[a : a + _ROWS]
+            out.write("v %.17g %.17g %.17g\n" * len(xyz) % tuple(xyz.ravel().tolist()))
+        for a in range(0, len(he.size), _ROWS):
+            sizes, lo = he.size[a : a + _ROWS], he.start[a]
+            corners = he.tail[lo : lo + sizes.sum()] + 1
+            out.write("".join([f_line[k] for k in sizes.tolist()]) % tuple(corners.tolist()))
 
 
 def _check_plain(line: str) -> None:
@@ -158,14 +169,23 @@ _STRUT_ROW = (
 )
 _CLASS_ROW = '    {\n      "chord_factor": %r,\n      "count": %d\n    }'
 _SCHEDULE = (
-    '{\n  "radius": %r,\n  "nodes": [\n%s\n  ],\n'
-    '  "struts": [\n%s\n  ],\n  "classes": [\n%s\n  ]\n}\n'
+    '{\n  "radius": %r,\n  "nodes": [\n',
+    '\n  ],\n  "struts": [\n',
+    '\n  ],\n  "classes": [\n',
+    '\n  ]\n}\n',
 )
 
 
-def _json_rows(row: str, columns: list) -> str:
-    """The inside of a JSON list: one filled-in row per entry of the columns."""
-    return ",\n".join([row] * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+def _json_rows(out: TextIO, head: str, row: str, columns: list) -> None:
+    """Write head, then the inside of a JSON list: one filled-in row per
+    entry of the columns, ",\\n" between rows, _ROWS rows to a write; numpy
+    columns become lists one slice at a time."""
+    out.write(head)
+    for a in range(0, len(columns[0]), _ROWS):
+        part = [c[a : a + _ROWS] for c in columns]
+        part = [c.tolist() if isinstance(c, np.ndarray) else c for c in part]
+        text = ",\n".join([row] * len(part[0])) % tuple(chain.from_iterable(zip(*part)))
+        out.write(",\n" + text if a else text)
 
 
 def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None:
@@ -174,16 +194,18 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None
     The text is exactly `json.dumps(doc, indent=2) + "\\n"` of the schedule
     as a document, floats written as their shortest round-trip repr (a test
     pins the bytes).  Fixed row templates fill it in several times faster
-    than the pure-Python encoder that indent selects.
+    than the pure-Python encoder that indent selects.  The file is opened once
+    all is computed and tol checked, then written _ROWS rows at a time.
     """
     scale, chords, ends, labels, table = _struts(P, tol)
     # each distinct chord factor is written once; none is -0.0, which unique merges with 0.0
     distinct, which = np.unique(chords, return_inverse=True)
-    chord_text = np.array(list(map(repr, distinct.tolist())), dtype=object)[which].tolist()
-    nodes = _json_rows(_NODE_ROW, [range(len(P.vertices)), *P.vertices.T.tolist()])
-    struts = _json_rows(_STRUT_ROW, [range(len(ends)), *ends.T.tolist(), chord_text, labels])
-    classes = _json_rows(_CLASS_ROW, list(zip(*table.entries)))
-    Path(path).write_text(_SCHEDULE % (float(scale), nodes, struts, classes))
+    chord_text = np.array(list(map(repr, distinct.tolist())), dtype=object)[which]
+    with open(path, "w") as out:
+        _json_rows(out, _SCHEDULE[0] % scale, _NODE_ROW, [range(len(P.vertices)), *P.vertices.T])
+        _json_rows(out, _SCHEDULE[1], _STRUT_ROW, [range(len(ends)), *ends.T, chord_text, labels])
+        _json_rows(out, _SCHEDULE[2], _CLASS_ROW, list(zip(*table.entries)))
+        out.write(_SCHEDULE[3])
 
 
 def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]:
@@ -211,7 +233,7 @@ def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]
     if (he.size == 3).all():
         rows.append(("circumcenter_deviation", circumcenter_deviation(P)))
         # faces by how many corners sit between equal legs: 3, 1 or 2, and 0
-        n_same = np.bincount(_face_shapes(P, tol)[0], minlength=4).tolist()
+        n_same = np.bincount(_equal_legs(P, tol)[3].sum(axis=1), minlength=4).tolist()
         rows.append(("equilateral_faces", n_same[3]))
         rows.append(("isosceles_faces", n_same[1] + n_same[2]))
         rows.append(("scalene_faces", n_same[0]))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     InvalidSpec,
+    InvariantViolation,
     NonTriangularSeed,
     UnsupportedSeed,
     VertexAtCenter,
@@ -115,15 +116,15 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     W, centroid = W[inside], centroid[inside]
     on_edge, past = centroid == 0, W < 0
     if (on_edge.sum(axis=1) > 1).any():
-        raise AssertionError("tile centroid on a seed vertex")
+        raise InvariantViolation("tile centroid on a seed vertex")
     if (past.sum(axis=2) > 1).any():
-        raise AssertionError("tile corner past two edges; centroid ownership broken")
+        raise InvariantViolation("tile corner past two edges; centroid ownership broken")
     # unfold a corner past edge c over the face across it: weight c turns
     # into the far vertex's -w_c, and w_c moves onto the two shared corners
     W = np.where(past, -W, W + np.minimum(W.min(axis=2, keepdims=True), 0))
     if (W < 0).any():
         out = W[(W < 0).any(axis=2)][0]
-        raise AssertionError(f"unfolded corner weights {tuple(out.tolist())} are negative")
+        raise InvariantViolation(f"unfolded corner weights {tuple(out.tolist())} are negative")
 
     # face (-1 on a boundary) and far vertex across the edge opposite each face corner
     twin = he.twin[3 * np.arange(F)[:, None] + [1, 2, 0]]
@@ -157,7 +158,7 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     label[order] = np.arange(len(order))
     small_faces = label[inverse.reshape(-1)].reshape(-1, 3)
     if len(small_faces) != F * T:
-        raise AssertionError(f"assembled {len(small_faces)} tiles, expected {F * T}")
+        raise InvariantViolation(f"assembled {len(small_faces)} tiles, expected {F * T}")
 
     # each point is placed from the frame of its first occurrence
     fr, w, v = frame[first[order]], nums[first[order]], P.vertices

@@ -17,6 +17,8 @@ import geodome
 
 from geodome import (
     DEFAULT_TOL,
+    GeodomeError,
+    InvariantViolation,
     ParseError,
     analysis_rows,
     build_mesh,
@@ -235,6 +237,59 @@ def test_schedule_bytes_are_json_dumps_indent_2(sphere_21, make_sphere, tmp_path
     assert '"x": -0.0,' in path.read_text()
 
 
+def _obj_text(P):
+    """The OBJ file export_obj writes, formatted here as one string."""
+    he = P._half_edges
+    f_line = ["f" + " %d" * k for k in range(int(he.size.max()) + 1)]
+    lines = ["v %.17g %.17g %.17g"] * len(P.vertices) + [f_line[k] for k in he.size.tolist()]
+    values = P.vertices.ravel().tolist() + (he.tail + 1).tolist()
+    return "\n".join(lines) % tuple(values) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 6, 7])
+def test_writers_write_the_same_bytes_in_any_slice_size(rows, sphere_21, monkeypatch, tmp_path):
+    # 6 splits the 72 nodes and 210 struts of sphere_21 and the dual's 72 faces exactly,
+    # 7 the dual's 140 vertices; the dual's mixed 5- and 6-gons end slices mid-corner-run
+    monkeypatch.setattr(geodome.io, "_ROWS", rows)
+    path = tmp_path / "out"
+    for P in (sphere_21, dual(sphere_21)):
+        export_schedule(P, path)
+        assert path.read_text() == json.dumps(_schedule_doc(P), indent=2) + "\n"
+        export_obj(P, path)
+        assert path.read_text() == _obj_text(P)
+    up = project_to_sphere(subdivide(seed("icosahedron", vertex_up=True), 2, 1))
+    pinned = Path(__file__).parent / "data" / "pinned"
+    for name, M in (("icosa_21_up", up), ("icosa_21_up_dome50", truncate_dome(up, 0.5))):
+        for suffix, write in ((".obj", export_obj), ("_schedule.json", export_schedule)):
+            write(M, path)
+            assert path.read_bytes() == (pinned / (name + suffix)).read_bytes(), (name, suffix)
+
+
+def test_writers_peak_below_three_quarters_of_their_file(make_sphere, tmp_path):
+    # formatted as one string, the schedule peaks at 3.2 times its file and the OBJ at 6;
+    # written in slices, each needs its arrays and one slice of rows (0.49 and 0.53 here)
+    import tracemalloc
+
+    P = make_sphere(28, 0)  # 7842 nodes, 23520 struts and 15680 faces: many slices each
+    for write in (export_schedule, export_obj):
+        path = tmp_path / write.__name__
+        tracemalloc.start()
+        try:
+            write(P, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * path.stat().st_size, write.__name__
+
+
+def test_schedule_refuses_a_bad_tol_before_it_opens_the_file(sphere_21, tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b"an earlier schedule\n")
+    with pytest.raises(ValueError, match="tol must be positive"):
+        export_schedule(sphere_21, path, tol=-1.0)
+    assert path.read_bytes() == b"an earlier schedule\n"
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-2, 3e-2])
 def test_analysis_rows_count_face_kinds_like_face_metrics(tol, sphere_2v, sphere_21):
     meshes = [sphere_2v, sphere_21, gemmate(seed("dodecahedron")), truncate_dome(sphere_21, 0.5)]
@@ -341,6 +396,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["analyze", "-i", str(sphere), "--tol", "inf"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_exits_4_on_a_failed_invariant(tmp_path, capsys, monkeypatch):
+    def broken(P, m, n):
+        raise InvariantViolation("tile centroid on a seed vertex")
+
+    assert issubclass(InvariantViolation, GeodomeError) and issubclass(InvariantViolation, AssertionError)
+    monkeypatch.setattr("geodome.cli.subdivide", broken)
+    assert main(["generate", "--m", "2", "-o", str(tmp_path / "s.obj")]) == 4
+    assert capsys.readouterr().err == "error: tile centroid on a seed vertex\n"
+    assert not (tmp_path / "s.obj").exists()
 
 
 def test_cli_invalid_seed_choice():

@@ -11,6 +11,7 @@ import pytest
 from geodome import (
     FlatTessellation,
     InvalidSpec,
+    InvariantViolation,
     NonTriangularSeed,
     TessellationSpec,
     UnsupportedSeed,
@@ -208,7 +209,7 @@ def _loop_subdivide(P, m, n):
                 return register((ia, ib, ic), nums)
             negs = (uN < 0) + (vN < 0) + (wN < 0)
             if negs != 1:
-                raise AssertionError("tile corner past two edges; centroid ownership broken")
+                raise InvariantViolation("tile corner past two edges; centroid ownership broken")
             if uN < 0:
                 _, d = neighbor_of(fi, 0)
                 frame, out = (d, ib, ic), (-uN, uN + vN, uN + wN)
@@ -219,7 +220,7 @@ def _loop_subdivide(P, m, n):
                 _, d = neighbor_of(fi, 2)
                 frame, out = (ia, ib, d), (uN + wN, vN + wN, -wN)
             if min(out) < 0:
-                raise AssertionError(f"unfolded corner weights {out} are negative")
+                raise InvariantViolation(f"unfolded corner weights {out} are negative")
             return register(frame, out)
 
         for q in range(-1, mn + 2):
@@ -236,7 +237,7 @@ def _loop_subdivide(P, m, n):
                     zeros = (cu == 0) + (cv == 0) + (cw == 0)
                     if zeros:
                         if zeros != 1:
-                            raise AssertionError("tile centroid on a seed vertex")
+                            raise InvariantViolation("tile centroid on a seed vertex")
                         if cu == 0:
                             gi, _ = neighbor_of(fi, 0)
                         elif cv == 0:
@@ -249,7 +250,7 @@ def _loop_subdivide(P, m, n):
 
     expected = len(P.faces) * T
     if len(small_faces) != expected:
-        raise AssertionError(f"assembled {len(small_faces)} tiles, expected {expected}")
+        raise InvariantViolation(f"assembled {len(small_faces)} tiles, expected {expected}")
     pts = np.array(points)
     faces = np.array(small_faces, dtype=np.intp).reshape(-1, 3)
     for array in (pts, faces):
@@ -261,7 +262,7 @@ def _outcome(build, P, m, n):
     """Everything `subdivide` promises: exact bytes and indices, or the exact error."""
     try:
         t = build(P, m, n)
-    except (AssertionError, ValueError) as exc:
+    except (InvariantViolation, ValueError) as exc:
         return type(exc), str(exc)
     arrays = (t.points, t.small_faces)
     return [(a.tobytes(), a.shape, a.dtype, a.flags.writeable) for a in arrays]
