@@ -75,6 +75,12 @@ def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable
     starts a new class, so members of one class form a chain of sub-tol gaps.
     Chord factors are as in EdgeClassTable, so a mesh needs no circumsphere.
     """
+    table, labels = _edge_class_labels(P, tol)
+    return table, labels.tolist()
+
+
+def _edge_class_labels(P: Mesh, tol: float) -> tuple[EdgeClassTable, np.ndarray]:
+    """edge_class_labels with the labels as an intp array."""
     tol = _real(tol, "tol")
     factors = P.edge_lengths() / _scale(P)
     order = np.argsort(factors, kind="stable")
@@ -87,13 +93,12 @@ def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable
     entries = tuple((float(ranked[a:b].sum()) / (b - a), b - a) for a, b in zip(cuts, cuts[1:]))
     if sum(c for _, c in entries) != len(factors):
         raise InvariantViolation("edge classes do not account for every edge")
-    return EdgeClassTable(entries=entries, tol=tol), labels.tolist()
+    return EdgeClassTable(entries=entries, tol=tol), labels
 
 
 def edge_length_classes(P: Mesh, tol: float = DEFAULT_TOL) -> EdgeClassTable:
     """Strut length classes of a mesh (see edge_class_labels)."""
-    table, _ = edge_class_labels(P, tol)
-    return table
+    return _edge_class_labels(P, tol)[0]
 
 
 def _triangles(P: Mesh) -> np.ndarray:
@@ -201,13 +206,14 @@ def detect_frequency(P: Mesh) -> int:
     h = np.flatnonzero(degree[he.tail] == 5)  # the first strut of every line from a degree-5 vertex
     if not h.size:
         raise NotClassI("no degree-5 vertices")
+    head, turn = he.head, he.turn
     for step in range(1, m + 1):
-        bad = np.flatnonzero(degree[he.head[h]] != (5 if step == m else 6))
+        bad = np.flatnonzero(degree[head[h]] != (5 if step == m else 6))
         if bad.size:
-            v = he.head[h[bad[0]]]
+            v = head[h[bad[0]]]
             raise NotClassI(f"a lattice line from a degree-5 vertex meets vertex {v} of degree "
                             f"{degree[v]} after {step} of {m} struts")
-        h = he.turn[he.turn[he.turn[he.twin[h]]]]  # straight on: the third turn from the way back
+        h = turn[turn[turn[he.twin[h]]]]  # straight on: the third turn from the way back
     return m
 
 
@@ -331,12 +337,13 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     if P.counts != Q.counts or not np.array_equal(np.bincount(degrees_p), np.bincount(degrees_q)):
         return False
     he_p, he_q, n = P._half_edges, Q._half_edges, len(P._half_edges.tail)
+    succ_p = he_p.succ
     kinds, first, counts = np.unique(
-        _dart_kinds(P, degrees_p, he_p.tail, he_p.succ), return_index=True, return_counts=True
+        _dart_kinds(P, degrees_p, he_p.tail, succ_p), return_index=True, return_counts=True
     )
     rarest = np.lexsort((kinds, counts))[0]
     twin_p = np.where(he_p.twin < 0, n, he_p.twin)
-    levels = _dart_tree(he_p.succ, twin_p, first[rarest])
+    levels = _dart_tree(succ_p, twin_p, first[rarest])
     if levels is None:
         return False
     # rep[i] is a dart leaving the i-th used vertex of P, and dart h leaves vertex tail_of[h]
@@ -358,7 +365,7 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
         for kids, parents, step in levels:
             M[:, kids] = steps[step, M[:, parents]]
         image = M[:, :n]
-        mapped = (image < n) & (steps[1, image] == M[:, he_p.succ])
+        mapped = (image < n) & (steps[1, image] == M[:, succ_p])
         corners = tail[image[(mapped & (steps[0, image] == M[:, twin_p])).all(axis=1)]]
         vmap = corners[:, rep]
         vmap = np.sort(vmap[(corners == vmap[:, tail_of]).all(axis=1)], axis=1)

@@ -16,7 +16,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .analysis import EdgeClassTable, _equal_legs, circumcenter_deviation, edge_class_labels
+from .analysis import EdgeClassTable, _edge_class_labels, _equal_legs, circumcenter_deviation
 from .analysis import vertex_degree_histogram
 from .errors import ParseError
 from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _scale
@@ -137,9 +137,9 @@ class StrutSchedule:
     classes: tuple[tuple[float, int], ...]
 
 
-def _struts(P: Mesh, tol: float) -> tuple[float, np.ndarray, np.ndarray, list[int], EdgeClassTable]:
+def _struts(P: Mesh, tol: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, EdgeClassTable]:
     """Scale, chord factors, edge ends, class labels and class table of a mesh's struts."""
-    table, labels = edge_class_labels(P, tol)
+    table, labels = _edge_class_labels(P, tol)
     ends, scale = P._half_edges.edges, _scale(P)
     chords = _norms(P.vertices[ends[:, 0]] - P.vertices[ends[:, 1]]) / scale
     return scale, chords, ends, labels, table
@@ -155,7 +155,7 @@ def strut_schedule(P: Mesh, tol: float = DEFAULT_TOL) -> StrutSchedule:
     """
     scale, chords, ends, labels, table = _struts(P, tol)
     nodes = tuple(zip(range(len(P.vertices)), *P.vertices.T.tolist()))
-    struts = tuple(zip(range(len(ends)), *ends.T.tolist(), chords.tolist(), labels))
+    struts = tuple(zip(range(len(ends)), *ends.T.tolist(), chords.tolist(), labels.tolist()))
     return StrutSchedule(radius=scale, nodes=nodes, struts=struts, classes=table.entries)
 
 
@@ -225,7 +225,7 @@ def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]
     ]
     for degree, count in vertex_degree_histogram(P).items():
         rows.append((f"degree_{degree}_vertices", count))
-    table, _ = edge_class_labels(P, tol)
+    table, _ = _edge_class_labels(P, tol)
     rows.append(("edge_classes", table.class_count))
     for i, (chord, count) in enumerate(table.entries):
         rows.append((f"class_{i}_chord_factor", chord))

@@ -134,11 +134,13 @@ def _corner_sum(corners: np.ndarray) -> np.ndarray:
 class _HalfEdges:
     """Directed edges of a face list: faces in order, corners in cycle order.
 
-    Half-edge h runs tail[h] -> head[h] in face[h]; succ[h] (prev[h]) is the
-    next (previous) half-edge around that face and twin[h] the opposite one
-    (-1 on a boundary).  The vertex rotation turn[h] = twin[prev[h]] is the
-    next half-edge leaving tail[h], counter-clockwise seen from outside (-1
-    on a boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1.
+    Stored per half-edge h: tail[h] and twin[h], the opposite half-edge (-1 on a
+    boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1, and the
+    rest is read off the index (the directed edges of Campagna, Kobbelt & Seidel
+    1998), a fresh array per read that a loop binds once: h runs tail[h] to
+    head[h] in face[h], succ[h] (prev[h]) is the next (previous) half-edge
+    around that face, and the vertex rotation turn[h] = twin[prev[h]] is the
+    next one leaving tail[h], counter-clockwise from outside (-1 on a boundary).
     edges holds the undirected edges as an (E, 2) id array, low id first, in
     lexicographic order, and uses[e] counts the half-edges along edge e.
     repeated holds, ascending, one entry per repeat of a directed-edge key
@@ -150,22 +152,17 @@ class _HalfEdges:
     def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int) -> None:
         self.tail, self.size = flat, size
         self.start = np.cumsum(size) - size
-        self.face = np.repeat(np.arange(len(size)), size)
-        self.succ = np.arange(1, len(flat) + 1)
-        self.succ[self.start + size - 1] = self.start
-        self.prev = np.arange(-1, len(flat) - 1)
-        self.prev[self.start] = self.start + size - 1
-        self.head = flat[self.succ]
+        head = flat[self.succ]
         # one code per half-edge: its undirected edge low * V + high, doubled,
         # plus 1 when it runs high -> low; a single sort groups every edge
-        code = np.minimum(flat, self.head) * n_vertices + np.maximum(flat, self.head)
-        code = 2 * code + (flat > self.head)
+        code = 2 * (np.minimum(flat, head) * n_vertices + np.maximum(flat, head)) + (flat > head)
+        del head
         order = np.argsort(code)
         ranked = code[order]
         pair = np.flatnonzero((ranked[1:] ^ 1) == ranked[:-1])  # codes c and c + 1, c even
         self.twin = np.full(len(flat), -1)
         self.twin[order[pair]], self.twin[order[pair + 1]] = order[pair + 1], order[pair]
-        self.turn = self.twin[self.prev]
+        del code, order, pair
         edge = ranked >> 1
         first = np.flatnonzero(np.concatenate(([True], edge[1:] != edge[:-1])))
         self.uses = np.diff(first, append=len(flat))
@@ -176,11 +173,35 @@ class _HalfEdges:
         self.repeated = np.sort(tails * n_vertices + heads)
         self.edges.setflags(write=False)
 
+    @property
+    def face(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.size)), self.size)
+
+    @property
+    def succ(self) -> np.ndarray:
+        succ = np.arange(1, len(self.tail) + 1)
+        succ[self.start + self.size - 1] = self.start
+        return succ
+
+    @property
+    def prev(self) -> np.ndarray:
+        prev = np.arange(-1, len(self.tail) - 1)
+        prev[self.start] = self.start + self.size - 1
+        return prev
+
+    @property
+    def head(self) -> np.ndarray:
+        return self.tail[self.succ]
+
+    @property
+    def turn(self) -> np.ndarray:
+        return self.twin[self.prev]
+
     def reversed(self, flip: np.ndarray) -> _Cycles:
         """The face cycles, each face f with flip[f] set read backwards."""
-        slot = np.arange(len(self.tail))
-        back = 2 * self.start[self.face] + self.size[self.face] - 1 - slot
-        return _Cycles(self.tail[np.where(flip[self.face], back, slot)], self.size)
+        slot, face = np.arange(len(self.tail)), self.face
+        back = 2 * self.start[face] + self.size[face] - 1 - slot
+        return _Cycles(self.tail[np.where(flip[face], back, slot)], self.size)
 
     def face_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-face sums of per-half-edge values, added corner by corner in cycle order.
@@ -216,11 +237,11 @@ class _HalfEdges:
         from outside, from near -pi) around axes[v], ties by id.  A vertex on no
         face gets an empty cycle.
         """
-        degree = np.bincount(self.tail, minlength=len(axes))
+        degree, turn = np.bincount(self.tail, minlength=len(axes)), self.turn
         walk = np.zeros((int(degree.max()), len(axes)), dtype=np.intp)
         walk[0, self.tail] = np.arange(len(self.tail))  # some half-edge leaving each vertex
         for k in range(1, len(walk)):
-            walk[k] = self.turn[walk[k - 1]]
+            walk[k] = turn[walk[k - 1]]
         axes = axes / _norms(axes)[:, None]
         helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
         t1 = np.cross(helper, axes)
@@ -242,7 +263,8 @@ class Mesh:
     """Immutable indexed surface.
 
     The validated half-edge table is the one stored face representation, and
-    every topology query reads it.  faces (index cycles, counter-clockwise
+    every topology query reads it; per half-edge it stores only tail and twin
+    and derives the rest on read.  faces (index cycles, counter-clockwise
     viewed from outside), edges (sorted index pairs in lexicographic order)
     and boundary_edges (the edges used by exactly one face) are tuple views
     of the table, built on first read; closed is derived from it as well.
@@ -343,10 +365,11 @@ def build_mesh(
     if short.size:
         raise DegenerateFace(f"face {named(short[0])} has fewer than 3 distinct vertices")
     he = _HalfEdges(flat, size, v)
-    stray = he.face[(flat < 0) | (flat >= v)]
+    face = he.face
+    stray = face[(flat < 0) | (flat >= v)]
     if stray.size:
         raise DegenerateFace(f"face {named(stray[0])} references a vertex out of range")
-    corners = np.sort(he.face * v + flat)
+    corners = np.sort(face * v + flat)
     repeats = corners[1:][corners[1:] == corners[:-1]] // v
     if repeats.size:
         raise DegenerateFace(f"face {named(repeats.min())} has fewer than 3 distinct vertices")

@@ -81,10 +81,10 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
     normals, offsets = _face_planes(P)
     rho = sphere_radius if sphere_radius is not None else _polarity_radius(P, offsets)
     _off_center(offsets, rho)
-    he = P._half_edges
+    he, face = P._half_edges, P._half_edges.face
     # height of the far corner across each edge above the plane of the near face
     far = P.vertices[he.head[he.succ[he.twin]]]
-    lift = _rowdot(far, normals[he.face]) - offsets[he.face]
+    lift = _rowdot(far, normals[face]) - offsets[face]
     bad = np.flatnonzero(lift > -DEFAULT_TOL * rho)
     if bad.size:
         edge = (int(he.tail[bad[0]]), int(he.head[bad[0]]))
@@ -92,7 +92,7 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
     # + 0.0: export_obj would write -0.0 as -0
     poles = normals * (rho * rho / offsets)[:, None] + 0.0
 
-    faces = he.rings(he.face, poles[he.face], P.vertices)
+    faces = he.rings(face, poles[face], P.vertices)
     return build_mesh(poles, faces, radius=_common_radius(np.linalg.norm(poles, axis=1)))
 
 

@@ -95,6 +95,23 @@ def test_c03_edge_class_counts():
     print(f"PASS criterion 3: edge classes 3v -> {three}, 5v -> {nine}")
 
 
+# Icosahedral class I chord factors and their counts (Kenner 1976, Geodesic Math
+# and How to Use It), rounded to 5 places
+KENNER_CHORDS = {
+    2: [(0.54653, 60), (0.61803, 60)],
+    3: [(0.34862, 60), (0.40355, 90), (0.41241, 120)],
+    4: [(0.25318, 60), (0.29453, 120), (0.29524, 60), (0.29859, 60), (0.31287, 120),
+        (0.32492, 60)],
+}
+
+
+def test_c03_chord_factors_match_the_published_table():
+    for m, want in KENNER_CHORDS.items():
+        entries = edge_length_classes(sphere(m, 0), tol=1e-9).entries
+        assert [(round(chord, 5), count) for chord, count in entries] == want, m
+    print(f"PASS criterion 3: chord factors of {sorted(KENNER_CHORDS)}v match Kenner (1976)")
+
+
 def test_c04_gemmated_truncated_icosahedron():
     G = gemmate(seed("truncated_icosahedron"))
     assert G.counts == (92, 270, 180)
