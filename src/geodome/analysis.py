@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateGeometry, InvariantViolation, NonTriangularFace, NotClassI
 from .mesh import DEFAULT_TOL, Mesh, _flag, _flatten, _floats, _norms, _real, _rowdot, _scale
-from .tessellation import TessellationSpec
+
+if TYPE_CHECKING:  # tessellation loads only for verify_counts
+    from .tessellation import TessellationSpec
 
 __all__ = [
     "EdgeClassTable",
@@ -39,6 +42,8 @@ def _sphere_counts(seed_faces: int, T: int) -> tuple[int, int, int]:
 def verify_counts(P: Mesh, spec: TessellationSpec) -> bool:
     """True when P has the vertex/edge/face counts of a full (m, n) sphere
     on the tetrahedron, octahedron or icosahedron."""
+    from .tessellation import TessellationSpec
+
     if not isinstance(spec, TessellationSpec):
         raise TypeError(f"spec must be a TessellationSpec, got {type(spec).__name__}")
     return any(P.counts == _sphere_counts(f0, spec.T) for f0 in (4, 8, 20))

@@ -5,6 +5,9 @@ transform commands read one OBJ and write another, and `analyze`,
 `rigidity`, and `export` report on an existing file.  Exit codes: 0 on
 success, 2 when a geometry or validation rule is violated, 3 on parse or
 I/O failures, 4 when an internal invariant fails (a bug in geodome).
+
+Arguments are parsed before numpy loads: this module imports only the
+standard library and `errors`, and each command imports the layers it runs.
 """
 
 from __future__ import annotations
@@ -12,45 +15,50 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import is_infinitesimally_rigid
-from .errors import GeodomeError, InvalidSpec, InvariantViolation, ParseError
-from .io import (
-    _write_analysis_csv,
-    analysis_rows,
-    export_analysis_csv,
-    export_obj,
-    export_schedule,
-    import_obj,
-)
-from .mesh import DEFAULT_TOL, SEED_KINDS, seed
-from .tessellation import project_to_sphere, stepping_projection, subdivide
-from .transforms import dual, gemmate, truncate_dome
+from .errors import DEFAULT_TOL, SEED_KINDS, GeodomeError, InvalidSpec, InvariantViolation
+from .errors import ParseError
 
 __all__ = ["main"]
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
+    from .io import export_obj
+    from .mesh import seed
+
     base = seed(args.seed, args.radius, vertex_up=args.vertex_up)
     if args.stepping:
         if args.n != 0 or args.m < 2 or args.m & (args.m - 1):
             raise InvalidSpec("--stepping needs n = 0 and m a power of two >= 2")
+        from .tessellation import stepping_projection
+
         mesh = stepping_projection(base, args.m.bit_length() - 1)
     elif (args.m, args.n) == (1, 0):
         mesh = base
     else:
+        from .tessellation import project_to_sphere, subdivide
+
         mesh = project_to_sphere(subdivide(base, args.m, args.n))
     export_obj(mesh, args.output)
 
 
 def _cmd_dual(args: argparse.Namespace) -> None:
+    from .io import export_obj, import_obj
+    from .transforms import dual
+
     export_obj(dual(import_obj(args.input)), args.output)
 
 
 def _cmd_gemmate(args: argparse.Namespace) -> None:
+    from .io import export_obj, import_obj
+    from .transforms import gemmate
+
     export_obj(gemmate(import_obj(args.input)), args.output)
 
 
 def _cmd_truncate(args: argparse.Namespace) -> None:
+    from .io import export_obj, import_obj
+    from .transforms import truncate_dome
+
     mesh = truncate_dome(import_obj(args.input), args.fraction, strict=args.strict)
     export_obj(mesh, args.output)
 
@@ -62,6 +70,8 @@ def _print_report(rows: list[tuple[str, object]]) -> None:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
+    from .io import _write_analysis_csv, analysis_rows, import_obj
+
     mesh = import_obj(args.input, allow_open=args.allow_open)
     rows = analysis_rows(mesh, args.tol)
     _print_report(rows)
@@ -70,6 +80,9 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> None:
+    from .analysis import is_infinitesimally_rigid
+    from .io import import_obj
+
     report = is_infinitesimally_rigid(import_obj(args.input, allow_open=args.allow_open))
     _print_report([("edge rows", report.edge_rows), ("dof columns", report.dof_cols),
                    ("rank", report.rank), ("required rank", report.required_rank),
@@ -77,6 +90,8 @@ def _cmd_rigidity(args: argparse.Namespace) -> None:
 
 
 def _cmd_export(args: argparse.Namespace) -> None:
+    from .io import export_analysis_csv, export_obj, export_schedule, import_obj
+
     mesh = import_obj(args.input, allow_open=args.allow_open)
     if args.format == "obj":
         export_obj(mesh, args.output)

@@ -1,4 +1,9 @@
-"""Exception types raised by mesh construction, transforms, and analysis."""
+"""Exception types raised by mesh construction, transforms, and analysis.
+
+The default tolerance and the seed names live here too, beside the errors,
+because the command line parses its arguments before numpy loads; mesh.py
+exports them.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +27,12 @@ __all__ = [
     "ParseError",
     "InvariantViolation",
 ]
+
+# Geometry tolerance, relative to the mesh's scale; also the default tol.
+DEFAULT_TOL = 1e-9
+
+# The seed polyhedra mesh.seed builds, by name.
+SEED_KINDS = ("tetrahedron", "octahedron", "icosahedron", "dodecahedron", "truncated_icosahedron")
 
 
 class GeodomeError(Exception):

@@ -12,15 +12,16 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
-from .analysis import EdgeClassTable, _edge_class_labels, _equal_legs, circumcenter_deviation
-from .analysis import vertex_degree_histogram
 from .errors import ParseError
 from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _scale
 from .mesh import build_mesh
+
+if TYPE_CHECKING:  # analysis loads only where a schedule or table needs it
+    from .analysis import EdgeClassTable
 
 __all__ = [
     "StrutSchedule",
@@ -139,6 +140,8 @@ class StrutSchedule:
 
 def _struts(P: Mesh, tol: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, EdgeClassTable]:
     """Scale, chord factors, edge ends, class labels and class table of a mesh's struts."""
+    from .analysis import _edge_class_labels
+
     table, labels = _edge_class_labels(P, tol)
     ends, scale = P._half_edges.edges, _scale(P)
     chords = _norms(P.vertices[ends[:, 0]] - P.vertices[ends[:, 1]]) / scale
@@ -211,6 +214,9 @@ def export_schedule(P: Mesh, path: str | Path, tol: float = DEFAULT_TOL) -> None
 def analysis_rows(P: Mesh, tol: float = DEFAULT_TOL) -> list[tuple[str, object]]:
     """Quantity/value pairs summarizing a mesh, in a fixed order; the radius
     row is the length every chord factor divides by."""
+    from .analysis import _edge_class_labels, _equal_legs, circumcenter_deviation
+    from .analysis import vertex_degree_histogram
+
     tol = _real(tol, "tol")
     he = P._half_edges
     v, s, f = P.counts

@@ -18,6 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    DEFAULT_TOL,
+    SEED_KINDS,
     DegenerateFace,
     EulerViolation,
     InvalidOrientation,
@@ -76,10 +78,6 @@ def _is_int(k: object) -> bool:
     return isinstance(k, numbers.Integral) and not isinstance(k, bool)
 
 
-# Geometry tolerance, relative to the mesh's scale; also the default tol.
-DEFAULT_TOL = 1e-9
-
-
 def _common_radius(values: np.ndarray) -> float | None:
     """The mean of values when it is positive and max - min <= DEFAULT_TOL * mean, else None."""
     mean = float(values.mean())
@@ -131,6 +129,13 @@ def _corner_sum(corners: np.ndarray) -> np.ndarray:
     return out
 
 
+def _successors(start: np.ndarray, size: np.ndarray, n: int) -> np.ndarray:
+    """succ of n half-edges whose faces own slots start[f] .. start[f] + size[f] - 1."""
+    succ = np.arange(1, n + 1)
+    succ[start + size - 1] = start
+    return succ
+
+
 class _HalfEdges:
     """Directed edges of a face list: faces in order, corners in cycle order.
 
@@ -146,13 +151,14 @@ class _HalfEdges:
     repeated holds, ascending, one entry per repeat of a directed-edge key
     tail * n_vertices + head (empty when no directed edge is traversed twice).
     build_mesh adds face_normals (Newell, unnormalized) and face_centroids,
-    the read-only (F, 3) face planes of the validated vertices.
+    the read-only (F, 3) face planes of the validated vertices; it computes
+    succ once and hands it to both the constructor and planes.
     """
 
-    def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int) -> None:
+    def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int, succ=None) -> None:
         self.tail, self.size = flat, size
         self.start = np.cumsum(size) - size
-        head = flat[self.succ]
+        head = flat[self.succ if succ is None else succ]
         # one code per half-edge: its undirected edge low * V + high, doubled,
         # plus 1 when it runs high -> low; a single sort groups every edge
         code = 2 * (np.minimum(flat, head) * n_vertices + np.maximum(flat, head)) + (flat > head)
@@ -179,9 +185,7 @@ class _HalfEdges:
 
     @property
     def succ(self) -> np.ndarray:
-        succ = np.arange(1, len(self.tail) + 1)
-        succ[self.start + self.size - 1] = self.start
-        return succ
+        return _successors(self.start, self.size, len(self.tail))
 
     @property
     def prev(self) -> np.ndarray:
@@ -219,10 +223,10 @@ class _HalfEdges:
             out[rows] = _corner_sum(np.take(values, self.start[rows, None] + np.arange(k), axis=0))
         return out
 
-    def planes(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def planes(self, points: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Newell normal (unnormalized) and mean corner of every face, from one corner gather."""
         p = np.take(points, self.tail, axis=0)
-        q = np.take(p, self.succ, axis=0)
+        q = np.take(p, succ, axis=0)
         cross = np.empty_like(p)  # np.cross(p, q), component by component: the same bits
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             np.multiply(p[:, j], q[:, k], out=cross[:, i])
@@ -308,9 +312,7 @@ class Mesh:
 
     def degrees(self) -> np.ndarray:
         """Number of edges incident to each vertex."""
-        he = self._half_edges  # each half-edge counts at its tail, a boundary one also at its head
-        ends = np.concatenate([he.tail, he.head[he.twin < 0]])
-        return np.bincount(ends, minlength=len(self.vertices))
+        return np.bincount(self._half_edges.edges.ravel(), minlength=len(self.vertices))
 
     def face_centroids(self) -> np.ndarray:
         return self._half_edges.face_centroids
@@ -364,7 +366,8 @@ def build_mesh(
     short = np.flatnonzero(size < 3)
     if short.size:
         raise DegenerateFace(f"face {named(short[0])} has fewer than 3 distinct vertices")
-    he = _HalfEdges(flat, size, v)
+    succ = _successors(np.cumsum(size) - size, size, len(flat))
+    he = _HalfEdges(flat, size, v, succ)
     face = he.face
     stray = face[(flat < 0) | (flat >= v)]
     if stray.size:
@@ -387,7 +390,7 @@ def build_mesh(
         key = int(he.repeated[0])
         raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
-    he.face_normals, he.face_centroids = he.planes(verts)
+    he.face_normals, he.face_centroids = he.planes(verts, succ)
     inward = np.flatnonzero(_rowdot(he.face_normals, he.face_centroids) <= 0.0)
     if inward.size:
         raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
@@ -448,7 +451,7 @@ def _triangle_faces(verts: np.ndarray) -> _Cycles:
 def _outward(cycles: _Cycles, verts: np.ndarray) -> _Cycles:
     """The cycles, each reversed where needed to run counter-clockwise from outside."""
     he = _HalfEdges(*cycles, len(verts))
-    return he.reversed(_rowdot(*he.planes(verts)) < 0.0)
+    return he.reversed(_rowdot(*he.planes(verts, he.succ)) < 0.0)
 
 
 def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
@@ -481,15 +484,9 @@ def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
     return verts, _Cycles(flat, np.concatenate([pentagons.size, np.full(len(he.size), 6)]))
 
 
-_SEED_BUILDERS = {
-    "tetrahedron": _unit_tetrahedron,
-    "octahedron": _unit_octahedron,
-    "icosahedron": _unit_icosahedron,
-    "dodecahedron": _unit_dodecahedron,
-    "truncated_icosahedron": _unit_truncated_icosahedron,
-}
-
-SEED_KINDS = tuple(_SEED_BUILDERS)
+_SEED_BUILDERS = dict(zip(SEED_KINDS, (  # in the order of SEED_KINDS
+    _unit_tetrahedron, _unit_octahedron, _unit_icosahedron,
+    _unit_dodecahedron, _unit_truncated_icosahedron), strict=True))
 
 
 def _unit(vector: Sequence[float], name: str) -> np.ndarray:

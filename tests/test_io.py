@@ -403,7 +403,7 @@ def test_cli_exits_4_on_a_failed_invariant(tmp_path, capsys, monkeypatch):
         raise InvariantViolation("tile centroid on a seed vertex")
 
     assert issubclass(InvariantViolation, GeodomeError) and issubclass(InvariantViolation, AssertionError)
-    monkeypatch.setattr("geodome.cli.subdivide", broken)
+    monkeypatch.setattr("geodome.tessellation.subdivide", broken)  # _cmd_generate imports it per call
     assert main(["generate", "--m", "2", "-o", str(tmp_path / "s.obj")]) == 4
     assert capsys.readouterr().err == "error: tile centroid on a seed vertex\n"
     assert not (tmp_path / "s.obj").exists()
@@ -421,6 +421,42 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import geodome.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_loads_only_the_layers_each_command_runs(tmp_path):
+    # every CLI step is a fresh process: parsing needs no numpy, and a step
+    # that builds or rewrites a mesh compiles no analysis
+    env = dict(os.environ, PYTHONPATH=str(Path(geodome.__file__).parents[1]))
+    code = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('geodome.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, *sorted(m[8:] for m in sys.modules if m.startswith('geodome.')),\n"
+        "          *sorted(m for m in sys.modules if m in ('numpy', 'scipy')))\n"
+    )
+
+    def loaded(*argv: str) -> str:
+        cmd = [sys.executable, "-c", code, *argv]
+        out = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+        return out.stdout.splitlines()[-1]
+
+    assert loaded("--help") == "0 errors"
+    assert loaded("generate", "--help") == "0 errors"
+    assert loaded("generate", "--m", "2") == "2 errors"  # no -o: a usage error
+    assert loaded("generate", "--m", "2", "-o", "s.obj") == "0 errors io mesh tessellation numpy"
+    assert loaded("generate", "-o", "seed.obj") == "0 errors io mesh numpy"
+    for argv in (
+        ["dual", "-i", "s.obj", "-o", "d.obj"],
+        ["gemmate", "-i", "d.obj", "-o", "g.obj"],
+        ["truncate", "-i", "s.obj", "--fraction", "0.5", "-o", "t.obj"],
+    ):
+        assert loaded(*argv) == "0 errors io mesh transforms numpy"
+    assert loaded("export", "-i", "s.obj", "--format", "obj", "-o", "c.obj") == "0 errors io mesh numpy"
+    assert loaded("analyze", "-i", "s.obj") == "0 analysis errors io mesh numpy"
+    bare = "import sys, geodome; print(sorted(m for m in sys.modules if m.split('.')[0] in ('geodome', 'numpy')))"
+    out = subprocess.run([sys.executable, "-c", bare], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['geodome']"
 
 
 def test_cli_rigidity_of_a_dome_leaves_scipy_unloaded(tmp_path):

@@ -9,18 +9,20 @@ file whose bytes differ or that only one tree wrote.  Exits 0 when there is
 no difference, 1 otherwise.  Each step runs in the tree's own working
 directory with relative file names, so messages that quote a path match.
 
-The corpus: for every walk in WALKS, seed in SEEDS and vertex-up on and off,
-generate a sphere; take its dual; cut its 0.5 dome; analyze the sphere
-(with ``--csv``) and the dome (``--open``); export the sphere as json and
-obj; test the rigidity of the sphere and of the dome (``--open``), which
-takes the banded certificate up to 2000 bars and the sparse one above (the
-icosahedral (8, 0) sphere, 1920 bars, is the corpus's largest closed sphere
-below that limit); and gemmate, analyze, export as json and cut the 0.5
-dome of the dual.  The (24, 0) walk is there for the writers, which format
-2048 rows at a time: its icosahedral sphere's 5762 nodes, 17280 struts and
-11520 faces each span several slices, and so do its dual's.  A step that
-fails is recorded like any other; later steps that read its missing output
-fail too, the same way in both trees.
+The corpus starts with four steps that only parse: the usage text of
+``--help`` and ``generate --help``, and the usage errors (exit code 2) of an
+unknown seed and of a missing ``-o``.  Then, for every walk in WALKS, seed in
+SEEDS and vertex-up on and off, generate a sphere; take its dual; cut its
+0.5 dome; analyze the sphere (with ``--csv``) and the dome (``--open``);
+export the sphere as json and obj; test the rigidity of the sphere and of
+the dome (``--open``), which takes the banded certificate up to 2000 bars
+and the sparse one above (the icosahedral (8, 0) sphere, 1920 bars, is the
+corpus's largest closed sphere below that limit); and gemmate, analyze,
+export as json and cut the 0.5 dome of the dual.  The (24, 0) walk is there
+for the writers, which format 2048 rows at a time: its icosahedral sphere's
+5762 nodes, 17280 struts and 11520 faces each span several slices, and so
+do its dual's.  A step that fails is recorded like any other; later steps
+that read its missing output fail too, the same way in both trees.
 The report ends with the line count of each tree's ``src/geodome``.
 """
 
@@ -40,7 +42,8 @@ SEEDS = ("tetrahedron", "octahedron", "icosahedron")
 
 def corpus() -> list[list[str]]:
     """Every step's CLI arguments, in the order they must run."""
-    steps = []
+    steps = [["--help"], ["generate", "--help"], ["generate", "--seed", "cube", "-o", "x.obj"],
+             ["generate"]]
     for kind in SEEDS:
         for m, n in WALKS:
             for up in (False, True):
