@@ -8,7 +8,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvariantViolation, NonTriangularFace, NotClassI
+from .errors import (DegenerateGeometry, DisconnectedMesh, InvariantViolation,
+                     NonTriangularFace, NotClassI)
 from .mesh import DEFAULT_TOL, Mesh, _flag, _flatten, _floats, _norms, _real, _rowdot, _scale
 
 if TYPE_CHECKING:  # tessellation loads only for verify_counts
@@ -331,12 +332,15 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     (Weinberg 1966): here the first dart of P of the rarest kind (tail degree,
     head degree, face size), imaged on each dart of Q of that kind.  One
     breadth-first tree of P's darts over next and twin extends all candidates
-    to dart maps, an array pass per level.  A map that commutes with next and
+    to dart maps, an array pass per level; a P whose faces are not
+    edge-connected raises DisconnectedMesh.  A map that commutes with next and
     twin (boundary to boundary) and induces a consistent, injective vertex map
-    is an isomorphism.  Q is tried as given and with its faces reversed, so
-    mirror images match: the first candidate of each orientation alone, then
-    the rest of each, so a copy or a mirror image of P costs at most two
-    candidates.
+    is an isomorphism; consistency matters at a pinched vertex, whose darts
+    form several rotation orbits, and injectivity refuses a map onto one
+    component of a disconnected Q.  Q is tried as given and with its faces
+    reversed, so mirror images match: the first candidate of each orientation
+    alone, then the rest of each, so a copy or a mirror image of P costs at
+    most two candidates.
     """
     degrees_p, degrees_q = P.degrees(), Q.degrees()
     if P.counts != Q.counts or not np.array_equal(np.bincount(degrees_p), np.bincount(degrees_q)):
@@ -350,7 +354,7 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
     twin_p = np.where(he_p.twin < 0, n, he_p.twin)
     levels = _dart_tree(succ_p, twin_p, first[rarest])
     if levels is None:
-        return False
+        raise DisconnectedMesh("combinatorially_isomorphic needs P's faces to be edge-connected")
     # rep[i] is a dart leaving the i-th used vertex of P, and dart h leaves vertex tail_of[h]
     _, rep, tail_of = np.unique(he_p.tail, return_index=True, return_inverse=True)
     twin_q = np.append(np.where(he_q.twin < 0, n, he_q.twin), n)  # dart n is "no dart"

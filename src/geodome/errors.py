@@ -26,6 +26,7 @@ __all__ = [
     "DegenerateGeometry",
     "ParseError",
     "InvariantViolation",
+    "DisconnectedMesh",
 ]
 
 # Geometry tolerance, relative to the mesh's scale; also the default tol.
@@ -105,3 +106,7 @@ class ParseError(GeodomeError):
 
 class InvariantViolation(GeodomeError, AssertionError):
     """An internal consistency check failed: a bug in geodome, not bad input."""
+
+
+class DisconnectedMesh(GeodomeError):
+    """An operation that needs one edge-connected piece of faces met several."""

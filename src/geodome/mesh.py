@@ -201,11 +201,10 @@ class _HalfEdges:
     def turn(self) -> np.ndarray:
         return self.twin[self.prev]
 
-    def reversed(self, flip: np.ndarray) -> _Cycles:
-        """The face cycles, each face f with flip[f] set read backwards."""
-        slot, face = np.arange(len(self.tail)), self.face
-        back = 2 * self.start[face] + self.size[face] - 1 - slot
-        return _Cycles(self.tail[np.where(flip[face], back, slot)], self.size)
+    def reversed(self) -> _Cycles:
+        """The face cycles, each read backwards."""
+        back = np.repeat(2 * self.start + self.size - 1, self.size) - np.arange(len(self.tail))
+        return _Cycles(self.tail[back], self.size)
 
     def face_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-face sums of per-half-edge values, added corner by corner in cycle order.
@@ -436,22 +435,18 @@ def _unit_icosahedron() -> tuple[np.ndarray, _Cycles]:
 
 
 def _triangle_faces(verts: np.ndarray) -> _Cycles:
-    """Faces of a regular triangle-faced solid: mutually nearest vertex triples."""
+    """Faces of a regular triangle-faced solid: mutually nearest vertex triples,
+    each counter-clockwise from outside."""
     d2 = np.sum((verts[:, None, :] - verts[None, :, :]) ** 2, axis=2)
     edge2 = d2[d2 > 1e-12].min()
     adj = d2 < edge2 * 1.000001
-    faces = [
-        (i, j, k)
-        for i, j, k in combinations(range(len(verts)), 3)
-        if adj[i, j] and adj[i, k] and adj[j, k]
-    ]
-    return _outward(_flatten(faces), verts)
-
-
-def _outward(cycles: _Cycles, verts: np.ndarray) -> _Cycles:
-    """The cycles, each reversed where needed to run counter-clockwise from outside."""
-    he = _HalfEdges(*cycles, len(verts))
-    return he.reversed(_rowdot(*he.planes(verts, he.succ)) < 0.0)
+    triples = np.array(list(combinations(range(len(verts)), 3)))
+    i, j, k = triples.T
+    faces = triples[adj[i, j] & adj[i, k] & adj[j, k]]
+    # build_mesh's outward test: a triangle's Newell normal dotted with its centroid is det
+    inward = np.linalg.det(verts[faces]) < 0.0
+    faces[inward] = faces[inward, ::-1]
+    return _Cycles(faces.ravel(), np.full(len(faces), 3))
 
 
 def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
@@ -539,7 +534,7 @@ def seed(kind: str, radius: float = 1.0, *, vertex_up: bool = False) -> Mesh:
 
 def mirrored(P: Mesh) -> Mesh:
     """Reflection of P through the plane x = 0 (face cycles reversed to stay outward)."""
-    faces = P._half_edges.reversed(np.ones(P.counts[2], dtype=bool))
+    faces = P._half_edges.reversed()
     return build_mesh(P.vertices * (-1.0, 1.0, 1.0), faces, radius=P.radius, closed=P.closed)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from geodome import (
     DEFAULT_TOL,
     DegenerateGeometry,
+    DisconnectedMesh,
     NonTriangularFace,
     NotClassI,
     RigidityReport,
@@ -372,6 +373,43 @@ def test_congruence_and_isomorphism_with_an_unused_vertex(icosa):
     moved = with_point(icosa, (0.0, 0.0, 0.4))
     assert not congruent(M, moved, allow_reflection=True)
     assert combinatorially_isomorphic(M, moved)
+
+
+def test_isomorphism_refuses_a_disconnected_mesh(make_sphere):
+    # one dart fixes a map of connected meshes only: from P's first dart the
+    # tree reaches one dome, and the other dome's darts are left unmapped
+    dome = truncate_dome(make_sphere(2, 0, vertex_up=True), 0.5)
+    n = len(dome.vertices)
+    faces = list(dome.faces) + [tuple(i + n for i in f) for f in dome.faces]
+    Q = build_mesh(np.vstack([dome.vertices, 3.0 * dome.vertices]), faces, closed=False)
+    assert Q.counts == (52, 130, 80) and congruent(Q, Q)
+    for other in (Q, _relabeled(Q)):
+        with pytest.raises(DisconnectedMesh, match="^combinatorially_isomorphic needs P's faces"
+                                                   " to be edge-connected$"):
+            combinatorially_isomorphic(Q, other)
+    assert not combinatorially_isomorphic(dome, Q)  # the counts differ
+
+
+def _pinched_strip(k):
+    """Ten triangles in a strip, bottom row 0..5 and top row 6..11, with bottom
+    vertex 5 glued onto bottom vertex k: one vertex whose darts form two rotation
+    orbits.  Vertex 5 is left unused."""
+    verts = [(i, 0.0, 1.0) for i in range(6)] + [(i, 1.0, 1.0) for i in range(6)]
+    verts[k] = (5.0, -100.0, 1.0)  # far below, so every face stays counter-clockwise from outside
+    faces = [f for i in range(5) for f in ((i, i + 1, i + 6), (i + 6, i + 1, i + 7))]
+    return build_mesh(verts, [[k if v == 5 else v for v in f] for f in faces], closed=False)
+
+
+def test_isomorphism_maps_a_pinched_vertex_to_one_vertex():
+    # the identity dart map of the two strips commutes with next and twin, and
+    # one dart per vertex gives an injective vertex map; only the vertex
+    # consistency pass sees that it takes vertex 1 of P to vertices 1 and 2 of Q
+    P, Q = _pinched_strip(1), _pinched_strip(2)
+    assert P.counts == Q.counts == (12, 21, 10)
+    assert vertex_degree_histogram(P) == vertex_degree_histogram(Q)
+    assert not combinatorially_isomorphic(P, Q) and not _reference_isomorphic(P, Q)
+    for other in (P, _relabeled(P), mirrored(P)):
+        assert combinatorially_isomorphic(P, other) and _reference_isomorphic(P, other)
 
 
 # --- loop references: the per-candidate searches these tests compare against --

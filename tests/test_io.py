@@ -139,6 +139,9 @@ def test_obj_import_open_requires_flag(sphere_21, tmp_path):
         ("v \u0660 \u0661 \u0660\n", "line 1: bad coordinate"),
         ("v 0 0 1\nv 1 0 0\nv 0 1 0\nf 0_1 2 3\n", "line 4: face indices must be integers"),
         ("v 0 0 1\nv 1 0 0\nv 0 1 0\nf 1 2 \u0663\n", "line 4: face indices must be integers"),
+        ("v 0 0 1\nv 1 0 0\nv 0 1 0\n", "bad.obj: no mesh data found"),
+        ("f 1 2 3\n", "bad.obj: no mesh data found"),
+        ("# a comment and a blank line\n\n", "bad.obj: no mesh data found"),
     ],
 )
 def test_obj_parse_errors(text, phrase, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,10 +17,13 @@ from geodome import (
     InvalidOrientation,
     Mesh,
     NonManifoldEdge,
+    TessellationSpec,
     UnsupportedSeed,
     analysis_rows,
     build_mesh,
+    combinatorially_isomorphic,
     congruent,
+    detect_frequency,
     dual,
     edge_class_labels,
     edge_length_classes,
@@ -29,12 +33,14 @@ from geodome import (
     face_metrics,
     gemmate,
     import_obj,
+    is_infinitesimally_rigid,
     mirrored,
     rotated,
     rotation_to_z,
     seed,
     strut_schedule,
     truncate_dome,
+    verify_counts,
 )
 from geodome.analysis import _RANK_EPS
 from geodome.mesh import _HalfEdges, _norms, _rowdot
@@ -194,11 +200,22 @@ def test_one_sort_half_edge_table_matches_the_two_sort_reference(make_sphere):
         ("same way", InvalidOrientation, "directed edge (0, 1) traversed twice"),
         ("flipped in a sphere", InvalidOrientation, "directed edge (2, 4) traversed twice"),
         ("negative id", DegenerateFace, "face (0, -1, 2) references a vertex out of range"),
+        ("inside out", InvalidOrientation, "face 0 is not counter-clockwise from outside"),
+        ("nan coordinate", ValueError, "vertex coordinates must be finite"),
+        ("inf coordinate", ValueError, "vertex coordinates must be finite"),
+        ("-inf coordinate", ValueError, "vertex coordinates must be finite"),
+        ("no faces", ValueError, "mesh must have at least one face"),
     ],
 )
 def test_validation_messages_name_the_same_element(case, error, message, sphere_21):
     t, s, n = seed("tetrahedron"), sphere_21, len(sphere_21.vertices)
     flipped = [f[::-1] if i == 0 else f for i, f in enumerate(t.faces)]
+
+    def with_z(z):
+        verts = t.vertices.copy()
+        verts[1, 2] = z
+        return verts
+
     verts, faces, closed = {
         "open": ([(0, 0, 1), (1, 0, 1), (0, 1, 1)], [(0, 1, 2)], True),
         "two spheres": (np.vstack([s.vertices, 0.5 * s.vertices]),
@@ -211,6 +228,11 @@ def test_validation_messages_name_the_same_element(case, error, message, sphere_
         "flipped in a sphere": (s.vertices, [f[::-1] if i in (3, 50) else f
                                              for i, f in enumerate(s.faces)], True),
         "negative id": (t.vertices, [(0, -1, 2), *t.faces[1:]], True),
+        "inside out": (s.vertices, [f[::-1] for f in s.faces], True),
+        "nan coordinate": (with_z(math.nan), t.faces, True),
+        "inf coordinate": (with_z(math.inf), t.faces, True),
+        "-inf coordinate": (with_z(-math.inf), t.faces, True),
+        "no faces": (t.vertices, [], True),
     }[case]
     with pytest.raises(error) as caught:
         build_mesh(verts, faces, closed=closed)
@@ -323,6 +345,39 @@ def test_only_tail_and_twin_are_stored_per_half_edge(sphere_21):
         assert per_half_edge == {"tail", "twin"}
 
 
+def _design_pass(make_sphere, out):
+    """The icosahedral (14, 0) sphere, its dual twice, three dome cuts, their
+    analysis rows, and the sphere's schedule and OBJ written to the folder out."""
+    P = make_sphere(14, 0, vertex_up=True)
+    duals = [dual(P)]
+    duals.append(dual(duals[0]))
+    domes = [truncate_dome(P, h) for h in (0.375, 0.5, 0.625)]
+    rows = [analysis_rows(M) for M in [P, *domes]]
+    export_schedule(P, out / "sphere.json")
+    export_obj(P, out / "sphere.obj")
+    return P, rows
+
+
+def _census_batch(make_sphere):
+    """Every tetrahedral, octahedral and icosahedral walk with m + n <= 4: edge
+    classes and counts; congruence (also of the mirror image) and isomorphism
+    with the (n, m) sphere when that is another one; the frequency of the
+    icosahedral class I spheres; and rigidity up to 400 vertices."""
+    for kind in ("tetrahedron", "octahedron", "icosahedron"):
+        for m, n in [(m, s - m) for s in range(1, 5) for m in range(s + 1)]:
+            P = make_sphere(m, n, kind)
+            edge_length_classes(P)
+            verify_counts(P, TessellationSpec(m, n))
+            if m and n and m != n:
+                Q = make_sphere(n, m, kind)
+                chiral = congruent(mirrored(P), Q) and not congruent(P, Q)
+                assert chiral and combinatorially_isomorphic(P, Q)
+            if kind == "icosahedron" and not m * n:
+                detect_frequency(P)
+            if len(P.vertices) <= 400:
+                is_infinitesimally_rigid(P)
+
+
 def test_design_pass_peaks_below_a_fixed_memory_bound(make_sphere, tmp_path):
     # tracemalloc sees every numpy array, so the peak does not depend on machine
     # load: it reads 4.19 MB, and 6.32 MB when the table also stores face, succ,
@@ -332,18 +387,43 @@ def test_design_pass_peaks_below_a_fixed_memory_bound(make_sphere, tmp_path):
 
     tracemalloc.start()
     try:
-        P = make_sphere(14, 0, vertex_up=True)
-        duals = [dual(P)]
-        duals.append(dual(duals[0]))
-        domes = [truncate_dome(P, h) for h in (0.375, 0.5, 0.625)]
-        rows = [analysis_rows(M) for M in [P, *domes]]
-        export_schedule(P, tmp_path / "sphere.json")
-        export_obj(P, tmp_path / "sphere.obj")
+        P, rows = _design_pass(make_sphere, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert P.counts == (1962, 5880, 3920) and len(rows) == 4
     assert peak < 5.5e6
+
+
+def _python_calls(run) -> int:
+    """Python-level calls (sys.setprofile "call" events) of run(), after a warm-up run."""
+    run()  # imports, first-call paths and caches
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("workload, limit", [("design", 3160), ("census", 44000)])
+def test_python_calls_stay_below_a_fixed_count(workload, limit, make_sphere, tmp_path):
+    # A call count, unlike a time, does not depend on machine load: a per-face
+    # Python loop at T = 196 adds thousands of calls on any machine.  The limits
+    # leave about 10% over the counts measured with Python 3.11.7 and numpy
+    # 2.4.6: design 2875 and census 40159 (2953 and 44431 while every seed built a
+    # second half-edge table to orient its triangles).
+    # Like the pinned bytes, the counts hold for the Python and numpy builds they
+    # were measured with; on another build, re-measure them.
+    run = {"design": lambda: _design_pass(make_sphere, tmp_path),
+           "census": lambda: _census_batch(make_sphere)}[workload]
+    assert _python_calls(run) < limit
 
 
 def test_cached_face_planes_are_read_only_and_fresh(sphere_21):

@@ -21,8 +21,11 @@ corpus's largest closed sphere below that limit); and gemmate, analyze,
 export as json and cut the 0.5 dome of the dual.  The (24, 0) walk is there
 for the writers, which format 2048 rows at a time: its icosahedral sphere's
 5762 nodes, 17280 struts and 11520 faces each span several slices, and so
-do its dual's.  A step that fails is recorded like any other; later steps
-that read its missing output fail too, the same way in both trees.
+do its dual's.  The seeds in FACETED_SEEDS take no lattice walk: each, with
+vertex-up on and off, is generated as it is, runs the same steps as a
+sphere, and is gemmated.  A step that fails is recorded like any other;
+later steps that read its missing output fail too, the same way in both
+trees.
 The report ends with the line count of each tree's ``src/geodome``.
 """
 
@@ -38,6 +41,25 @@ from pathlib import Path
 
 WALKS = ((7, 0), (0, 7), (5, 3), (3, 5), (2, 1), (8, 0), (14, 0), (24, 0))
 SEEDS = ("tetrahedron", "octahedron", "icosahedron")
+FACETED_SEEDS = ("dodecahedron", "truncated_icosahedron")  # built from the icosahedron
+
+
+def sphere_steps(s: str) -> list[list[str]]:
+    """The steps run on the sphere written to s.obj, file names prefixed with s."""
+    return [
+        ["dual", "-i", f"{s}.obj", "-o", f"{s}-dual.obj"],
+        ["truncate", "-i", f"{s}.obj", "--fraction", "0.5", "-o", f"{s}-dome.obj"],
+        ["analyze", "-i", f"{s}.obj", "--csv", f"{s}.csv"],
+        ["analyze", "-i", f"{s}-dome.obj", "--open"],
+        ["export", "-i", f"{s}.obj", "--format", "json", "-o", f"{s}.json"],
+        ["export", "-i", f"{s}.obj", "--format", "obj", "-o", f"{s}-copy.obj"],
+        ["rigidity", "-i", f"{s}.obj"],
+        ["rigidity", "-i", f"{s}-dome.obj", "--open"],
+        ["gemmate", "-i", f"{s}-dual.obj", "-o", f"{s}-dual-gem.obj"],
+        ["analyze", "-i", f"{s}-dual.obj"],
+        ["export", "-i", f"{s}-dual.obj", "--format", "json", "-o", f"{s}-dual.json"],
+        ["truncate", "-i", f"{s}-dual.obj", "--fraction", "0.5", "-o", f"{s}-dual-dome.obj"],
+    ]
 
 
 def corpus() -> list[list[str]]:
@@ -49,22 +71,12 @@ def corpus() -> list[list[str]]:
             for up in (False, True):
                 s = f"{kind[:4]}-{m}-{n}{'-up' if up else ''}"
                 gen = ["generate", "--seed", kind, "--m", str(m), "--n", str(n), "-o", f"{s}.obj"]
-                steps += [
-                    gen + ["--vertex-up"] * up,
-                    ["dual", "-i", f"{s}.obj", "-o", f"{s}-dual.obj"],
-                    ["truncate", "-i", f"{s}.obj", "--fraction", "0.5", "-o", f"{s}-dome.obj"],
-                    ["analyze", "-i", f"{s}.obj", "--csv", f"{s}.csv"],
-                    ["analyze", "-i", f"{s}-dome.obj", "--open"],
-                    ["export", "-i", f"{s}.obj", "--format", "json", "-o", f"{s}.json"],
-                    ["export", "-i", f"{s}.obj", "--format", "obj", "-o", f"{s}-copy.obj"],
-                    ["rigidity", "-i", f"{s}.obj"],
-                    ["rigidity", "-i", f"{s}-dome.obj", "--open"],
-                    ["gemmate", "-i", f"{s}-dual.obj", "-o", f"{s}-dual-gem.obj"],
-                    ["analyze", "-i", f"{s}-dual.obj"],
-                    ["export", "-i", f"{s}-dual.obj", "--format", "json", "-o", f"{s}-dual.json"],
-                    ["truncate", "-i", f"{s}-dual.obj", "--fraction", "0.5",
-                     "-o", f"{s}-dual-dome.obj"],
-                ]
+                steps += [gen + ["--vertex-up"] * up, *sphere_steps(s)]
+    for kind in FACETED_SEEDS:
+        for up in (False, True):
+            s = f"{kind[:5]}{'-up' if up else ''}"
+            steps += [["generate", "--seed", kind, "-o", f"{s}.obj"] + ["--vertex-up"] * up,
+                      *sphere_steps(s), ["gemmate", "-i", f"{s}.obj", "-o", f"{s}-gem.obj"]]
     return steps
 
 
