@@ -8,12 +8,14 @@ I/O failures, 4 when an internal invariant fails (a bug in geodome).
 
 Arguments are parsed before numpy loads: this module imports only the
 standard library and `errors`, and each command imports the layers it runs.
+`command` in `_build_parser` declares each subcommand and every shared flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 from .errors import DEFAULT_TOL, SEED_KINDS, GeodomeError, InvalidSpec, InvariantViolation
 from .errors import ParseError
@@ -41,26 +43,12 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     export_obj(mesh, args.output)
 
 
-def _cmd_dual(args: argparse.Namespace) -> None:
+def _cmd_transform(args: argparse.Namespace) -> None:
+    from . import transforms
     from .io import export_obj, import_obj
-    from .transforms import dual
 
-    export_obj(dual(import_obj(args.input)), args.output)
-
-
-def _cmd_gemmate(args: argparse.Namespace) -> None:
-    from .io import export_obj, import_obj
-    from .transforms import gemmate
-
-    export_obj(gemmate(import_obj(args.input)), args.output)
-
-
-def _cmd_truncate(args: argparse.Namespace) -> None:
-    from .io import export_obj, import_obj
-    from .transforms import truncate_dome
-
-    mesh = truncate_dome(import_obj(args.input), args.fraction, strict=args.strict)
-    export_obj(mesh, args.output)
+    cut = {"height_fraction": args.fraction, "strict": args.strict} if "fraction" in args else {}
+    export_obj(getattr(transforms, args.transform)(import_obj(args.input), **cut), args.output)
 
 
 def _print_report(rows: list[tuple[str, object]]) -> None:
@@ -95,25 +83,9 @@ def _cmd_export(args: argparse.Namespace) -> None:
     mesh = import_obj(args.input, allow_open=args.allow_open)
     if args.format == "obj":
         export_obj(mesh, args.output)
-    elif args.format == "json":
-        export_schedule(mesh, args.output, args.tol)
     else:
-        export_analysis_csv(mesh, args.output, args.tol)
-
-
-def _seed_kind(text: str) -> str:
-    return text.replace("-", "_")
-
-
-def _add_input(sub: argparse.ArgumentParser, allow_open: bool = False) -> None:
-    sub.add_argument("-i", "--input", required=True, help="input OBJ file")
-    if allow_open:
-        sub.add_argument(
-            "--open",
-            dest="allow_open",
-            action="store_true",
-            help="accept an open shell (dome) as input",
-        )
+        write = export_schedule if args.format == "json" else export_analysis_csv
+        write(mesh, args.output, args.tol)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,9 +94,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build and analyze geodesic spheres, domes, and their duals.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    tol = dict(type=float, default=DEFAULT_TOL, help="length classification tolerance")
 
-    gen = commands.add_parser("generate", help="tessellate a seed and project it")
-    gen.add_argument("--seed", type=_seed_kind, choices=SEED_KINDS, default="icosahedron")
+    def command(name: str, summary: str, func: Callable, reads: str | None = "closed",
+                **defaults: str) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name, help=summary)
+        sub.set_defaults(func=func, **defaults)
+        if reads is not None:
+            sub.add_argument("-i", "--input", required=True, help="input OBJ file")
+        if reads == "open":
+            sub.add_argument(
+                "--open",
+                dest="allow_open",
+                action="store_true",
+                help="accept an open shell (dome) as input",
+            )
+        return sub
+
+    gen = command("generate", "tessellate a seed and project it", _cmd_generate, reads=None)
+    gen.add_argument("--seed", type=lambda kind: kind.replace("-", "_"), choices=SEED_KINDS,
+                     default="icosahedron")
     gen.add_argument("--m", type=int, default=1)
     gen.add_argument("--n", type=int, default=0)
     gen.add_argument("--radius", type=float, default=1.0)
@@ -139,43 +128,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rotate the seed so a vertex points along +z before tessellating",
     )
     gen.add_argument("-o", "--output", required=True, help="output OBJ file")
-    gen.set_defaults(func=_cmd_generate)
 
-    dua = commands.add_parser("dual", help="polar dual about the circumsphere")
-    _add_input(dua)
+    dua = command("dual", "polar dual about the circumsphere", _cmd_transform, transform="dual")
     dua.add_argument("-o", "--output", required=True)
-    dua.set_defaults(func=_cmd_dual)
 
-    gem = commands.add_parser("gemmate", help="erect a pyramid on every face")
-    _add_input(gem)
+    gem = command("gemmate", "erect a pyramid on every face", _cmd_transform, transform="gemmate")
     gem.add_argument("-o", "--output", required=True)
-    gem.set_defaults(func=_cmd_gemmate)
 
-    tru = commands.add_parser("truncate", help="cut a dome off a sphere")
-    _add_input(tru)
+    tru = command("truncate", "cut a dome off a sphere", _cmd_transform, transform="truncate_dome")
     tru.add_argument("--fraction", type=float, required=True, help="kept height fraction in (0, 1]")
     tru.add_argument("--strict", action="store_true", help="error if a kept face dips below the cut")
     tru.add_argument("-o", "--output", required=True)
-    tru.set_defaults(func=_cmd_truncate)
 
-    ana = commands.add_parser("analyze", help="print counts, classes, and face metrics")
-    _add_input(ana, allow_open=True)
-    ana.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="length classification tolerance")
+    ana = command("analyze", "print counts, classes, and face metrics", _cmd_analyze, "open")
+    ana.add_argument("--tol", **tol)
     ana.add_argument("--csv", help="also write the table to this CSV file")
-    ana.set_defaults(func=_cmd_analyze)
 
-    rig = commands.add_parser("rigidity", help="rank test of the rigidity matrix")
-    _add_input(rig, allow_open=True)
-    rig.set_defaults(func=_cmd_rigidity)
+    command("rigidity", "rank test of the rigidity matrix", _cmd_rigidity, "open")
 
-    exp = commands.add_parser("export", help="rewrite a mesh as obj, json schedule, or csv")
-    _add_input(exp, allow_open=True)
+    exp = command("export", "rewrite a mesh as obj, json schedule, or csv", _cmd_export, "open")
     exp.add_argument("--format", choices=("obj", "json", "csv"), required=True)
-    exp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="length classification tolerance")
+    exp.add_argument("--tol", **tol)
     exp.add_argument("-o", "--output", required=True)
-    exp.set_defaults(func=_cmd_export)
 
     return parser
 

@@ -340,9 +340,10 @@ def build_mesh(
     radius is given, that every vertex lies on the sphere of that radius
     about the origin within DEFAULT_TOL * radius.  The radius is stored
     as a float.  closed=True requires a closed sphere (see Mesh.closed);
-    closed=False also accepts boundary edges and any Euler count.  Face ids
-    must be integers: bools, floats and strings are refused, not truncated.
-    The faces may also come as _Cycles arrays.
+    closed=False also accepts boundary edges, any Euler count and a pinched
+    vertex, whose faces form several fans: the vertex rotation (turn) walks
+    one fan at a time.  Face ids must be integers: bools, floats and strings
+    are refused, not truncated.  The faces may also come as _Cycles arrays.
     """
     verts = _floats(vertices)
     if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) == 0:

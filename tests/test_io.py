@@ -412,6 +412,62 @@ def test_cli_exits_4_on_a_failed_invariant(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.obj").exists()
 
 
+def test_cli_truncate_strict(tmp_path, capsys):
+    up, side = tmp_path / "up.obj", tmp_path / "side.obj"
+    assert main(["generate", "--m", "2", "--vertex-up", "-o", str(up)]) == 0
+    assert main(["generate", "--m", "2", "-o", str(side)]) == 0
+
+    def cut(sphere: Path, name: str, *strict: str) -> int:
+        return main(["truncate", "-i", str(sphere), "--fraction", "0.5", *strict,
+                     "-o", str(tmp_path / name)])
+
+    # no kept face of the vertex-up sphere dips below its 0.5 cut: --strict writes the same dome
+    assert cut(up, "loose.obj") == 0 and cut(up, "strict.obj", "--strict") == 0
+    assert (tmp_path / "strict.obj").read_bytes() == (tmp_path / "loose.obj").read_bytes()
+    capsys.readouterr()
+    assert cut(side, "side-strict.obj", "--strict") == 2
+    assert capsys.readouterr().err == (
+        "error: kept face (17, 3, 18) has a vertex 3.090e-01 below the cut\n"
+    )
+    assert not (tmp_path / "side-strict.obj").exists()
+    assert cut(side, "side-loose.obj") == 0
+
+
+def test_cli_subcommands_take_only_their_own_flags(sphere_2v, tmp_path, capsys):
+    # every subcommand is declared through one helper: pin which flags each one takes
+    sphere, panels, out = (str(tmp_path / name) for name in ("s.obj", "d.obj", "out"))
+    export_obj(sphere_2v, sphere)
+    export_obj(dual(sphere_2v), panels)  # gemmate refuses a triangle
+    runs = {
+        "generate": ["-o", out],
+        "dual": ["-i", sphere, "-o", out],
+        "gemmate": ["-i", panels, "-o", out],
+        "truncate": ["-i", sphere, "--fraction", "0.5", "-o", out],
+        "analyze": ["-i", sphere],
+        "rigidity": ["-i", sphere],
+        "export": ["-i", sphere, "--format", "obj", "-o", out],
+    }
+
+    def accepts(command: str, args: list[str]) -> bool:
+        """True when the run exits 0, False on a usage error; anything else fails the test."""
+        try:
+            assert main([command, *args]) == 0
+        except SystemExit as exc:
+            assert exc.code == 2
+            return False
+        return True
+
+    assert all(accepts(command, args) for command, args in runs.items())
+    assert [c for c, args in runs.items() if accepts(c, [*args, "--open"])] == [
+        "analyze", "rigidity", "export"]
+    assert [c for c, args in runs.items() if accepts(c, [*args, "--tol", "1e-3"])] == [
+        "analyze", "export"]
+    bare = {c: [a for a in args if a not in ("-i", sphere, panels)] for c, args in runs.items()}
+    assert [c for c, args in bare.items() if accepts(c, args)] == ["generate"]
+    assert not accepts("generate", ["-i", sphere, *runs["generate"]])
+    capsys.readouterr()
+
+
 def test_cli_invalid_seed_choice():
     with pytest.raises(SystemExit) as err:
         main(["generate", "--seed", "cube", "-o", "x.obj"])

@@ -465,6 +465,20 @@ def test_open_mesh_as_closed_violates_euler():
     assert len(open_mesh.boundary_edges) == 3
 
 
+def test_open_mesh_accepts_a_pinched_vertex():
+    # closed=False checks edges, not vertices: the faces at vertex 0 form two fans
+    verts = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
+    bowtie = build_mesh(verts, [(0, 1, 2), (0, 3, 4)], closed=False)
+    assert bowtie.counts == (5, 6, 2)
+    assert bowtie.degrees().tolist() == [4, 2, 2, 2, 2]
+    assert len(bowtie.boundary_edges) == 6
+    assert not bowtie.closed
+    # the vertex rotation walks one fan at a time: from each dart leaving vertex 0
+    # it reaches the boundary without entering the other fan
+    he = bowtie._half_edges
+    assert he.turn[he.tail == 0].tolist() == [-1, -1]
+
+
 def test_three_faces_on_one_edge_non_manifold():
     verts = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
     faces = [(0, 1, 2), (0, 3, 1), (0, 1, 4)]

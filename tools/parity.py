@@ -9,9 +9,10 @@ file whose bytes differ or that only one tree wrote.  Exits 0 when there is
 no difference, 1 otherwise.  Each step runs in the tree's own working
 directory with relative file names, so messages that quote a path match.
 
-The corpus starts with four steps that only parse: the usage text of
-``--help`` and ``generate --help``, and the usage errors (exit code 2) of an
-unknown seed and of a missing ``-o``.  Then, for every walk in WALKS, seed in
+The corpus starts with steps that only parse: the usage text of ``--help``
+and of ``--help`` on every subcommand, and the usage errors (exit code 2) of
+an unknown seed, of a missing ``-o``, of a missing ``-i`` and of ``--open``
+on ``dual``, which does not take it.  Then, for every walk in WALKS, seed in
 SEEDS and vertex-up on and off, generate a sphere; take its dual; cut its
 0.5 dome; analyze the sphere (with ``--csv``) and the dome (``--open``);
 export the sphere as json and obj; test the rigidity of the sphere and of
@@ -25,7 +26,11 @@ do its dual's.  The seeds in FACETED_SEEDS take no lattice walk: each, with
 vertex-up on and off, is generated as it is, runs the same steps as a
 sphere, and is gemmated.  A step that fails is recorded like any other;
 later steps that read its missing output fail too, the same way in both
-trees.
+trees.  Last, each sphere in FLAG_SPHERES (a stepping, a radius-2 and
+three plain icosahedral ones) runs the flags no other step passes: a
+``--strict`` 0.5 cut, which holds on the vertex-up (2, 0) sphere and fails
+without vertex-up, the csv export, and ``--tol 1e-3`` on ``analyze`` and on
+the json export, which merges length classes of the (4, 0) sphere.
 The report ends with the line count of each tree's ``src/geodome``.
 """
 
@@ -42,6 +47,10 @@ from pathlib import Path
 WALKS = ((7, 0), (0, 7), (5, 3), (3, 5), (2, 1), (8, 0), (14, 0), (24, 0))
 SEEDS = ("tetrahedron", "octahedron", "icosahedron")
 FACETED_SEEDS = ("dodecahedron", "truncated_icosahedron")  # built from the icosahedron
+COMMANDS = ("generate", "dual", "gemmate", "truncate", "analyze", "rigidity", "export")
+FLAG_SPHERES = (("step-4", ["--stepping", "--m", "4"]), ("r2", ["--radius", "2", "--m", "2"]),
+                ("ico-4", ["--m", "4"]), ("ico-2", ["--m", "2"]),
+                ("ico-2-up", ["--m", "2", "--vertex-up"]))
 
 
 def sphere_steps(s: str) -> list[list[str]]:
@@ -62,10 +71,21 @@ def sphere_steps(s: str) -> list[list[str]]:
     ]
 
 
+def flag_steps(s: str) -> list[list[str]]:
+    """The steps that pass the flags sphere_steps leaves out, run on the sphere in s.obj."""
+    return [
+        ["truncate", "-i", f"{s}.obj", "--fraction", "0.5", "--strict", "-o", f"{s}-strict.obj"],
+        ["export", "-i", f"{s}.obj", "--format", "csv", "-o", f"{s}.csv"],
+        ["analyze", "-i", f"{s}.obj", "--tol", "1e-3"],
+        ["export", "-i", f"{s}.obj", "--format", "json", "--tol", "1e-3", "-o", f"{s}-tol.json"],
+    ]
+
+
 def corpus() -> list[list[str]]:
     """Every step's CLI arguments, in the order they must run."""
-    steps = [["--help"], ["generate", "--help"], ["generate", "--seed", "cube", "-o", "x.obj"],
-             ["generate"]]
+    steps = [["--help"], *([cmd, "--help"] for cmd in COMMANDS),
+             ["generate", "--seed", "cube", "-o", "x.obj"], ["generate"],
+             ["dual", "-o", "x.obj"], ["dual", "-i", "x.obj", "--open", "-o", "y.obj"]]
     for kind in SEEDS:
         for m, n in WALKS:
             for up in (False, True):
@@ -77,6 +97,8 @@ def corpus() -> list[list[str]]:
             s = f"{kind[:5]}{'-up' if up else ''}"
             steps += [["generate", "--seed", kind, "-o", f"{s}.obj"] + ["--vertex-up"] * up,
                       *sphere_steps(s), ["gemmate", "-i", f"{s}.obj", "-o", f"{s}-gem.obj"]]
+    for s, flags in FLAG_SPHERES:
+        steps += [["generate", *flags, "-o", f"{s}.obj"], *flag_steps(s)]
     return steps
 
 
