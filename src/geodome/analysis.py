@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import (DegenerateGeometry, DisconnectedMesh, InvariantViolation,
                      NonTriangularFace, NotClassI)
-from .mesh import DEFAULT_TOL, Mesh, _flag, _flatten, _floats, _norms, _real, _rowdot, _scale
+from .mesh import (DEFAULT_TOL, Mesh, _cross, _flag, _flatten, _floats, _norms, _real, _rowdot,
+                   _scale)
 
 if TYPE_CHECKING:  # tessellation loads only for verify_counts
     from .tessellation import TessellationSpec
@@ -131,7 +132,7 @@ def circumcenter_deviation(P: Mesh) -> float:
     s = 0.5 * (uu * vv - uv * vv) / det
     t = 0.5 * (vv * uu - uv * uu) / det
     circumcenter = A + s[:, None] * u + t[:, None] * v
-    n = np.cross(u, v)
+    n = _cross(u, v)
     n /= _norms(n)[:, None]
     foot = (_rowdot(A + B + C, n) / 3.0)[:, None] * n
     return float(_norms(foot - circumcenter).max()) / _scale(P)
@@ -228,7 +229,7 @@ def _frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     e1 = a / _norms(a)[:, None]
     e2 = b - _rowdot(b, e1)[:, None] * e1
     e2 /= _norms(e2)[:, None]
-    return np.stack([e1, e2, np.cross(e1, e2)], axis=2)
+    return np.stack([e1, e2, _cross(e1, e2)], axis=2)
 
 
 def _turn(points: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -302,27 +303,34 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
 _TABLE_ENTRIES = 1 << 22  # bounds the memory of one table of candidate dart maps
 
 
-def _dart_kinds(P: Mesh, degrees: np.ndarray, tail: np.ndarray, succ: np.ndarray) -> np.ndarray:
-    """(tail degree, head degree, face size) of every dart of P, coded as one integer."""
-    top, he = len(degrees) + 1, P._half_edges
-    return (degrees[tail] * top + degrees[tail[succ]]) * top + he.size[he.face]
+def _darts(P: Mesh, degrees: np.ndarray, reverse: bool = False) -> tuple[np.ndarray, ...]:
+    """Tail, kind (tail degree, head degree, face size) and images under succ, twin, and twin
+    then one, two and three turns (twin after prev) of every dart of P, faces reversed if asked."""
+    he, n, top = P._half_edges, len(P._half_edges.tail), len(degrees) + 1
+    tail, succ, prev = (he.head, he.prev, he.succ) if reverse else (he.tail, he.succ, he.prev)
+    words = np.full((5, n + 1), n)  # dart n is "no dart", its own image
+    words[0, :n], words[1, :n] = succ, np.where(he.twin < 0, n, he.twin)
+    turn = words[1, np.append(prev, n)]
+    for k in (2, 3, 4):
+        words[k] = turn[words[k - 1]]
+    return tail, (degrees[tail] * top + degrees[tail[succ]]) * top + he.size[he.face], words
 
 
-def _dart_tree(succ: np.ndarray, twin: np.ndarray, root: int) -> list[tuple] | None:
-    """Breadth-first tree of the darts from root over succ and twin (len(succ)
-    on a boundary): per level (darts, parents, step), step 1 for a parent's
-    succ and 0 for its twin.  None if a dart is not reached."""
-    n = len(succ)
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[[root, n]] = True
+def _dart_tree(words: np.ndarray, root: int) -> list[tuple]:
+    """Breadth-first levels (darts, parents, rows) from root, words[rows, parents] == darts."""
+    slot = np.full(words.shape[1], -1)  # -1 until the dart is reached; the last is "no dart"
+    slot[[root, -1]] = 0
     frontier, levels = np.array([root]), []
     while frontier.size:
-        kids, first = np.unique(np.concatenate([twin[frontier], succ[frontier]]), return_index=True)
-        kids, first = kids[~seen[kids]], first[~seen[kids]]
-        seen[kids] = True
-        levels.append((kids, np.tile(frontier, 2)[first], (first >= frontier.size).astype(np.intp)))
-        frontier = kids
-    return levels if seen.all() else None
+        images = words[:, frontier].ravel()
+        fresh = np.flatnonzero(slot[images] < 0)
+        slot[images[fresh]] = fresh  # one of the slots that hold each new dart, whichever
+        fresh = fresh[slot[images[fresh]] == fresh]
+        levels.append((images[fresh], frontier[fresh % frontier.size], fresh // frontier.size))
+        frontier = levels[-1][0]
+    if (slot < 0).any():
+        raise DisconnectedMesh("combinatorially_isomorphic needs P's faces to be edge-connected")
+    return levels[:-1]  # the last level is empty
 
 
 def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
@@ -330,52 +338,50 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
 
     An isomorphism of connected maps is fixed by the image of one dart
     (Weinberg 1966): here the first dart of P of the rarest kind (tail degree,
-    head degree, face size), imaged on each dart of Q of that kind.  One
-    breadth-first tree of P's darts over next and twin extends all candidates
-    to dart maps, an array pass per level; a P whose faces are not
-    edge-connected raises DisconnectedMesh.  A map that commutes with next and
-    twin (boundary to boundary) and induces a consistent, injective vertex map
-    is an isomorphism; consistency matters at a pinched vertex, whose darts
-    form several rotation orbits, and injectivity refuses a map onto one
-    component of a disconnected Q.  Q is tried as given and with its faces
-    reversed, so mirror images match: the first candidate of each orientation
-    alone, then the rest of each, so a copy or a mirror image of P costs at
-    most two candidates.
+    head degree, face size), imaged on each dart of Q of that kind.  A
+    breadth-first tree of P's darts by next, twin, and twin then one to three
+    vertex turns (most of a vertex star per level: 17 levels on the (5, 1)
+    icosahedral sphere, 78 by next and twin alone) extends all candidates to
+    dart maps; as an isomorphism commutes with every step, any spanning tree
+    gives the same verdict.  P's faces must be edge-connected, else
+    DisconnectedMesh.  A map that commutes with next and twin (boundary to
+    boundary) and induces a consistent, injective vertex map is an isomorphism:
+    consistency for a pinched vertex, whose darts form several rotation orbits,
+    injectivity against a map onto one component of a disconnected Q.  Q is
+    tried as given and with its faces reversed, so mirror images match: the
+    first candidate of each orientation alone, then the rest, so a copy or a
+    mirror image of P costs at most two candidates.
     """
     degrees_p, degrees_q = P.degrees(), Q.degrees()
     if P.counts != Q.counts or not np.array_equal(np.bincount(degrees_p), np.bincount(degrees_q)):
         return False
-    he_p, he_q, n = P._half_edges, Q._half_edges, len(P._half_edges.tail)
-    succ_p = he_p.succ
-    kinds, first, counts = np.unique(
-        _dart_kinds(P, degrees_p, he_p.tail, succ_p), return_index=True, return_counts=True
-    )
+    tail_p, kinds, words_p = _darts(P, degrees_p)
+    n = len(tail_p)
+    kinds, first, counts = np.unique(kinds, return_index=True, return_counts=True)
     rarest = np.lexsort((kinds, counts))[0]
-    twin_p = np.where(he_p.twin < 0, n, he_p.twin)
-    levels = _dart_tree(succ_p, twin_p, first[rarest])
-    if levels is None:
-        raise DisconnectedMesh("combinatorially_isomorphic needs P's faces to be edge-connected")
+    levels = _dart_tree(words_p, first[rarest])
     # rep[i] is a dart leaving the i-th used vertex of P, and dart h leaves vertex tail_of[h]
-    _, rep, tail_of = np.unique(he_p.tail, return_index=True, return_inverse=True)
-    twin_q = np.append(np.where(he_q.twin < 0, n, he_q.twin), n)  # dart n is "no dart"
+    _, rep, tail_of = np.unique(tail_p, return_index=True, return_inverse=True)
     rows = max(1, _TABLE_ENTRIES // (n + 1))
-    # Q's (tail, next), then with faces reversed: h leaves its head, followed by its predecessor
-    sides = []
-    for tail, succ in ((he_q.tail, he_q.succ), (he_q.head, he_q.prev)):
-        starts = np.flatnonzero(_dart_kinds(Q, degrees_q, tail, succ) == kinds[rarest])
-        sides.append((tail, np.stack([twin_q, np.append(succ, n)]), starts))
-    # the first candidate of each orientation alone, then the rest in batches
-    tries = [(tail, steps, starts[:1]) for tail, steps, starts in sides]
-    tries += [(tail, steps, starts[i : i + rows])
-              for tail, steps, starts in sides for i in range(1, len(starts), rows)]
-    for tail, steps, group in tries:
+
+    def tries():
+        sides = []
+        for reverse in (False, True):  # Q as given, then with its faces reversed
+            tail, starts, words = _darts(Q, degrees_q, reverse)
+            starts = np.flatnonzero(starts == kinds[rarest])  # the darts of the root's kind
+            sides.append((tail, words, starts))
+            yield tail, words, starts[:1]
+        for tail, words, starts in sides:
+            yield from ((tail, words, starts[i : i + rows]) for i in range(1, len(starts), rows))
+
+    for tail, words, group in tries():
         M = np.full((len(group), n + 1), n)
         M[:, first[rarest]] = group
-        for kids, parents, step in levels:
-            M[:, kids] = steps[step, M[:, parents]]
+        for kids, parents, row in levels:
+            M[:, kids] = words[row, M[:, parents]]
         image = M[:, :n]
-        mapped = (image < n) & (steps[1, image] == M[:, succ_p])
-        corners = tail[image[(mapped & (steps[0, image] == M[:, twin_p])).all(axis=1)]]
+        mapped = (image < n) & (words[0, image] == M[:, words_p[0, :n]])
+        corners = tail[image[(mapped & (words[1, image] == M[:, words_p[1, :n]])).all(axis=1)]]
         vmap = corners[:, rep]
         vmap = np.sort(vmap[(corners == vmap[:, tail_of]).all(axis=1)], axis=1)
         if (vmap[:, 1:] != vmap[:, :-1]).all(axis=1).any():

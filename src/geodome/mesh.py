@@ -96,6 +96,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_rowdot(a, a))
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of 3-vectors or rows of them, in numpy's own order, so the bits are the same."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j], out=out[..., i])
+    return out
+
+
 class _Cycles(NamedTuple):
     """Face cycles as arrays: every corner id in cycle order, and each cycle's length."""
 
@@ -226,12 +234,8 @@ class _HalfEdges:
         """Newell normal (unnormalized) and mean corner of every face, from one corner gather."""
         p = np.take(points, self.tail, axis=0)
         q = np.take(p, succ, axis=0)
-        cross = np.empty_like(p)  # np.cross(p, q), component by component: the same bits
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            np.multiply(p[:, j], q[:, k], out=cross[:, i])
-            cross[:, i] -= p[:, k] * q[:, j]
         # + 0.0 turns a -0.0 component into 0.0, as summing from zero would
-        return self.face_sum(cross) + 0.0, self.face_sum(p) / self.size[:, None]
+        return self.face_sum(_cross(p, q)) + 0.0, self.face_sum(p) / self.size[:, None]
 
     def rings(self, ids: np.ndarray, points: np.ndarray, axes: np.ndarray) -> _Cycles:
         """One cycle per vertex of a closed mesh: ids[h] of the half-edges h leaving
@@ -247,9 +251,9 @@ class _HalfEdges:
             walk[k] = turn[walk[k - 1]]
         axes = axes / _norms(axes)[:, None]
         helper = np.where(np.abs(axes[:, 2:]) > 0.9, (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
-        t1 = np.cross(helper, axes)
+        t1 = _cross(helper, axes)
         t1 /= _norms(t1)[:, None]
-        t2 = np.cross(axes, t1)  # (t1, t2, axis) is right-handed
+        t2 = _cross(axes, t1)  # (t1, t2, axis) is right-handed
         t1, t2 = np.take(t1, self.tail, axis=0), np.take(t2, self.tail, axis=0)
         angle = np.arctan2(_rowdot(points, t2), _rowdot(points, t1))
         inside = np.arange(len(walk))[:, None] < degree
@@ -507,7 +511,7 @@ def rotation_to_z(direction: Sequence[float]) -> np.ndarray:
         return np.eye(3)
     if c < -1.0 + 1e-15:
         return np.diag([1.0, -1.0, -1.0])  # half turn about x
-    axis = np.cross(v, z)
+    axis = _cross(v, z)
     axis /= np.linalg.norm(axis)
     s = math.sqrt(max(0.0, 1.0 - c * c))
     K = np.array([[0.0, -axis[2], axis[1]],

@@ -412,6 +412,60 @@ def test_isomorphism_maps_a_pinched_vertex_to_one_vertex():
         assert combinatorially_isomorphic(P, other) and _reference_isomorphic(P, other)
 
 
+
+def _words(P):
+    return analysis._darts(P, P.degrees())[2]
+
+
+def _tree_of(P):
+    return analysis._dart_tree(_words(P), 0)
+
+
+def test_dart_tree_steps_a_vertex_star_per_level(make_sphere):
+    # every step leaves the head of its dart, so a level moves one edge from the root's
+    # vertex, and the farthest vertex of the icosahedral (5, 1) sphere is 16 edges away;
+    # over next and twin alone the tree is 78 levels deep
+    assert len(_tree_of(make_sphere(5, 1))) <= 17
+
+
+def test_dart_tree_spans_open_and_mixed_meshes(make_sphere):
+    # a turn stops at the boundary and at a pinched vertex; next and twin go on
+    P = make_sphere(2, 1, vertex_up=True)
+    for M in (truncate_dome(P, 0.5), dual(P), gemmate(seed("dodecahedron")), _pinched_strip(1)):
+        levels, n = _tree_of(M), len(M._half_edges.tail)
+        darts = np.concatenate([[0], *(kids for kids, _, _ in levels)])
+        assert np.array_equal(np.sort(darts), np.arange(n))
+        words = _words(M)
+        for kids, parents, row in levels:
+            assert np.array_equal(words[row, parents], kids)
+
+
+@pytest.mark.parametrize("kind", ["tetrahedron", "octahedron", "icosahedron"])
+def test_isomorphic_to_relabeled_rotated_and_mirrored_copies(kind, make_sphere):
+    R = rotation_to_z((1.0, -2.0, 0.5))
+    for m, n in [(m, s - m) for s in range(1, 6) for m in range(s + 1)]:
+        P = make_sphere(m, n, kind)
+        for M in (P, truncate_dome(P, 0.5)):
+            for other in (_relabeled(rotated(M, R)), mirrored(M)):
+                assert combinatorially_isomorphic(M, other), (m, n, M.closed)
+
+
+def test_isomorphism_verdicts_do_not_depend_on_the_batch_size(make_sphere, monkeypatch):
+    # the octahedral domes match at a later candidate, which a one-row table tries alone
+    P, Q = (truncate_dome(make_sphere(m, n, "octahedron"), 0.8) for m, n in ((2, 1), (1, 2)))
+    pairs = [(P, Q), (P, mirrored(P)), (make_sphere(7, 0), make_sphere(5, 3))]
+    assert [combinatorially_isomorphic(*pair) for pair in pairs] == [True, True, False]
+    monkeypatch.setattr(analysis, "_TABLE_ENTRIES", 1)
+    assert [combinatorially_isomorphic(*pair) for pair in pairs] == [True, True, False]
+
+
+@pytest.mark.parametrize("kind", ["octahedron", "icosahedron"])
+def test_equal_counts_and_degrees_yet_not_isomorphic(kind, make_sphere):
+    P, Q = make_sphere(7, 0, kind), make_sphere(5, 3, kind)
+    assert P.counts == Q.counts and vertex_degree_histogram(P) == vertex_degree_histogram(Q)
+    assert not combinatorially_isomorphic(P, Q) and not combinatorially_isomorphic(Q, P)
+
+
 # --- loop references: the per-candidate searches these tests compare against --
 
 

@@ -333,6 +333,15 @@ def test_cli_generate_analyze_roundtrip(tmp_path, capsys):
     assert "edge_classes" in text
 
 
+def test_cli_analyze_writes_the_library_csv(sphere_21, tmp_path, capsys):
+    obj, out = tmp_path / "s.obj", tmp_path / "cli.csv"
+    export_obj(sphere_21, obj)
+    export_analysis_csv(sphere_21, tmp_path / "lib.csv")
+    assert main(["analyze", "-i", str(obj), "--csv", str(out)]) == 0
+    assert "edge_classes" in capsys.readouterr().out
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 def test_cli_pipeline_dual_truncate_rigidity(tmp_path, capsys):
     sphere = tmp_path / "s.obj"
     dome = tmp_path / "d.obj"
