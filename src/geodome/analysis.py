@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import (DegenerateGeometry, DisconnectedMesh, InvariantViolation,
                      NonTriangularFace, NotClassI)
-from .mesh import (DEFAULT_TOL, Mesh, _cross, _flag, _flatten, _floats, _norms, _real, _rowdot,
-                   _scale)
+from .mesh import (DEFAULT_TOL, Mesh, _cross, _flag, _flatten, _floats, _lengths, _norms, _real,
+                   _rowdot, _scale)
 
 if TYPE_CHECKING:  # tessellation loads only for verify_counts
     from .tessellation import TessellationSpec
@@ -48,13 +48,13 @@ def verify_counts(P: Mesh, spec: TessellationSpec) -> bool:
 
     if not isinstance(spec, TessellationSpec):
         raise TypeError(f"spec must be a TessellationSpec, got {type(spec).__name__}")
-    return any(P.counts == _sphere_counts(f0, spec.T) for f0 in (4, 8, 20))
+    return P.counts in [_sphere_counts(f0, spec.T) for f0 in (4, 8, 20)]
 
 
 def vertex_degree_histogram(P: Mesh) -> dict[int, int]:
     """How many vertices have each edge degree."""
     counts = np.bincount(P.degrees())
-    degrees = np.flatnonzero(counts)
+    degrees = counts.nonzero()[0]
     return dict(zip(degrees.tolist(), counts[degrees].tolist()))
 
 
@@ -90,15 +90,16 @@ def _edge_class_labels(P: Mesh, tol: float) -> tuple[EdgeClassTable, np.ndarray]
     """edge_class_labels with the labels as an intp array."""
     tol = _real(tol, "tol")
     factors = P.edge_lengths() / _scale(P)
-    order = np.argsort(factors, kind="stable")
+    order = factors.argsort(kind="stable")
     ranked = factors[order]
-    gaps = np.diff(ranked) > tol
+    gaps = ranked[1:] - ranked[:-1] > tol
     labels = np.empty(len(factors), dtype=np.intp)
-    labels[order] = np.concatenate([[0], np.cumsum(gaps)])
+    labels[order] = np.concatenate([[0], gaps.cumsum()])
     # float(sum) / count is np.mean's pairwise sum and division, bit for bit
-    cuts = [0, *(np.flatnonzero(gaps) + 1).tolist(), len(ranked)]
-    entries = tuple((float(ranked[a:b].sum()) / (b - a), b - a) for a, b in zip(cuts, cuts[1:]))
-    if sum(c for _, c in entries) != len(factors):
+    cuts = [0, *(gaps.nonzero()[0] + 1).tolist(), len(ranked)]
+    entries = tuple([(float(np.add.reduce(ranked[a:b])) / (b - a), b - a)
+                     for a, b in zip(cuts, cuts[1:])])
+    if sum([c for _, c in entries]) != len(factors):
         raise InvariantViolation("edge classes do not account for every edge")
     return EdgeClassTable(entries=entries, tol=tol), labels
 
@@ -111,7 +112,7 @@ def edge_length_classes(P: Mesh, tol: float = DEFAULT_TOL) -> EdgeClassTable:
 def _triangles(P: Mesh) -> np.ndarray:
     """(F, 3) corner ids of a mesh whose faces are all triangles."""
     he = P._half_edges
-    other = np.flatnonzero(he.size != 3)
+    other = (he.size != 3).nonzero()[0]
     if other.size:
         raise NonTriangularFace(f"face {other[0]} has {he.size[other[0]]} sides")
     return he.tail.reshape(-1, 3)
@@ -169,7 +170,7 @@ def _equal_legs(P: Mesh, tol: float) -> tuple[np.ndarray, ...]:
     tol = _real(tol, "tol")
     tri = _triangles(P)
     pts = P.vertices[tri]
-    lens = np.column_stack([_norms(pts[:, (i + 1) % 3] - pts[:, (i + 2) % 3]) for i in range(3)])
+    lens = np.stack([_norms(pts[:, (i + 1) % 3] - pts[:, (i + 2) % 3]) for i in range(3)], axis=1)
     same = np.abs(lens[:, [1, 2, 0]] - lens[:, [2, 0, 1]]) <= tol * _scale(P)
     return tri, pts, lens, same
 
@@ -210,12 +211,12 @@ def detect_frequency(P: Mesh) -> int:
     if not (P.closed and P.counts == _sphere_counts(20, m * m)):
         raise NotClassI(f"counts do not match a closed class I sphere of frequency {m}")
     he, degree = P._half_edges, P.degrees()
-    h = np.flatnonzero(degree[he.tail] == 5)  # the first strut of every line from a degree-5 vertex
+    h = (degree[he.tail] == 5).nonzero()[0]  # the first strut of every line from a degree-5 vertex
     if not h.size:
         raise NotClassI("no degree-5 vertices")
     head, turn = he.head, he.turn
     for step in range(1, m + 1):
-        bad = np.flatnonzero(degree[head[h]] != (5 if step == m else 6))
+        bad = (degree[head[h]] != (5 if step == m else 6)).nonzero()[0]
         if bad.size:
             v = head[h[bad[0]]]
             raise NotClassI(f"a lattice line from a degree-5 vertex meets vertex {v} of degree "
@@ -234,7 +235,10 @@ def _frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _turn(points: np.ndarray, R: np.ndarray) -> np.ndarray:
     """points @ R.T for a rotation or a stack of them, rounded alike for every stack size."""
-    return sum(points[:, k, None] * R[..., None, :, k] for k in range(3))
+    out = points[:, 0, None] * R[..., None, :, 0] + 0.0  # + 0.0: as a sum from 0 would
+    for k in (1, 2):
+        out += points[:, k, None] * R[..., None, :, k]
+    return out
 
 
 _PROBE = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)  # generic unit direction
@@ -245,9 +249,9 @@ def _nearest(points: np.ndarray, verts: np.ndarray, keys: np.ndarray, eps: float
     eps, else -1: a vertex within eps of p has a key within eps of p's, up to rounding, so
     exact distances over keys within 2 eps decide.  O(V^2) if verts lie in a plane across _PROBE."""
     at = points @ _PROBE
-    lo, hi = np.searchsorted(keys, np.stack([at - 2.0 * eps, at + 2.0 * eps]))
+    lo, hi = keys.searchsorted(at - 2.0 * eps), keys.searchsorted(at + 2.0 * eps)
     slot = np.minimum(lo[..., None] + np.arange(max(1, (hi - lo).max(initial=0))), len(keys) - 1)
-    dist = np.linalg.norm(verts[slot] - points[..., None, :], axis=-1)
+    dist = _lengths(verts[slot] - points[..., None, :])
     best = np.take_along_axis(slot, dist.argmin(axis=-1)[..., None], -1)[..., 0]
     return np.where(dist.min(axis=-1) <= eps, best, -1)
 
@@ -268,7 +272,8 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
     """
     allow_reflection = _flag(allow_reflection, "allow_reflection")
     degrees_p, degrees_q = P.degrees(), Q.degrees()
-    same = P.counts == Q.counts and np.array_equal(np.bincount(degrees_p), np.bincount(degrees_q))
+    hist = np.bincount(degrees_p)
+    same = P.counts == Q.counts and np.array_equal(hist, np.bincount(degrees_q))
     if not same or (P.radius is None) != (Q.radius is None):
         return False
     p_verts, q_verts = P.vertices, Q.vertices
@@ -277,8 +282,8 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
         return False
 
     # vertices of the rarest degree among those on an edge, the lower degree on ties
-    values, counts = np.unique(degrees_p[degrees_p > 0], return_counts=True)
-    rare = np.flatnonzero(degrees_p == values[np.lexsort((values, counts))[0]])
+    values = hist[1:].nonzero()[0] + 1
+    rare = (degrees_p == values[hist[values].argmin()]).nonzero()[0]
     edges = P._half_edges.edges
     nbr = np.concatenate([edges[edges[:, 0] == rare[0], 1], edges[edges[:, 1] == rare[0], 0]]).min()
     ends = np.concatenate([Q._half_edges.edges, Q._half_edges.edges[:, ::-1]])
@@ -289,13 +294,14 @@ def congruent(P: Mesh, Q: Mesh, allow_reflection: bool = False) -> bool:
         frames = np.stack([frames, frames * (1.0, 1.0, -1.0)], axis=1).reshape(-1, 3, 3)
     turns = frames @ _frames(p_verts[rare[:1]], p_verts[[nbr]])[0].T
     keys = q_verts @ _PROBE
-    order = np.argsort(keys)
+    order = keys.argsort()
     q_sorted, keys = q_verts[order], keys[order]
     for group in (turns[:1], turns[1:]):  # 12 rare vertices: all of them, on a sphere
         near = _nearest(_turn(p_verts[rare[:12]], group), q_sorted, keys, eps)
         for R in group[(near >= 0).all(axis=1)]:
             idx = _nearest(_turn(p_verts, R), q_sorted, keys, eps)
-            if (idx >= 0).all() and np.diff(np.sort(idx)).all():  # distinct images
+            idx.sort()
+            if idx[0] >= 0 and (idx[1:] != idx[:-1]).all():  # distinct images
                 return True
     return False
 
@@ -310,7 +316,7 @@ def _darts(P: Mesh, degrees: np.ndarray, reverse: bool = False) -> tuple[np.ndar
     tail, succ, prev = (he.head, he.prev, he.succ) if reverse else (he.tail, he.succ, he.prev)
     words = np.full((5, n + 1), n)  # dart n is "no dart", its own image
     words[0, :n], words[1, :n] = succ, np.where(he.twin < 0, n, he.twin)
-    turn = words[1, np.append(prev, n)]
+    turn = words[1, np.concatenate((prev, [n]))]
     for k in (2, 3, 4):
         words[k] = turn[words[k - 1]]
     return tail, (degrees[tail] * top + degrees[tail[succ]]) * top + he.size[he.face], words
@@ -323,7 +329,7 @@ def _dart_tree(words: np.ndarray, root: int) -> list[tuple]:
     frontier, levels = np.array([root]), []
     while frontier.size:
         images = words[:, frontier].ravel()
-        fresh = np.flatnonzero(slot[images] < 0)
+        fresh = (slot[images] < 0).nonzero()[0]
         slot[images[fresh]] = fresh  # one of the slots that hold each new dart, whichever
         fresh = fresh[slot[images[fresh]] == fresh]
         levels.append((images[fresh], frontier[fresh % frontier.size], fresh // frontier.size))
@@ -368,7 +374,7 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
         sides = []
         for reverse in (False, True):  # Q as given, then with its faces reversed
             tail, starts, words = _darts(Q, degrees_q, reverse)
-            starts = np.flatnonzero(starts == kinds[rarest])  # the darts of the root's kind
+            starts = (starts == kinds[rarest]).nonzero()[0]  # the darts of the root's kind
             sides.append((tail, words, starts))
             yield tail, words, starts[:1]
         for tail, words, starts in sides:
@@ -383,7 +389,8 @@ def combinatorially_isomorphic(P: Mesh, Q: Mesh) -> bool:
         mapped = (image < n) & (words[0, image] == M[:, words_p[0, :n]])
         corners = tail[image[(mapped & (words[1, image] == M[:, words_p[1, :n]])).all(axis=1)]]
         vmap = corners[:, rep]
-        vmap = np.sort(vmap[(corners == vmap[:, tail_of]).all(axis=1)], axis=1)
+        vmap = vmap[(corners == vmap[:, tail_of]).all(axis=1)]
+        vmap.sort(axis=1)
         if (vmap[:, 1:] != vmap[:, :-1]).all(axis=1).any():
             return True
     return False
@@ -423,7 +430,7 @@ def _as_framework(obj) -> tuple[np.ndarray, np.ndarray]:
         bars = flat.reshape(-1, 2)
         ok = (bars >= 0).all(axis=1) & (bars < len(pts)).all(axis=1) & (bars[:, 0] != bars[:, 1])
     if not ok.all():
-        bar = edges[np.flatnonzero(~ok)[0]]
+        bar = edges[(~ok).nonzero()[0][0]]
         raise ValueError(
             f"invalid framework edge ({', '.join(map(str, bar))}): "
             f"it must join two distinct integer joint ids below {len(pts)}"
@@ -493,15 +500,17 @@ def _shifted_gram(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
     singular value exceeds 1e-4 times the largest, far above _RANK_EPS.
     """
     n, d = len(bars), pts[bars[:, 0]] - pts[bars[:, 1]]
-    order = np.argsort(bars.ravel(), kind="stable")  # the ends by joint; end 2i + k is bar i's
+    order = bars.ravel().argsort(kind="stable")  # the ends by joint; end 2i + k is bar i's
     joint, bar = bars.ravel()[order], order // 2
     arm = np.concatenate([d, -d], axis=1).reshape(-1, 3)[order].T  # s d of every end
     degree = np.bincount(joint, minlength=len(pts))
     reach = degree[joint]  # each end pairs with the reach[e] ends from its joint's first on
-    skip = np.cumsum(degree)[joint] - degree[joint] - np.cumsum(reach) + reach
-    right = np.arange(reach.sum()) + np.repeat(skip, reach)
-    dots = sum(np.repeat(arm[k], reach) * arm[k][right] for k in range(3))
-    col, diag = np.repeat(bar, reach), np.arange(n)
+    skip = degree.cumsum()[joint] - degree[joint] - reach.cumsum() + reach
+    right = np.arange(reach.sum()) + skip.repeat(reach)
+    dots = arm[0].repeat(reach) * arm[0][right] + 0.0  # + 0.0: as a sum from 0 would
+    for k in (1, 2):
+        dots += arm[k].repeat(reach) * arm[k][right]
+    col, diag = bar.repeat(reach), np.arange(n)
     tau = _GRAM_SHIFT * float(np.bincount(col, np.abs(dots), minlength=n).max())
     return (np.concatenate([dots, np.full(n, -tau)]), np.concatenate([bar[right], diag]),
             np.concatenate([col, diag]))
@@ -561,7 +570,7 @@ def _banded_certified_full_rank(pts: np.ndarray, bars: np.ndarray, axis: np.ndar
     Pi (G - tau I) Pi^T, far below tau.
     """
     n = len(bars)
-    bars = bars[np.argsort((pts[bars[:, 0]] + pts[bars[:, 1]]) @ axis, kind="stable")]
+    bars = bars[((pts[bars[:, 0]] + pts[bars[:, 1]]) @ axis).argsort(kind="stable")]
     dots, row, col = _shifted_gram(pts, bars)
     low = row >= col
     dots, row, col = dots[low], row[low], col[low]
@@ -573,12 +582,12 @@ def _banded_certified_full_rank(pts: np.ndarray, bars: np.ndarray, axis: np.ndar
     np.maximum.at(end, panel, row + 1)
     end = np.maximum.accumulate(end)
     size = (end - start) * width
-    offset = np.cumsum(size) - size
+    offset = size.cumsum() - size
     band = np.bincount(offset[panel] + (row - start[panel]) * width[panel] + col - start[panel],
                        dots, minlength=size.sum())
     del dots, row, col, panel, low
     panels = [band[a : a + s].reshape(-1, w) for a, s, w in zip(offset, size, width)]
-    reach = np.searchsorted(end, start, side="right")  # the first panel reaching each one's rows
+    reach = end.searchsorted(start, side="right")  # the first panel reaching each one's rows
     for k, (P, j, w) in enumerate(zip(panels, start, width)):
         for Q, i in zip(panels[reach[k] : k], start[reach[k] : k]):
             Q = Q[j - i :]  # its rows from j on

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, TextIO
 import numpy as np
 
 from .errors import ParseError
-from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real, _scale
-from .mesh import build_mesh
+from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _lengths, _norms, _real
+from .mesh import _scale, build_mesh
 
 if TYPE_CHECKING:  # analysis loads only where a schedule or table needs it
     from .analysis import EdgeClassTable
@@ -117,7 +117,7 @@ def import_obj(path: str | Path, *, allow_open: bool = False) -> Mesh:
     return build_mesh(
         arr,
         _Cycles(np.array(flat, dtype=np.intp) - 1, np.array(sizes, dtype=np.intp)),
-        radius=_common_radius(np.linalg.norm(arr, axis=1)),
+        radius=_common_radius(_lengths(arr)),
         closed=not allow_open,
     )
 

@@ -96,9 +96,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_rowdot(a, a))
 
 
+def _lengths(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a, axis=-1) of a float array, by numpy's own formula, so the bits are the same."""
+    return np.sqrt(np.add.reduce(a * a, axis=-1))
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.cross of 3-vectors or rows of them, in numpy's own order, so the bits are the same."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(a.shape if a.shape == b.shape else np.broadcast_shapes(a.shape, b.shape))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j], out=out[..., i])
     return out
@@ -165,31 +170,32 @@ class _HalfEdges:
 
     def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int, succ=None) -> None:
         self.tail, self.size = flat, size
-        self.start = np.cumsum(size) - size
+        self.start = size.cumsum() - size
         head = flat[self.succ if succ is None else succ]
         # one code per half-edge: its undirected edge low * V + high, doubled,
         # plus 1 when it runs high -> low; a single sort groups every edge
         code = 2 * (np.minimum(flat, head) * n_vertices + np.maximum(flat, head)) + (flat > head)
         del head
-        order = np.argsort(code)
+        order = code.argsort()
         ranked = code[order]
-        pair = np.flatnonzero((ranked[1:] ^ 1) == ranked[:-1])  # codes c and c + 1, c even
+        pair = ((ranked[1:] ^ 1) == ranked[:-1]).nonzero()[0]  # codes c and c + 1, c even
         self.twin = np.full(len(flat), -1)
         self.twin[order[pair]], self.twin[order[pair + 1]] = order[pair + 1], order[pair]
         del code, order, pair
         edge = ranked >> 1
-        first = np.flatnonzero(np.concatenate(([True], edge[1:] != edge[:-1])))
-        self.uses = np.diff(first, append=len(flat))
-        self.edges = np.column_stack(np.divmod(edge[first], n_vertices))
+        first = np.concatenate(([True], edge[1:] != edge[:-1])).nonzero()[0]
+        self.uses = np.concatenate((first[1:], [len(flat)])) - first
+        self.edges = np.concatenate(np.divmod(edge[first, None], n_vertices), axis=1)
         same = ranked[1:][ranked[1:] == ranked[:-1]]
         low, high = np.divmod(same >> 1, n_vertices)
         tails, heads = np.where(same & 1, (high, low), (low, high))
-        self.repeated = np.sort(tails * n_vertices + heads)
+        self.repeated = tails * n_vertices + heads
+        self.repeated.sort()
         self.edges.setflags(write=False)
 
     @property
     def face(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.size)), self.size)
+        return np.arange(len(self.size)).repeat(self.size)
 
     @property
     def succ(self) -> np.ndarray:
@@ -211,7 +217,7 @@ class _HalfEdges:
 
     def reversed(self) -> _Cycles:
         """The face cycles, each read backwards."""
-        back = np.repeat(2 * self.start + self.size - 1, self.size) - np.arange(len(self.tail))
+        back = (2 * self.start + self.size - 1).repeat(self.size) - np.arange(len(self.tail))
         return _Cycles(self.tail[back], self.size)
 
     def face_sum(self, values: np.ndarray) -> np.ndarray:
@@ -221,19 +227,19 @@ class _HalfEdges:
         corners, a view when every face has k corners; the terms and their
         order are those of a loop over the corners, so the bits are the same.
         """
-        sizes = np.flatnonzero(np.bincount(self.size))
+        sizes = np.bincount(self.size).nonzero()[0]
         if len(sizes) == 1:
             return _corner_sum(values.reshape(len(self.size), sizes[0], *values.shape[1:]))
         out = np.empty((len(self.size), *values.shape[1:]), dtype=values.dtype)
         for k in sizes.tolist():
-            rows = np.flatnonzero(self.size == k)
-            out[rows] = _corner_sum(np.take(values, self.start[rows, None] + np.arange(k), axis=0))
+            rows = (self.size == k).nonzero()[0]
+            out[rows] = _corner_sum(values.take(self.start[rows, None] + np.arange(k), axis=0))
         return out
 
     def planes(self, points: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Newell normal (unnormalized) and mean corner of every face, from one corner gather."""
-        p = np.take(points, self.tail, axis=0)
-        q = np.take(p, succ, axis=0)
+        p = points.take(self.tail, axis=0)
+        q = p.take(succ, axis=0)
         # + 0.0 turns a -0.0 component into 0.0, as summing from zero would
         return self.face_sum(_cross(p, q)) + 0.0, self.face_sum(p) / self.size[:, None]
 
@@ -322,12 +328,12 @@ class Mesh:
 
     def edge_lengths(self) -> np.ndarray:
         idx = self._half_edges.edges
-        return np.linalg.norm(self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]], axis=1)
+        return _lengths(self.vertices[idx[:, 0]] - self.vertices[idx[:, 1]])
 
 
 def _scale(P: Mesh) -> float:
     """P's circumsphere radius, else the mean distance of its vertices from the origin."""
-    return P.radius if P.radius is not None else float(np.linalg.norm(P.vertices, axis=1).mean())
+    return P.radius if P.radius is not None else float(_lengths(P.vertices).mean())
 
 
 def build_mesh(
@@ -367,16 +373,17 @@ def build_mesh(
         first = int(size[:fi].sum())
         return tuple(flat[first : first + size[fi]].tolist())
 
-    short = np.flatnonzero(size < 3)
+    short = (size < 3).nonzero()[0]
     if short.size:
         raise DegenerateFace(f"face {named(short[0])} has fewer than 3 distinct vertices")
-    succ = _successors(np.cumsum(size) - size, size, len(flat))
+    succ = _successors(size.cumsum() - size, size, len(flat))
     he = _HalfEdges(flat, size, v, succ)
     face = he.face
     stray = face[(flat < 0) | (flat >= v)]
     if stray.size:
         raise DegenerateFace(f"face {named(stray[0])} references a vertex out of range")
-    corners = np.sort(face * v + flat)
+    corners = face * v + flat
+    corners.sort()
     repeats = corners[1:][corners[1:] == corners[:-1]] // v
     if repeats.size:
         raise DegenerateFace(f"face {named(repeats.min())} has fewer than 3 distinct vertices")
@@ -385,7 +392,7 @@ def build_mesh(
     if closed and v - s + f != 2:
         raise EulerViolation(f"V - S + F = {v} - {s} + {f} = {v - s + f}, expected 2")
 
-    bad = np.flatnonzero((uses > 2) | ((uses != 2) & closed))
+    bad = ((uses > 2) | ((uses != 2) & closed)).nonzero()[0]
     if bad.size:
         edge = tuple(he.edges[bad[0]].tolist())
         raise NonManifoldEdge(f"edge {edge} belongs to {uses[bad[0]]} faces")
@@ -395,12 +402,12 @@ def build_mesh(
         raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
     he.face_normals, he.face_centroids = he.planes(verts, succ)
-    inward = np.flatnonzero(_rowdot(he.face_normals, he.face_centroids) <= 0.0)
+    inward = (_rowdot(he.face_normals, he.face_centroids) <= 0.0).nonzero()[0]
     if inward.size:
         raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
 
     if radius is not None:
-        dist = np.linalg.norm(verts, axis=1)
+        dist = _lengths(verts)
         worst = float(np.abs(dist - radius).max())
         if worst > DEFAULT_TOL * radius:
             raise ValueError(
@@ -459,7 +466,7 @@ def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
     # one pentagon wraps each icosahedron vertex.
     ico_verts, ico_faces = _unit_icosahedron()
     he = build_mesh(ico_verts, ico_faces)._half_edges
-    verts = he.face_centroids / np.linalg.norm(he.face_centroids, axis=1)[:, None]
+    verts = he.face_centroids / _lengths(he.face_centroids)[:, None]
     return verts, he.rings(he.face, verts[he.face], ico_verts)
 
 
@@ -471,7 +478,7 @@ def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
     # point 2e (2e + 1) lies one third along edge e = (a, b) from a (from b)
     near, far = he.edges.ravel(), he.edges[:, ::-1].ravel()
     verts = (2.0 * ico_verts[near] + ico_verts[far]) / 3.0
-    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    verts /= _lengths(verts)[:, None]
 
     # cut[h] is the point one third along half-edge h; a face a, b, c gives
     # the hexagon ab, ba, bc, cb, ca, ac
@@ -479,7 +486,7 @@ def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
     edge = np.searchsorted(he.edges[:, 0] * n + he.edges[:, 1], lo * n + hi)
     cut = 2 * edge + (he.tail > he.head)
     pentagons = he.rings(cut, verts[cut], ico_verts)
-    hexagons = np.column_stack([cut, cut[he.twin]]).ravel()
+    hexagons = np.stack([cut, cut[he.twin]], axis=1).ravel()
     flat = np.concatenate([pentagons.flat, hexagons])
     return verts, _Cycles(flat, np.concatenate([pentagons.size, np.full(len(he.size), 6)]))
 

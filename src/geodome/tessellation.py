@@ -12,6 +12,8 @@ floating-point merge is ever needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .errors import (
     UnsupportedSeed,
     VertexAtCenter,
 )
-from .mesh import DEFAULT_TOL, Mesh, _Cycles, _is_int, _norms, _scale, build_mesh, seed
+from .mesh import DEFAULT_TOL, Mesh, _Cycles, _is_int, _lengths, _norms, _scale, build_mesh, seed
 
 __all__ = [
     "TessellationSpec",
@@ -84,27 +86,28 @@ class FlatTessellation:
 
 # (dp, dq) steps from a lattice point (p, q) to the corners of its up and down tiles
 _TILE_STEPS = np.array([[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]])
+# Walks whose lattice template is kept.  A census repeats a few dozen walks, so 64
+# cover its repeats; the bound counts walks, not bytes: a template holds about
+# 90 T bytes (1.7 MB at T = 19 200), so the cache holds up to 64 times the largest
+# template kept.  An evicted walk only recomputes its own.
+_LATTICES = 64
 
 
-def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
-    """Overlay the (m, n) lattice on every face of a triangular seed.
+class _Lattice(NamedTuple):
+    """What the walk (m, n) does to any one face: the K tiles of the lattice window
+    whose centroid lies on the face, each with its three corners' weights."""
 
-    Each unit tile is assigned to the face holding its centroid (ties on a
-    shared edge go to the lower face index).  A tile corner falling past one
-    edge of its face is re-expressed over the neighboring face by unfolding
-    across that edge; for tiles owned via their centroid a corner can never
-    lie past two edges at once, so a single unfolding always lands on the
-    neighbor.  Every corner is identified by its integer signature, the
-    sorted (seed vertex, weight) pairs with nonzero weight, and one sort of
-    all signatures creates each point shared by several faces exactly once,
-    numbered in the order the faces and their tiles first reach it.
-    """
-    spec = TessellationSpec(m, n)
-    he = P._half_edges
-    if (he.size != 3).any():
-        raise NonTriangularSeed("lattice subdivision requires a triangular seed")
-    T, mn, F = spec.T, m + n, len(he.size)
+    T: int
+    weights: np.ndarray  # (K, 3, 3) over the face corners, a corner past an edge unfolded
+    on_edge: np.ndarray  # (K,) the centroid lies on a face edge
+    edge: np.ndarray  # (K,) that edge, named by the face corner opposite it (else 0)
+    past: np.ndarray  # (K, 3, 3) tile corner i lies past the edge opposite face corner j
 
+
+@lru_cache(maxsize=_LATTICES)
+def _lattice(m: int, n: int) -> _Lattice:
+    """The read-only lattice template of a valid walk (m, n)."""
+    T, mn = m * m + m * n + n * n, m + n
     # weights over the face corners of every tile corner in the lattice window,
     # tiles in (q, p, up/down) order; lattice point (p, q) weighs
     # (T - p*m - q*(m+n), p*(m+n) + q*n, q*m - p*n)
@@ -125,43 +128,72 @@ def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
     if (W < 0).any():
         out = W[(W < 0).any(axis=2)][0]
         raise InvariantViolation(f"unfolded corner weights {tuple(out.tolist())} are negative")
+    lattice = _Lattice(T, W, on_edge.any(axis=1), on_edge.argmax(axis=1), past)
+    for arr in lattice[1:]:
+        arr.setflags(write=False)
+    return lattice
 
-    # face (-1 on a boundary) and far vertex across the edge opposite each face corner
-    twin = he.twin[3 * np.arange(F)[:, None] + [1, 2, 0]]
-    across, far = np.where(twin >= 0, he.face[twin], -1), he.head[he.succ[twin]]
+
+def subdivide(P: Mesh, m: int, n: int) -> FlatTessellation:
+    """Overlay the (m, n) lattice on every face of a triangular seed.
+
+    Each unit tile is assigned to the face holding its centroid (ties on a
+    shared edge go to the lower face index).  A tile corner falling past one
+    edge of its face is re-expressed over the neighboring face by unfolding
+    across that edge; for tiles owned via their centroid a corner can never
+    lie past two edges at once, so a single unfolding always lands on the
+    neighbor.  What depends on (m, n) alone, the tiles and their unfolded
+    corner weights, is computed once per walk and kept for the last 64 walks
+    (_LATTICES); a template holds about 90 T bytes, so up to 64 times the
+    largest one kept stays alive after the call.  Every corner is identified
+    by its integer signature, the sorted (seed vertex, weight) pairs with
+    nonzero weight, and one sort of all signatures creates each point shared
+    by several faces exactly once, numbered in the order the faces and their
+    tiles first reach it.
+    """
+    spec = TessellationSpec(m, n)
+    he = P._half_edges
+    if (he.size != 3).any():
+        raise NonTriangularSeed("lattice subdivision requires a triangular seed")
+    T, weights, on_edge, edge, past = _lattice(int(m), int(n))
+    F, succ = len(he.size), he.succ
+    # the half-edge opposite each face corner is the next one, so across it lie
+    # its twin's face (-1 on a boundary, as -1 // 3 is -1) and the far vertex
+    twin = he.twin[succ].reshape(F, 3)
+    across, far = twin // 3, he.tail[succ[succ[twin]]]
     # a centroid on edge c goes to the lower of the two faces sharing it
-    rival = np.where(on_edge.any(axis=1), across[:, on_edge.argmax(axis=1)], F)
+    rival = np.where(on_edge, across[:, edge], F)
     owned = rival >= np.arange(F)[:, None]
-    side, folded = past.argmax(axis=2), past.any(axis=2)
-    stray = (rival < 0) | (owned & (folded & (across[:, side] < 0)).any(axis=2))
-    if stray.any():
-        fi = int(np.flatnonzero(stray.any(axis=1))[0])
-        raise ValueError(f"face {fi} has no neighbor across a boundary edge")
+    if (twin < 0).any():
+        stray = (rival < 0) | (owned & (past.any(axis=1) & (across < 0)[:, None]).any(axis=2))
+        if stray.any():
+            fi = int(stray.any(axis=1).nonzero()[0][0])
+            raise ValueError(f"face {fi} has no neighbor across a boundary edge")
 
     # frame of each owned corner: its face's corners, the one it lies past
     # swapped for the far vertex across that edge; faces first, then tiles
-    fo, ko = np.nonzero(owned)
-    side = side[ko]
-    swap = folded[ko][:, :, None] & (np.arange(3) == side[:, :, None])
-    frame = np.where(swap, far[fo[:, None], side][:, :, None], he.tail.reshape(F, 3)[fo, None])
-    frame, nums = frame.reshape(-1, 3), W[ko].reshape(-1, 3)
+    fo, ko = owned.nonzero()
+    frame = np.where(past[ko], far[fo, None], he.tail.reshape(F, 3)[fo, None])
+    frame, nums = frame.reshape(-1, 3), weights[ko].reshape(-1, 3)
     # nonzero (vertex, weight) pairs coded vertex*(T+1) + weight, absent ones -1
-    signature = np.sort(np.where(nums != 0, frame * (T + 1) + nums, -1), axis=1)
+    signature = np.where(nums != 0, frame * (T + 1) + nums, -1)
+    signature.sort(axis=1)
     # group equal rows: a stable lexsort keeps each group's first occurrence first
     rank = np.lexsort(signature.T[::-1])
     ranked = signature[rank]
-    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    new = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
     first, inverse = rank[new], np.empty_like(rank)
-    inverse[rank] = np.cumsum(new) - 1
-    order = np.argsort(first)  # points numbered by first occurrence
+    inverse[rank] = new.cumsum() - 1
+    order = first.argsort()  # points numbered by first occurrence
     label = np.empty_like(order)
     label[order] = np.arange(len(order))
-    small_faces = label[inverse.reshape(-1)].reshape(-1, 3)
+    first = first[order]
+    small_faces = label[inverse].reshape(-1, 3)
     if len(small_faces) != F * T:
         raise InvariantViolation(f"assembled {len(small_faces)} tiles, expected {F * T}")
 
     # each point is placed from the frame of its first occurrence
-    fr, w, v = frame[first[order]], nums[first[order]], P.vertices
+    fr, w, v = frame[first], nums[first], P.vertices
     pts = (w[:, :1] * v[fr[:, 0]] + w[:, 1:2] * v[fr[:, 1]] + w[:, 2:] * v[fr[:, 2]]) / T
     pts.setflags(write=False)
     small_faces.setflags(write=False)
@@ -172,7 +204,7 @@ def project_to_sphere(t: FlatTessellation) -> Mesh:
     """Push every tessellation point radially onto the seed circumsphere, or,
     for a seed with none, onto the sphere at its mean vertex distance."""
     radius = _scale(t.base)
-    norms = np.linalg.norm(t.points, axis=1)
+    norms = _lengths(t.points)
     if float(norms.min()) <= DEFAULT_TOL * radius:
         raise VertexAtCenter("a tessellation point coincides with the projection center")
     # + 0.0: export_obj would write -0.0 as -0
@@ -215,7 +247,7 @@ class GreatCircleSet:
 def _axes_up_to_sign(dirs: np.ndarray) -> np.ndarray:
     """Unit directions, each signed so its first component off zero is positive,
     one per distinct direction (first seen kept), sorted by their rounded keys."""
-    units = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    units = dirs / _lengths(dirs)[:, None]
     lead = units[np.arange(len(units)), np.argmax(np.abs(units) > 1e-9, axis=1)]
     units = np.where((lead < 0)[:, None], -units, units)
     _, first = np.unique(np.rint(units * 1e9).astype(np.int64), axis=0, return_index=True)

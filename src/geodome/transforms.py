@@ -13,7 +13,7 @@ from .errors import (
     StrictCutViolation,
     TriangularFacePresent,
 )
-from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _norms, _real
+from .mesh import DEFAULT_TOL, Mesh, _common_radius, _Cycles, _flag, _lengths, _norms, _real
 from .mesh import _rowdot, _scale, _unit, build_mesh
 
 __all__ = ["dual", "gemmate", "truncate_dome"]
@@ -93,7 +93,7 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
     poles = normals * (rho * rho / offsets)[:, None] + 0.0
 
     faces = he.rings(face, poles[face], P.vertices)
-    return build_mesh(poles, faces, radius=_common_radius(np.linalg.norm(poles, axis=1)))
+    return build_mesh(poles, faces, radius=_common_radius(_lengths(poles)))
 
 
 def gemmate(P: Mesh) -> Mesh:

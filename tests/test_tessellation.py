@@ -21,6 +21,8 @@ from geodome import (
     great_circles,
     mirrored,
     project_to_sphere,
+    rotated,
+    rotation_to_z,
     schwarz_tiling,
     seed,
     stepping_projection,
@@ -30,7 +32,7 @@ from geodome import (
     verify_counts,
     vertex_degree_histogram,
 )
-from geodome.tessellation import _axes_up_to_sign
+from geodome.tessellation import _axes_up_to_sign, _lattice
 
 
 @pytest.mark.parametrize(
@@ -297,6 +299,24 @@ def test_subdivide_of_dome_matches_loop_reference(fraction, make_sphere):
     for m, n in [(1, 1), (2, 1)]:
         kind, message = _outcome(subdivide, dome, m, n)
         assert kind is ValueError and "has no neighbor across a boundary edge" in message
+
+
+def test_lattice_template_is_cached_read_only_and_validated_first():
+    R = rotation_to_z((1.0, 2.0, 3.0))
+    bases = [rotated(seed("octahedron"), R), rotated(seed("icosahedron", vertex_up=True), R.T)]
+    walks = [(1, 0), (2, 1), (1, 2), (3, 3)]
+    cached = [_outcome(subdivide, P, m, n) for P in bases for m, n in walks]
+    _lattice.cache_clear()
+    assert [_outcome(subdivide, P, m, n) for P in bases for m, n in walks] == cached
+    assert _lattice.cache_info().hits == len(walks)  # the second seed reuses every template
+    for arr in _lattice(2, 1)[1:]:
+        with pytest.raises(ValueError):
+            arr.flat[0] = arr.flat[0]
+    # validation runs before the cache is reached, so a bool is no 1 here
+    _lattice(1, 0)
+    with pytest.raises(InvalidSpec):
+        subdivide(bases[0], True, 0)
+    assert _outcome(subdivide, bases[0], np.int64(2), 0) == _outcome(subdivide, bases[0], 2, 0)
 
 
 def _dict_axes_up_to_sign(dirs):
