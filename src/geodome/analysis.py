@@ -438,19 +438,13 @@ def _as_framework(obj) -> tuple[np.ndarray, np.ndarray]:
     return pts, flat.reshape(-1, 2)
 
 
-def _bar_triplets(pts: np.ndarray, bars: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(row, column, value) of every nonzero of the rigidity matrix, six per bar."""
-    d = pts[bars[:, 0]] - pts[bars[:, 1]]
-    rows = np.repeat(np.arange(len(bars)), 6)
-    cols = (3 * bars[:, [0, 0, 0, 1, 1, 1]] + np.tile(np.arange(3), 2)).ravel()
-    return rows, cols, np.concatenate([d, -d], axis=1).ravel()
-
-
 def _dense_rigidity(pts: np.ndarray, bars: np.ndarray) -> np.ndarray:
-    M = np.zeros((len(bars), 3 * len(pts)))
-    rows, cols, vals = _bar_triplets(pts, bars)
-    M[rows, cols] = vals
-    return M
+    d = pts[bars[:, 0]] - pts[bars[:, 1]]
+    M = np.zeros((len(bars), len(pts), 3))
+    rows = np.arange(len(bars))
+    M[rows, bars[:, 0]] = d
+    M[rows, bars[:, 1]] = -d
+    return M.reshape(len(bars), 3 * len(pts))
 
 
 def rigidity_matrix(obj) -> np.ndarray:

@@ -142,36 +142,30 @@ def _corner_sum(corners: np.ndarray) -> np.ndarray:
     return out
 
 
-def _successors(start: np.ndarray, size: np.ndarray, n: int) -> np.ndarray:
-    """succ of n half-edges whose faces own slots start[f] .. start[f] + size[f] - 1."""
-    succ = np.arange(1, n + 1)
-    succ[start + size - 1] = start
-    return succ
-
-
 class _HalfEdges:
-    """Directed edges of a face list: faces in order, corners in cycle order.
+    """Directed edges of a face list over points: faces in order, corners in cycle order.
 
     Stored per half-edge h: tail[h] and twin[h], the opposite half-edge (-1 on a
-    boundary).  Face f owns slots start[f] .. start[f] + size[f] - 1, and the
-    rest is read off the index (the directed edges of Campagna, Kobbelt & Seidel
-    1998), a fresh array per read that a loop binds once: h runs tail[h] to
-    head[h] in face[h], succ[h] (prev[h]) is the next (previous) half-edge
-    around that face, and the vertex rotation turn[h] = twin[prev[h]] is the
-    next one leaving tail[h], counter-clockwise from outside (-1 on a boundary).
+    boundary, and on both half-edges of an edge whose two run the same way).  Face
+    f owns slots start[f] .. start[f] + size[f] - 1, and the rest is read off
+    the index (the directed edges of Campagna, Kobbelt & Seidel 1998), a fresh
+    array per read that a loop binds once: h runs tail[h] to head[h] in
+    face[h], succ[h] (prev[h]) is the next (previous) half-edge around that
+    face, and the vertex rotation turn[h] = twin[prev[h]] is the next one
+    leaving tail[h], counter-clockwise from outside (-1 on a boundary).
     edges holds the undirected edges as an (E, 2) id array, low id first, in
     lexicographic order, and uses[e] counts the half-edges along edge e.
-    repeated holds, ascending, one entry per repeat of a directed-edge key
-    tail * n_vertices + head (empty when no directed edge is traversed twice).
-    build_mesh adds face_normals (Newell, unnormalized) and face_centroids,
-    the read-only (F, 3) face planes of the validated vertices; it computes
-    succ once and hands it to both the constructor and planes.
+    face_normals (Newell, unnormalized) and face_centroids are the read-only
+    (F, 3) face planes, computed once from one gather of the corner points.
+    Every id must index points.
     """
 
-    def __init__(self, flat: np.ndarray, size: np.ndarray, n_vertices: int, succ=None) -> None:
+    def __init__(self, flat: np.ndarray, size: np.ndarray, points: np.ndarray) -> None:
+        n_vertices = len(points)
         self.tail, self.size = flat, size
         self.start = size.cumsum() - size
-        head = flat[self.succ if succ is None else succ]
+        succ = self.succ
+        head = flat[succ]
         # one code per half-edge: its undirected edge low * V + high, doubled,
         # plus 1 when it runs high -> low; a single sort groups every edge
         code = 2 * (np.minimum(flat, head) * n_vertices + np.maximum(flat, head)) + (flat > head)
@@ -181,17 +175,18 @@ class _HalfEdges:
         pair = ((ranked[1:] ^ 1) == ranked[:-1]).nonzero()[0]  # codes c and c + 1, c even
         self.twin = np.full(len(flat), -1)
         self.twin[order[pair]], self.twin[order[pair + 1]] = order[pair + 1], order[pair]
-        del code, order, pair
         edge = ranked >> 1
+        del code, order, pair, ranked
         first = np.concatenate(([True], edge[1:] != edge[:-1])).nonzero()[0]
         self.uses = np.concatenate((first[1:], [len(flat)])) - first
         self.edges = np.concatenate(np.divmod(edge[first, None], n_vertices), axis=1)
-        same = ranked[1:][ranked[1:] == ranked[:-1]]
-        low, high = np.divmod(same >> 1, n_vertices)
-        tails, heads = np.where(same & 1, (high, low), (low, high))
-        self.repeated = tails * n_vertices + heads
-        self.repeated.sort()
-        self.edges.setflags(write=False)
+        del edge, first
+        p = points.take(flat, axis=0)
+        # + 0.0 turns a -0.0 component into 0.0, as summing from zero would
+        self.face_normals = self.face_sum(_cross(p, p.take(succ, axis=0))) + 0.0
+        self.face_centroids = self.face_sum(p) / size[:, None]
+        for arr in (self.edges, self.face_normals, self.face_centroids):
+            arr.setflags(write=False)
 
     @property
     def face(self) -> np.ndarray:
@@ -199,7 +194,9 @@ class _HalfEdges:
 
     @property
     def succ(self) -> np.ndarray:
-        return _successors(self.start, self.size, len(self.tail))
+        succ = np.arange(1, len(self.tail) + 1)
+        succ[self.start + self.size - 1] = self.start
+        return succ
 
     @property
     def prev(self) -> np.ndarray:
@@ -236,19 +233,12 @@ class _HalfEdges:
             out[rows] = _corner_sum(values.take(self.start[rows, None] + np.arange(k), axis=0))
         return out
 
-    def planes(self, points: np.ndarray, succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Newell normal (unnormalized) and mean corner of every face, from one corner gather."""
-        p = points.take(self.tail, axis=0)
-        q = p.take(succ, axis=0)
-        # + 0.0 turns a -0.0 component into 0.0, as summing from zero would
-        return self.face_sum(_cross(p, q)) + 0.0, self.face_sum(p) / self.size[:, None]
-
-    def rings(self, ids: np.ndarray, points: np.ndarray, axes: np.ndarray) -> _Cycles:
+    def rings(self, ids: np.ndarray, coords: np.ndarray, axes: np.ndarray) -> _Cycles:
         """One cycle per vertex of a closed mesh: ids[h] of the half-edges h leaving
         it, in the order of the vertex rotation turn.  The polar angle only picks
-        the start: the entry whose points[h] has the least angle (counter-clockwise
-        from outside, from near -pi) around axes[v], ties by id.  A vertex on no
-        face gets an empty cycle.
+        the start: the entry whose point coords[ids[h]] has the least angle
+        (counter-clockwise from outside, from near -pi) around axes[v], ties by
+        id.  A vertex on no face gets an empty cycle.
         """
         degree, turn = np.bincount(self.tail, minlength=len(axes)), self.turn
         walk = np.zeros((int(degree.max()), len(axes)), dtype=np.intp)
@@ -261,6 +251,7 @@ class _HalfEdges:
         t1 /= _norms(t1)[:, None]
         t2 = _cross(axes, t1)  # (t1, t2, axis) is right-handed
         t1, t2 = np.take(t1, self.tail, axis=0), np.take(t2, self.tail, axis=0)
+        points = coords.take(ids, axis=0)
         angle = np.arctan2(_rowdot(points, t2), _rowdot(points, t1))
         inside = np.arange(len(walk))[:, None] < degree
         angle = np.where(inside, angle[walk], np.inf)
@@ -281,8 +272,9 @@ class Mesh:
     viewed from outside), edges (sorted index pairs in lexicographic order)
     and boundary_edges (the edges used by exactly one face) are tuple views
     of the table, built on first read; closed is derived from it as well.
-    The table also caches the face planes that validation computed: the
-    read-only arrays _half_edges.face_normals (Newell, unnormalized) and
+    The table also holds the face planes it computed from the vertices when
+    it was built, which validation reads: the read-only arrays
+    _half_edges.face_normals (Newell, unnormalized) and
     _half_edges.face_centroids, which face_centroids() returns.
     Use :func:`build_mesh` to construct one; the constructor itself performs
     no validation.
@@ -376,13 +368,12 @@ def build_mesh(
     short = (size < 3).nonzero()[0]
     if short.size:
         raise DegenerateFace(f"face {named(short[0])} has fewer than 3 distinct vertices")
-    succ = _successors(size.cumsum() - size, size, len(flat))
-    he = _HalfEdges(flat, size, v, succ)
-    face = he.face
-    stray = face[(flat < 0) | (flat >= v)]
+    stray = ((flat < 0) | (flat >= v)).nonzero()[0]
     if stray.size:
-        raise DegenerateFace(f"face {named(stray[0])} references a vertex out of range")
-    corners = face * v + flat
+        raise DegenerateFace(f"face {named(size.cumsum().searchsorted(stray[0], side='right'))} "
+                             "references a vertex out of range")
+    he = _HalfEdges(flat, size, verts)
+    corners = he.face * v + flat
     corners.sort()
     repeats = corners[1:][corners[1:] == corners[:-1]] // v
     if repeats.size:
@@ -397,11 +388,15 @@ def build_mesh(
         edge = tuple(he.edges[bad[0]].tolist())
         raise NonManifoldEdge(f"edge {edge} belongs to {uses[bad[0]]} faces")
 
-    if he.repeated.size:
-        key = int(he.repeated[0])
+    # each edge now has one or two half-edges; both of a directed edge traversed
+    # twice lack a twin, so more half-edges lack one than there are boundary edges
+    lone = (he.twin < 0).nonzero()[0]
+    if len(lone) > (uses == 1).sum():
+        keys = he.tail[lone] * v + he.head[lone]
+        keys.sort()
+        key = int(keys[1:][keys[1:] == keys[:-1]][0])
         raise InvalidOrientation(f"directed edge {(key // v, key % v)} traversed twice")
 
-    he.face_normals, he.face_centroids = he.planes(verts, succ)
     inward = (_rowdot(he.face_normals, he.face_centroids) <= 0.0).nonzero()[0]
     if inward.size:
         raise InvalidOrientation(f"face {inward[0]} is not counter-clockwise from outside")
@@ -414,8 +409,7 @@ def build_mesh(
                 f"vertices stray {worst:.3e} from the stated circumsphere radius {radius}"
             )
 
-    for arr in (verts, he.face_normals, he.face_centroids):
-        arr.setflags(write=False)
+    verts.setflags(write=False)
     return Mesh(vertices=verts, radius=radius, _half_edges=he)
 
 
@@ -467,7 +461,7 @@ def _unit_dodecahedron() -> tuple[np.ndarray, _Cycles]:
     ico_verts, ico_faces = _unit_icosahedron()
     he = build_mesh(ico_verts, ico_faces)._half_edges
     verts = he.face_centroids / _lengths(he.face_centroids)[:, None]
-    return verts, he.rings(he.face, verts[he.face], ico_verts)
+    return verts, he.rings(he.face, verts, ico_verts)
 
 
 def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
@@ -485,7 +479,7 @@ def _unit_truncated_icosahedron() -> tuple[np.ndarray, _Cycles]:
     lo, hi = np.minimum(he.tail, he.head), np.maximum(he.tail, he.head)
     edge = np.searchsorted(he.edges[:, 0] * n + he.edges[:, 1], lo * n + hi)
     cut = 2 * edge + (he.tail > he.head)
-    pentagons = he.rings(cut, verts[cut], ico_verts)
+    pentagons = he.rings(cut, verts, ico_verts)
     hexagons = np.stack([cut, cut[he.twin]], axis=1).ravel()
     flat = np.concatenate([pentagons.flat, hexagons])
     return verts, _Cycles(flat, np.concatenate([pentagons.size, np.full(len(he.size), 6)]))

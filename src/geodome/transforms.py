@@ -92,7 +92,7 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
     # + 0.0: export_obj would write -0.0 as -0
     poles = normals * (rho * rho / offsets)[:, None] + 0.0
 
-    faces = he.rings(face, poles[face], P.vertices)
+    faces = he.rings(face, poles, P.vertices)
     return build_mesh(poles, faces, radius=_common_radius(_lengths(poles)))
 
 

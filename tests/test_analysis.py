@@ -47,7 +47,6 @@ from geodome import analysis
 from geodome.analysis import (
     _GRAM_SHIFT,
     _RANK_EPS,
-    _bar_triplets,
     _banded_certified_full_rank,
     _certified_full_rank,
     _dense_rigidity,
@@ -811,8 +810,7 @@ def _scipy_shifted_gram(pts, bars):
     """G - tau I with G = M M^T built by scipy.sparse, the reference, and |G|_1."""
     from scipy.sparse import csr_array, eye_array
 
-    rows, cols, vals = _bar_triplets(pts, bars)
-    M = csr_array((vals, (rows, cols)), shape=(len(bars), 3 * len(pts)))
+    M = csr_array(_dense_rigidity(pts, bars))
     G = M @ M.T
     norm = float(abs(G).sum(axis=0).max())
     return (G - _GRAM_SHIFT * norm * eye_array(len(bars))).tocsc(), norm

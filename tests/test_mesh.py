@@ -156,17 +156,15 @@ def test_grouped_face_sum_matches_the_loop_on_the_truncated_icosahedron():
         assert he.face_sum(values).tobytes() == _face_sum_loop(he, values).tobytes()
 
 
-def _two_sort_fields(flat, size, n_vertices):
-    """twin, edges, uses and repeated as an argsort plus np.unique found them, the reference."""
-    head = flat[_HalfEdges(flat, size, n_vertices).succ]
+def _two_sort_fields(flat, head, n_vertices):
+    """twin, edges and uses as an argsort plus np.unique found them, the reference."""
     keys, wanted = flat * n_vertices + head, head * n_vertices + flat
     order = np.argsort(keys)
     ordered = keys[order]
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     found = order[np.minimum(np.searchsorted(ordered, wanted), len(flat) - 1)]
     twin = np.where(keys[found] == wanted, found, -1)
     pairs, uses = np.unique(np.minimum(keys, wanted), return_counts=True)
-    return twin, np.column_stack((pairs // n_vertices, pairs % n_vertices)), uses, repeated
+    return twin, np.column_stack((pairs // n_vertices, pairs % n_vertices)), uses
 
 
 def test_one_sort_half_edge_table_matches_the_two_sort_reference(make_sphere):
@@ -178,15 +176,16 @@ def test_one_sort_half_edge_table_matches_the_two_sort_reference(make_sphere):
     assert any(len(set(P._half_edges.size.tolist())) == 2 for P in meshes)
     for P in meshes:
         he = P._half_edges
-        for got, want in zip((he.twin, he.edges, he.uses, he.repeated),
-                             _two_sort_fields(he.tail, he.size, len(P.vertices))):
+        for got, want in zip((he.twin, he.edges, he.uses),
+                             _two_sort_fields(he.tail, he.head, len(P.vertices))):
             assert got.tolist() == want.tolist()
-    # faces traversing one directed edge twice: every repeat, ascending
+    # faces traversing three directed edges twice: edges and uses still count every one
     t = seed("tetrahedron")
     flat = np.concatenate([t._half_edges.tail, [2, 1, 0]])
-    size = np.array([3] * 5)
-    assert _HalfEdges(flat, size, 4).repeated.tolist() == _two_sort_fields(flat, size, 4)[3].tolist()
-    assert len(_HalfEdges(flat, size, 4).repeated) == 3
+    he = _HalfEdges(flat, np.array([3] * 5), t.vertices)
+    for got, want in zip((he.edges, he.uses), _two_sort_fields(flat, he.head, 4)[1:]):
+        assert got.tolist() == want.tolist()
+    assert sorted(he.uses.tolist()) == [2, 2, 2, 3, 3, 3]
 
 
 @pytest.mark.parametrize(
@@ -200,6 +199,9 @@ def test_one_sort_half_edge_table_matches_the_two_sort_reference(make_sphere):
         ("same way", InvalidOrientation, "directed edge (0, 1) traversed twice"),
         ("flipped in a sphere", InvalidOrientation, "directed edge (2, 4) traversed twice"),
         ("negative id", DegenerateFace, "face (0, -1, 2) references a vertex out of range"),
+        ("id V after a pentagon", DegenerateFace,
+         "face (20, 1, 2) references a vertex out of range"),
+        ("flipped in a dome", InvalidOrientation, "directed edge (6, 27) traversed twice"),
         ("inside out", InvalidOrientation, "face 0 is not counter-clockwise from outside"),
         ("nan coordinate", ValueError, "vertex coordinates must be finite"),
         ("inf coordinate", ValueError, "vertex coordinates must be finite"),
@@ -210,6 +212,7 @@ def test_one_sort_half_edge_table_matches_the_two_sort_reference(make_sphere):
 def test_validation_messages_name_the_same_element(case, error, message, sphere_21):
     t, s, n = seed("tetrahedron"), sphere_21, len(sphere_21.vertices)
     flipped = [f[::-1] if i == 0 else f for i, f in enumerate(t.faces)]
+    d, dome = seed("dodecahedron"), truncate_dome(sphere_21, 0.5)
 
     def with_z(z):
         verts = t.vertices.copy()
@@ -228,6 +231,10 @@ def test_validation_messages_name_the_same_element(case, error, message, sphere_
         "flipped in a sphere": (s.vertices, [f[::-1] if i in (3, 50) else f
                                              for i, f in enumerate(s.faces)], True),
         "negative id": (t.vertices, [(0, -1, 2), *t.faces[1:]], True),
+        "id V after a pentagon": (d.vertices, [d.faces[0], (20, 1, 2), *d.faces[1:]], True),
+        # the middle face reversed; the boundary half-edges lack twins too
+        "flipped in a dome": (dome.vertices, [f[::-1] if i == len(dome.faces) // 2 else f
+                                              for i, f in enumerate(dome.faces)], False),
         "inside out": (s.vertices, [f[::-1] for f in s.faces], True),
         "nan coordinate": (with_z(math.nan), t.faces, True),
         "inf coordinate": (with_z(math.inf), t.faces, True),
@@ -275,7 +282,7 @@ def test_rings_walk_equals_the_polar_angle_sort(make_sphere):
     for P in meshes:
         he = P._half_edges
         poles = dual(P).vertices
-        got = he.rings(he.face, poles[he.face], P.vertices)
+        got = he.rings(he.face, poles, P.vertices)
         want = _ring_sort(he.tail, he.face, poles[he.face], P.vertices)
         assert got.flat.tobytes() == want[0].tobytes() and got.size.tolist() == want[1].tolist()
     # the two seeds built from rings around the icosahedron's vertices, with their points:
@@ -287,19 +294,19 @@ def test_rings_walk_equals_the_polar_angle_sort(make_sphere):
     cuts /= np.linalg.norm(cuts, axis=1)[:, None]
     lo, hi = np.minimum(he.tail, he.head), np.maximum(he.tail, he.head)
     cut = 2 * np.searchsorted(he.edges[:, 0] * 12 + he.edges[:, 1], lo * 12 + hi) + (he.tail > he.head)
-    for ids, points in ((he.face, centers[he.face]), (cut, cuts[cut])):
-        got = he.rings(ids, points, ico.vertices)
-        want = _ring_sort(he.tail, ids, points, ico.vertices)
+    for ids, coords in ((he.face, centers), (cut, cuts)):
+        got = he.rings(ids, coords, ico.vertices)
+        want = _ring_sort(he.tail, ids, coords[ids], ico.vertices)
         assert got.flat.tobytes() == want[0].tobytes() and got.size.tolist() == want[1].tolist()
 
 
 def test_rings_of_a_vertex_on_no_face_are_empty():
     t = seed("tetrahedron")
     verts = np.vstack([t.vertices, [[0.0, 0.0, 2.0]]])  # vertex 4 is on no face
-    he = _HalfEdges(t._half_edges.tail, t._half_edges.size, 5)
-    points = t.face_centroids()[he.face]
-    got = he.rings(he.face, points, verts)
+    he = _HalfEdges(t._half_edges.tail, t._half_edges.size, verts)
+    got = he.rings(he.face, t.face_centroids(), verts)
     assert got.size.tolist() == [3, 3, 3, 3, 0]
+    points = t.face_centroids()[he.face]
     assert got.flat.tolist() == _ring_sort(he.tail, he.face, points, verts)[0].tolist()
 
 
@@ -444,10 +451,12 @@ def test_python_calls_stay_below_a_fixed_count(workload, limit, make_sphere, tmp
     assert _python_calls(run) < limit
 
 
-def test_cached_face_planes_are_read_only_and_fresh(sphere_21):
+def test_cached_face_planes_are_read_only_and_fresh(sphere_21, tmp_path):
     R = rotation_to_z((1.0, 2.0, 3.0))
+    export_obj(sphere_21, tmp_path / "sphere.obj")
     for P in (rotated(sphere_21, R), mirrored(sphere_21), dual(sphere_21),
-              gemmate(dual(sphere_21)), truncate_dome(sphere_21, 0.5)):
+              gemmate(dual(sphere_21)), truncate_dome(sphere_21, 0.5), seed("dodecahedron"),
+              seed("truncated_icosahedron"), import_obj(tmp_path / "sphere.obj")):
         he, pts = P._half_edges, P.vertices
         # fresh planes from the np.cross formula and a second gather, the reference
         normals = _face_sum_loop(he, np.cross(pts[he.tail], pts[he.head])) + 0.0

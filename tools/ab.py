@@ -1,12 +1,13 @@
-"""In-process A/B timing of the census workload between two source trees.
+"""In-process A/B timing of one benchmark workload between two source trees.
 
-    python3 tools/ab.py OLD_ROOT NEW_ROOT [--rounds N] [--seed S]
+    python3 tools/ab.py OLD_ROOT NEW_ROOT [--workload {census,design}] [--rounds N] [--seed S]
 
 Copies the ``src/geodome`` of each tree into a temporary folder under its
 own package name (``geodome_old``, ``geodome_new``), so both load into one
-process, and builds one ``bench/workloads.Census`` per side from NEW_ROOT's
-benchmark, with ``workloads.g`` bound to that side's package while it is
-built and while it runs.  Each side first runs one untimed pass.  Then every
+process, and builds the full-size workload (``bench/workloads.WORKLOADS``,
+``census`` by default) once per side from NEW_ROOT's benchmark, with
+``workloads.g`` bound to that side's package while it is built and while it
+runs.  Each side first runs one untimed pass.  Then every
 round runs one pass of each side, the order alternating from round to
 round, and times every job as ``bench/run.py`` does; the oracle checks each
 job's outputs outside the timing, and a failed check stops the run.
@@ -56,8 +57,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="root of the reference source tree")
     parser.add_argument("new", type=Path, help="root of the source tree under test")
+    parser.add_argument("--workload", choices=("census", "design"), default="census",
+                        help="the workload to time")
     parser.add_argument("--rounds", type=int, default=40, help="timed passes per side")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the census inputs")
+    parser.add_argument("--seed", type=int, default=1, help="seed of the workload's inputs")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -69,15 +72,15 @@ def main(argv: list[str] | None = None) -> int:
         import workloads
 
         del sys.modules["geodome"]
-        census = []
+        wls = []
         for pkg in pkgs:
             workloads.g = pkg
-            census.append(workloads.Census(args.seed, "full", Path(tmp)))
-            timed_pass(workloads, pkg, census[-1])  # warm-up: imports and first-call paths
+            wls.append(workloads.WORKLOADS[args.workload](args.seed, "full", Path(tmp)))
+            timed_pass(workloads, pkg, wls[-1])  # warm-up: imports and first-call paths
         passes, jobs = ([], []), ([], [])
         for r in range(args.rounds):
             for i in (0, 1) if r % 2 == 0 else (1, 0):
-                times = timed_pass(workloads, pkgs[i], census[i])
+                times = timed_pass(workloads, pkgs[i], wls[i])
                 passes[i].append(sum(times))
                 jobs[i].append(times)
     pass_wins = [sum(a < b for a, b in zip(passes[i], passes[1 - i])) for i in (0, 1)]
@@ -85,7 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     p50_wins = [sum(a < b for a, b in zip(p50s[i], p50s[1 - i])) for i in (0, 1)]
     pass_med = [statistics.median(passes[i]) for i in (0, 1)]
     job_med = [statistics.median([t for times in jobs[i] for t in times]) for i in (0, 1)]
-    print(f"census, seed {args.seed}, {args.rounds} rounds, {len(census[0].jobs)} jobs per pass")
+    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, "
+          f"{len(wls[0].jobs)} jobs per pass")
     for i, side in enumerate(sides):
         print(f"{side}: pass {1e3 * pass_med[i]:.2f} ms (won {pass_wins[i]}), "
               f"job p50 {1e3 * job_med[i]:.4f} ms (won {p50_wins[i]})")
