@@ -22,15 +22,12 @@ __all__ = [
     "RigidityReport",
     "verify_counts",
     "edge_length_classes",
-    "edge_class_labels",
     "vertex_degree_histogram",
     "circumcenter_deviation",
     "face_metrics",
-    "angle_dms",
     "detect_frequency",
     "congruent",
     "combinatorially_isomorphic",
-    "rigidity_matrix",
     "is_infinitesimally_rigid",
 ]
 
@@ -75,19 +72,8 @@ class EdgeClassTable:
         return len(self.entries)
 
 
-def edge_class_labels(P: Mesh, tol: float = DEFAULT_TOL) -> tuple[EdgeClassTable, list[int]]:
-    """Classify edges by chord factor; also label each edge with its class row.
-
-    Single-linkage clustering on the sorted lengths: a gap larger than tol
-    starts a new class, so members of one class form a chain of sub-tol gaps.
-    Chord factors are as in EdgeClassTable, so a mesh needs no circumsphere.
-    """
-    table, labels = _edge_class_labels(P, tol)
-    return table, labels.tolist()
-
-
 def _edge_class_labels(P: Mesh, tol: float) -> tuple[EdgeClassTable, np.ndarray]:
-    """edge_class_labels with the labels as an intp array."""
+    """The strut length classes of P and, per edge, the row of its class."""
     tol = _real(tol, "tol")
     factors = P.edge_lengths() / _scale(P)
     order = factors.argsort(kind="stable")
@@ -105,7 +91,12 @@ def _edge_class_labels(P: Mesh, tol: float) -> tuple[EdgeClassTable, np.ndarray]
 
 
 def edge_length_classes(P: Mesh, tol: float = DEFAULT_TOL) -> EdgeClassTable:
-    """Strut length classes of a mesh (see edge_class_labels)."""
+    """Strut length classes of a mesh.
+
+    Single-linkage clustering on the sorted lengths: a gap larger than tol
+    starts a new class, so members of one class form a chain of sub-tol gaps.
+    Chord factors are as in EdgeClassTable, so a mesh needs no circumsphere.
+    """
     return _edge_class_labels(P, tol)[0]
 
 
@@ -137,15 +128,6 @@ def circumcenter_deviation(P: Mesh) -> float:
     n /= _norms(n)[:, None]
     foot = (_rowdot(A + B + C, n) / 3.0)[:, None] * n
     return float(_norms(foot - circumcenter).max()) / _scale(P)
-
-
-def angle_dms(radians: float) -> tuple[int, int, float]:
-    """An angle as (degrees, arcminutes, arcseconds)."""
-    total = math.degrees(_real(radians, "radians", lo=-math.inf))
-    deg = int(total)
-    rem = (total - deg) * 60.0
-    minutes = int(rem)
-    return deg, minutes, (rem - minutes) * 60.0
 
 
 @dataclass(frozen=True)
@@ -439,21 +421,14 @@ def _as_framework(obj) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_rigidity(pts: np.ndarray, bars: np.ndarray) -> np.ndarray:
+    """The rigidity matrix: one row per bar, the bar vector in the first
+    joint's column block, its negation in the second."""
     d = pts[bars[:, 0]] - pts[bars[:, 1]]
     M = np.zeros((len(bars), len(pts), 3))
     rows = np.arange(len(bars))
     M[rows, bars[:, 0]] = d
     M[rows, bars[:, 1]] = -d
     return M.reshape(len(bars), 3 * len(pts))
-
-
-def rigidity_matrix(obj) -> np.ndarray:
-    """One row per bar: the bar vector in the first joint's column block,
-    its negation in the second.
-
-    Accepts a Mesh or a (points, edges) pair.
-    """
-    return _dense_rigidity(*_as_framework(obj))
 
 
 # Least shift of the Gram matrix, relative to its 1-norm.  It stays far above

@@ -28,7 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "PHI",
     "SEED_KINDS",
     "DEFAULT_TOL",
     "Mesh",
@@ -39,18 +38,16 @@ __all__ = [
     "rotation_to_z",
 ]
 
-PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_PHI = (1.0 + math.sqrt(5.0)) / 2.0  # the golden ratio
 
 
-def _real(x: object, name: str, lo: float = 0.0, hi: float = math.inf) -> float:
-    """x as a float if it is a finite number in (lo, hi], bools excluded; else a
+def _real(x: object, name: str, hi: float = math.inf) -> float:
+    """x as a float if it is a finite number in (0, hi], bools excluded; else a
     TypeError (no number at all) or ValueError that names the parameter."""
     if not isinstance(x, (numbers.Real, np.bool_)):
         raise TypeError(f"{name} must be a number, got {type(x).__name__}")
-    if isinstance(x, (bool, np.bool_)) or not (lo < x <= hi and math.isfinite(x)):
-        span = (f"lie in ({lo:g}, {hi:g}]" if hi < math.inf
-                else "be positive and finite" if lo == 0.0
-                else "be finite" if lo == -math.inf else f"be finite and above {lo:g}")
+    if isinstance(x, (bool, np.bool_)) or not (0.0 < x <= hi and math.isfinite(x)):
+        span = f"lie in (0, {hi:g}]" if hi < math.inf else "be positive and finite"
         raise ValueError(f"{name} must {span}, got {x!r}")
     return float(x)
 
@@ -430,13 +427,13 @@ def _unit_octahedron() -> tuple[np.ndarray, _Cycles]:
 
 
 def _unit_icosahedron() -> tuple[np.ndarray, _Cycles]:
-    # The 12 cyclic permutations of (0, +-1, +-PHI), scaled to the unit sphere.
+    # The 12 cyclic permutations of (0, +-1, +-_PHI), scaled to the unit sphere.
     raw = []
-    for a, b in ((1.0, PHI), (1.0, -PHI), (-1.0, PHI), (-1.0, -PHI)):
+    for a, b in ((1.0, _PHI), (1.0, -_PHI), (-1.0, _PHI), (-1.0, -_PHI)):
         raw.append((0.0, a, b))
         raw.append((b, 0.0, a))
         raw.append((a, b, 0.0))
-    verts = np.array(raw) / math.sqrt(1.0 + PHI * PHI)
+    verts = np.array(raw) / math.sqrt(1.0 + _PHI * _PHI)
     return verts, _triangle_faces(verts)
 
 

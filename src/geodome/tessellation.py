@@ -30,18 +30,12 @@ __all__ = [
     "TessellationSpec",
     "FlatTessellation",
     "GreatCircleSet",
-    "triangulation_number",
     "subdivide",
     "project_to_sphere",
     "stepping_projection",
     "great_circles",
     "schwarz_tiling",
 ]
-
-
-def triangulation_number(m: int, n: int) -> int:
-    """T = m^2 + m*n + n^2: unit tiles per subdivided face."""
-    return TessellationSpec(m, n).T
 
 
 @dataclass(frozen=True)
@@ -62,6 +56,7 @@ class TessellationSpec:
 
     @property
     def T(self) -> int:
+        """The triangulation number m^2 + m n + n^2: unit tiles per subdivided face."""
         return self.m * self.m + self.m * self.n + self.n * self.n
 
     @property

@@ -28,7 +28,7 @@ def _face_planes(P: Mesh) -> tuple[np.ndarray, np.ndarray]:
 
 def _off_center(offsets: np.ndarray, rho: float) -> None:
     """Reject a face plane passing within DEFAULT_TOL * rho of the origin."""
-    hit = np.flatnonzero(np.abs(offsets) <= DEFAULT_TOL * rho)
+    hit = (np.abs(offsets) <= DEFAULT_TOL * rho).nonzero()[0]
     if hit.size:
         raise FaceThroughCenter(f"face {hit[0]} lies in a plane through the center")
 
@@ -85,7 +85,7 @@ def dual(P: Mesh, *, sphere_radius: float | None = None) -> Mesh:
     # height of the far corner across each edge above the plane of the near face
     far = P.vertices[he.head[he.succ[he.twin]]]
     lift = _rowdot(far, normals[face]) - offsets[face]
-    bad = np.flatnonzero(lift > -DEFAULT_TOL * rho)
+    bad = (lift > -DEFAULT_TOL * rho).nonzero()[0]
     if bad.size:
         edge = (int(he.tail[bad[0]]), int(he.head[bad[0]]))
         raise ValueError(f"mesh is not strictly convex at edge {edge}")
@@ -108,7 +108,7 @@ def gemmate(P: Mesh) -> Mesh:
     open one with the same boundary.
     """
     he = P._half_edges
-    triangles = np.flatnonzero(he.size == 3)
+    triangles = (he.size == 3).nonzero()[0]
     if triangles.size:
         raise TriangularFacePresent(f"face {triangles[0]} is a triangle")
     normals, offsets = _face_planes(P)
@@ -116,8 +116,8 @@ def gemmate(P: Mesh) -> Mesh:
     _off_center(offsets, scale)
     apexes = normals * scale + 0.0  # + 0.0: export_obj would write -0.0 as -0
 
-    verts = np.vstack([P.vertices, apexes])
-    flat = np.column_stack([he.tail, he.head, len(P.vertices) + he.face]).ravel()
+    verts = np.concatenate([P.vertices, apexes])
+    flat = np.stack([he.tail, he.head, len(P.vertices) + he.face], axis=1).ravel()
     faces = _Cycles(flat, np.full(len(he.tail), 3))
     return build_mesh(verts, faces, radius=P.radius, closed=P.closed)
 
@@ -148,7 +148,7 @@ def truncate_dome(
     he = P._half_edges
     heights = P.vertices @ a
     keep = he.face_sum(heights[he.tail]) / he.size >= z_cut
-    kept = np.flatnonzero(keep)
+    kept = keep.nonzero()[0]
     if not kept.size:
         raise EmptyDome(f"no face centroid reaches the cut at fraction {height_fraction}")
     if len(kept) == len(he.size):
@@ -156,7 +156,7 @@ def truncate_dome(
 
     if strict:
         low = np.minimum.reduceat(heights[he.tail], he.start)[kept]
-        sag = np.flatnonzero(low < z_cut - DEFAULT_TOL * R)
+        sag = (low < z_cut - DEFAULT_TOL * R).nonzero()[0]
         if sag.size:
             face = tuple(he.tail[he.face == kept[sag[0]]].tolist())
             raise StrictCutViolation(
@@ -166,6 +166,6 @@ def truncate_dome(
     ids = he.tail[keep[he.face]]
     hit = np.zeros(len(P.vertices), dtype=bool)
     hit[ids] = True
-    faces = _Cycles((np.cumsum(hit) - 1)[ids], he.size[kept])
-    used = np.flatnonzero(hit)
+    faces = _Cycles((hit.cumsum() - 1)[ids], he.size[kept])
+    used = hit.nonzero()[0]
     return build_mesh(P.vertices[used], faces, radius=P.radius, closed=False)

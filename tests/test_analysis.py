@@ -18,21 +18,18 @@ from geodome import (
     RigidityReport,
     TessellationSpec,
     analysis_rows,
-    angle_dms,
     build_mesh,
     circumcenter_deviation,
     combinatorially_isomorphic,
     congruent,
     detect_frequency,
     dual,
-    edge_class_labels,
     edge_length_classes,
     face_metrics,
     gemmate,
     is_infinitesimally_rigid,
     mirrored,
     project_to_sphere,
-    rigidity_matrix,
     rotated,
     rotation_to_z,
     seed,
@@ -47,9 +44,11 @@ from geodome import analysis
 from geodome.analysis import (
     _GRAM_SHIFT,
     _RANK_EPS,
+    _as_framework,
     _banded_certified_full_rank,
     _certified_full_rank,
     _dense_rigidity,
+    _edge_class_labels,
     _shifted_gram,
 )
 from geodome.mesh import _scale
@@ -97,11 +96,11 @@ def test_verify_counts_on_every_triangular_seed(make_sphere, kind, m, n):
 
 
 def test_edge_classes_2v(sphere_2v):
-    table, labels = edge_class_labels(sphere_2v)
+    table, labels = _edge_class_labels(sphere_2v, DEFAULT_TOL)
     assert table.class_count == 2
     assert [count for _, count in table.entries] == [60, 60]
     assert len(labels) == len(sphere_2v.edges)
-    assert set(labels) == {0, 1}
+    assert set(labels.tolist()) == {0, 1}
     chords = [chord for chord, _ in table.entries]
     assert chords == sorted(chords)
     assert sum(count for _, count in table.entries) == 120
@@ -120,12 +119,12 @@ def test_edge_classes_reject_bad_tolerance(sphere_2v):
         with pytest.raises(ValueError):
             edge_length_classes(sphere_2v, tol=bad)
         with pytest.raises(ValueError):
-            edge_class_labels(sphere_2v, tol=bad)
+            _edge_class_labels(sphere_2v, tol=bad)
     for bad, name in (((1e-9,), "tuple"), ("1e-9", "str")):
         with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
             edge_length_classes(sphere_2v, bad)
         with pytest.raises(TypeError, match=f"tol must be a number, got {name}"):
-            edge_class_labels(sphere_2v, bad)
+            _edge_class_labels(sphere_2v, bad)
 
 
 def test_edge_class_means_match_np_mean(make_sphere):
@@ -138,7 +137,7 @@ def test_edge_class_means_match_np_mean(make_sphere):
         ranked = np.sort(factors, kind="stable")
         groups = np.split(ranked, np.flatnonzero(np.diff(ranked) > DEFAULT_TOL) + 1)
         want = tuple((float(np.mean(g)), len(g)) for g in groups)
-        assert edge_class_labels(P)[0].entries == want
+        assert _edge_class_labels(P, DEFAULT_TOL)[0].entries == want
 
 
 def test_face_metrics_kinds(sphere_2v, sphere_21):
@@ -186,28 +185,6 @@ def test_pentakis_apex_vertices_are_peaks():
     assert hist[5] == 12
 
 
-def test_angle_dms_roundtrip():
-    rad = math.radians(67.0 + 40.0 / 60.0 + 7.0 / 3600.0)
-    d, m, s = angle_dms(rad)
-    assert (d, m) == (67, 40)
-    assert s == pytest.approx(7.0, abs=1e-9)
-    d, m, s = angle_dms(math.radians(12.0 + 34.0 / 60.0 + 56.7 / 3600.0))
-    assert (d, m) == (12, 34)
-    assert s == pytest.approx(56.7, abs=1e-9)
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, np.True_])
-def test_angle_dms_rejects_non_finite_and_bool(bad):
-    # inf overflowed int(), nan failed inside int(), and True read as 1 rad = 57°17'
-    with pytest.raises(ValueError, match="^radians must be finite, got "):
-        angle_dms(bad)
-
-
-def test_angle_dms_names_a_wrong_type():
-    with pytest.raises(TypeError, match="^radians must be a number, got str$"):
-        angle_dms("1.0")
-
-
 def test_circumcenter_deviation_small_on_spheres(icosa, sphere_21):
     assert circumcenter_deviation(icosa) < 1e-12
     assert circumcenter_deviation(sphere_21) < 1e-9
@@ -220,6 +197,19 @@ def test_detect_frequency(make_sphere, sphere_3v, sphere_21, icosa):
     for bad in (sphere_21, seed("dodecahedron"), seed("octahedron")):
         with pytest.raises(NotClassI):
             detect_frequency(bad)
+    # the counts of the icosahedron, but no degree-5 vertex: a hexagonal
+    # antiprism with each cap split into a central triangle and three ears
+    r, turns = math.sqrt(0.75), np.radians(60.0 * np.arange(6))
+    rings = [np.stack([r * np.cos(a), r * np.sin(a), np.full(6, z)], axis=1)
+             for a, z in ((turns, 0.5), (turns + math.pi / 6.0, -0.5))]
+    caps = [(0, 2, 4), (0, 1, 2), (2, 3, 4), (4, 5, 0)]
+    faces = caps + [(6 + c, 6 + b, 6 + a) for a, b, c in caps]
+    for k, j in zip(range(6), [1, 2, 3, 4, 5, 0]):
+        faces += [(k, 6 + k, j), (j, 6 + k, 6 + j)]
+    P = build_mesh(np.concatenate(rings), faces, radius=1.0)
+    assert P.counts == (12, 30, 20) and vertex_degree_histogram(P) == {4: 6, 6: 6}
+    with pytest.raises(NotClassI, match="^no degree-5 vertices$"):
+        detect_frequency(P)
 
 
 def _reference_frequency(P):
@@ -700,7 +690,7 @@ def test_congruent_matches_the_kd_tree_reference(kind, walk, angles, mirror, exp
 
 
 def test_rigidity_matrix_shape(icosa):
-    M = rigidity_matrix(icosa)
+    M = _dense_rigidity(*_as_framework(icosa))
     assert M.shape == (30, 36)
 
 
@@ -759,21 +749,19 @@ def test_rigidity_framework_input_validation():
         is_infinitesimally_rigid((pts, [0, 1]))
     # joints are numbers: a string, numeric or not, is named, not converted or left
     # to numpy's conversion message
-    for call in (rigidity_matrix, is_infinitesimally_rigid):
-        for joints in ([("a", 0, 0)] + pts[1:], [tuple(map(str, p)) for p in pts]):
-            with pytest.raises(ValueError, match=r"^framework points must be an \(N, 3\) array$"):
-                call((joints, ids))
+    for joints in ([("a", 0, 0)] + pts[1:], [tuple(map(str, p)) for p in pts]):
+        with pytest.raises(ValueError, match=r"^framework points must be an \(N, 3\) array$"):
+            is_infinitesimally_rigid((joints, ids))
     # joints are finite: no NaN matrix, no failed SVD
     for bad in (math.nan, math.inf, -math.inf):
         joints = pts[:3] + [(0, 0, bad)]
-        for call in (rigidity_matrix, is_infinitesimally_rigid):
-            with pytest.raises(ValueError, match="framework points must be finite"):
-                call((joints, ids))
+        with pytest.raises(ValueError, match="framework points must be finite"):
+            is_infinitesimally_rigid((joints, ids))
 
 
 def _dense_report(P):
     """The report of the dense SVD alone, which the certificate must reproduce."""
-    sv = np.linalg.svd(rigidity_matrix(P), compute_uv=False)
+    sv = np.linalg.svd(_dense_rigidity(*_as_framework(P)), compute_uv=False)
     rank = int(np.sum(sv > _RANK_EPS * sv[0]))
     return RigidityReport(len(P.edges), 3 * len(P.vertices), rank, 3 * len(P.vertices) - 6)
 
@@ -891,7 +879,7 @@ def test_flat_framework_falls_back_to_dense_rank():
 
 def _svd_rank(pts, bars):
     """The rank _dense_report counts, of a framework that need not be a mesh."""
-    sv = np.linalg.svd(rigidity_matrix((pts, bars)), compute_uv=False)
+    sv = np.linalg.svd(_dense_rigidity(pts, bars), compute_uv=False)
     return int(np.sum(sv > _RANK_EPS * sv.max(initial=0.0)))
 
 

@@ -46,15 +46,12 @@ def _valid_calls(
     return {
         "verify_counts": ((P, geodome.TessellationSpec(1, 0)), {}),
         "edge_length_classes": ((P,), {}),
-        "edge_class_labels": ((P,), {}),
         "vertex_degree_histogram": ((P,), {}),
         "circumcenter_deviation": ((P,), {}),
         "face_metrics": ((P,), {}),
-        "angle_dms": ((1.0,), {}),
         "detect_frequency": ((P,), {}),
         "congruent": ((P, P), {}),
         "combinatorially_isomorphic": ((P, P), {}),
-        "rigidity_matrix": ((P,), {}),
         "is_infinitesimally_rigid": ((P,), {}),
         "export_obj": ((P, tmp / "out.obj"), {}),
         "import_obj": ((obj,), {}),
@@ -68,7 +65,6 @@ def _valid_calls(
         "rotated": ((P, np.eye(3)), {}),
         "rotation_to_z": (((0.0, 0.0, 1.0),), {}),
         "TessellationSpec": ((2, 1), {}),
-        "triangulation_number": ((2, 1), {}),
         "subdivide": ((P, 2, 1), {}),
         "project_to_sphere": ((geodome.subdivide(P, 2, 0),), {}),
         "stepping_projection": ((P, 1), {}),
@@ -130,8 +126,8 @@ def test_every_number_and_flag_is_checked_at_the_boundary(tmp_path):
                 message = str(caught.value)
                 assert re.search(rf"\b{param.name}\b", message), (name, param.name, bad, message)
                 checked += 1
-    # 5 flags, 18 numbers that refuse None and 2 that accept it
-    assert checked == 5 * len(BAD_FLAGS) + 18 * (len(BAD_NUMBERS) + 1) + 2 * len(BAD_NUMBERS)
+    # 5 flags, 14 numbers that refuse None and 2 that accept it
+    assert checked == 5 * len(BAD_FLAGS) + 14 * (len(BAD_NUMBERS) + 1) + 2 * len(BAD_NUMBERS)
 
 
 # They read counts and degrees, not lengths, and want a tessellated sphere.
@@ -153,8 +149,8 @@ def test_every_call_accepts_a_mesh_without_a_circumsphere(tmp_path):
 
 
 CLASSIFIERS = {
-    "edge_class_labels", "edge_length_classes", "face_metrics", "strut_schedule",
-    "export_schedule", "analysis_rows", "export_analysis_csv",
+    "edge_length_classes", "face_metrics", "strut_schedule", "export_schedule",
+    "analysis_rows", "export_analysis_csv",
 }
 
 

@@ -25,7 +25,6 @@ from geodome import (
     congruent,
     detect_frequency,
     dual,
-    edge_class_labels,
     edge_length_classes,
     export_analysis_csv,
     export_obj,
@@ -42,7 +41,7 @@ from geodome import (
     truncate_dome,
     verify_counts,
 )
-from geodome.analysis import _RANK_EPS
+from geodome.analysis import _RANK_EPS, _edge_class_labels
 from geodome.mesh import _HalfEdges, _cross, _lengths, _norms, _rowdot
 
 SEED_COUNTS = {
@@ -675,7 +674,7 @@ def test_package_dir_lists_its_modules_and_every_export():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda P, tol, out: edge_class_labels(P, tol),
+        lambda P, tol, out: _edge_class_labels(P, tol),
         lambda P, tol, out: edge_length_classes(P, tol),
         lambda P, tol, out: face_metrics(P, tol),
         lambda P, tol, out: strut_schedule(P, tol),
@@ -718,7 +717,7 @@ def test_tolerance_validation():
     # nan compares false everywhere: it would silently fail every tolerance test
     for bad in (0.0, -1e-9, math.nan, math.inf, True, np.True_):
         with pytest.raises(ValueError, match="^tol must be positive and finite"):
-            edge_class_labels(t, tol=bad)
+            edge_length_classes(t, tol=bad)
     # the fixed tolerances of the geometry checks and of the rank test
     assert DEFAULT_TOL == 1e-9
     assert _RANK_EPS == 1e-10

@@ -27,7 +27,6 @@ from geodome import (
     seed,
     stepping_projection,
     subdivide,
-    triangulation_number,
     truncate_dome,
     verify_counts,
     vertex_degree_histogram,
@@ -39,7 +38,6 @@ from geodome.tessellation import _axes_up_to_sign, _lattice
     "m,n,T", [(1, 0, 1), (2, 0, 4), (3, 0, 9), (1, 1, 3), (2, 1, 7), (8, 8, 192)]
 )
 def test_triangulation_number(m, n, T):
-    assert triangulation_number(m, n) == T
     assert TessellationSpec(m, n).T == T
 
 
@@ -54,8 +52,6 @@ def test_subdivision_class(m, n, cls):
 def test_invalid_spec_rejected(m, n, icosa):
     with pytest.raises(InvalidSpec):
         TessellationSpec(m, n)
-    with pytest.raises(InvalidSpec):
-        triangulation_number(m, n)
     with pytest.raises(InvalidSpec):
         subdivide(icosa, m, n)
 

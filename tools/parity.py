@@ -31,7 +31,9 @@ three plain icosahedral ones) runs the flags no other step passes: a
 ``--strict`` 0.5 cut, which holds on the vertex-up (2, 0) sphere and fails
 without vertex-up, the csv export, and ``--tol 1e-3`` on ``analyze`` and on
 the json export, which merges length classes of the (4, 0) sphere.
-The report ends with the line count of each tree's ``src/geodome``.
+The report ends with the line count of each tree's ``src/geodome``, then
+the length of each tree's ``geodome.__all__`` and the names only one of
+them exports.
 """
 
 from __future__ import annotations
@@ -102,9 +104,14 @@ def corpus() -> list[list[str]]:
     return steps
 
 
+def tree_env(root: Path) -> dict[str, str]:
+    """The environment of a process that imports geodome from root's src/."""
+    return dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+
+
 def run_tree(root: Path, workdir: Path, steps: list[list[str]]) -> list[tuple]:
     """(exit code, stdout, stderr) of every step, run from workdir on root's src/."""
-    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+    env = tree_env(root)
     workdir.mkdir(parents=True)
     results = []
     for argv in steps:
@@ -119,6 +126,22 @@ def run_tree(root: Path, workdir: Path, steps: list[list[str]]) -> list[tuple]:
 def source_lines(root: Path) -> int:
     """Lines in the modules of root's src/geodome, as ``wc -l`` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "geodome").rglob("*.py"))
+
+
+def public_names(root: Path) -> list[str]:
+    """geodome.__all__ of root's src/, read in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", "import geodome; print(*geodome.__all__)"],
+                          env=tree_env(root), capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def surface(old: list[str], new: list[str]) -> str:
+    """The public name counts of two trees and the names only one of them exports."""
+    line = f"geodome.__all__: {len(old)} -> {len(new)} names"
+    for side, only in (("old", set(old) - set(new)), ("new", set(new) - set(old))):
+        if only:
+            line += f"; only in {side}: {', '.join(sorted(only))}"
+    return line
 
 
 def compare(steps: list[list[str]], old: list[tuple], new: list[tuple],
@@ -159,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(steps)} steps ({failed} exit non-zero), {files} files: "
           f"{len(diffs)} difference(s)")
     print(f"src/geodome: {source_lines(args.old)} -> {source_lines(args.new)} lines")
+    print(surface(public_names(args.old), public_names(args.new)))
     return 1 if diffs else 0
 
 
